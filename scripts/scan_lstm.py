@@ -27,6 +27,7 @@ from pvdispatch.lstm import (
     loss_mse,
     predict_series,
 )
+from pvdispatch.pipeline import with_lead_in
 from pvdispatch.synth import SynthParams, synth_year
 
 
@@ -63,10 +64,9 @@ def main():
     rng = np.random.Generator(np.random.PCG64(2))
 
     def test_nmae():
-        series = predict_series(params, net, gen, spec, normalizer, mask)
-        idx = {int(k): i for i, k in enumerate(series.timestamps.astype(np.int64))}
-        sel = np.array([idx[int(k)] for k in test_ds.timestamps.astype(np.int64)])
-        return nmae(series.values[sel], actual)
+        test_rows = with_lead_in(gen, spec, train_ds.n)
+        series = predict_series(params, net, test_rows, spec, normalizer, mask)
+        return nmae(series.values, actual)
 
     t0 = time.time()
     for epoch in range(epochs):

@@ -9,7 +9,6 @@ from .data import (  # noqa: F401
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
-    WindowedSample,
 )
 from .dispatch import (  # noqa: F401
     DispatchCase,

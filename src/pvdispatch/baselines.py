@@ -213,17 +213,6 @@ def monthly_hour_fit(train: TimeSeriesDataset, target_j: int) -> MonthlyHourMode
     return MonthlyHourModel(table)
 
 
-def monthly_hour_forecast(model: MonthlyHourModel, month: int, hour: int) -> float:
-    if not 1 <= month <= 12:
-        raise DataError(f"month must be 1..12, got {month}")
-    if not 0 <= hour <= 23:
-        raise DataError(f"hour must be 0..23, got {hour}")
-    v = model.table[month - 1, hour]
-    if np.isnan(v):
-        raise DataError(f"no training data for month {month}, hour {hour}")
-    return float(v)
-
-
 def monthly_forecast_values(
     model: MonthlyHourModel, timestamps: np.ndarray
 ) -> np.ndarray:

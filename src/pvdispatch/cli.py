@@ -8,6 +8,7 @@ failures at run time.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,45 +16,27 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .baselines import (
-    daily_profiles,
-    kmeans_fit,
-    kmeans_forecast_values,
-    monthly_forecast_values,
-    monthly_hour_fit,
-)
-from .data import (
-    DataError,
-    ForecastSeries,
-    TimeSeriesDataset,
-    WindowSpec,
-    apply_dark_mask,
-    derive_dark_mask,
-    fit_normalizer,
-    load_csv,
-    load_mask_csv,
-    normalize,
-    save_mask_csv,
-    split_chronological,
-    window_arrays,
-    write_csv,
-)
+from .data import DataError, load_csv, save_mask_csv, split_chronological, write_csv
 from .dispatch import (
     DispatchCase,
-    DispatchError,
+    case_metrics,
     default_fleet,
     load_fleet_csv,
     nmae as nmae_metric,
-    save_fleet_csv,
     solve_da,
     solve_rt,
 )
-from .lstm import NetworkConfig, TrainingConfig, predict_series, train
 from .pipeline import (
-    ConfigError,
+    INPUT_ERRORS,
+    METHODS,
+    FittedModels,
     StageError,
     emit_report,
+    evaluate_days,
+    fit_models,
+    forecast_test,
     load_config,
+    load_inputs,
     run_pipeline,
 )
 from .synth import synth_year
@@ -63,14 +46,9 @@ EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
 
-def _fail_config(msg: str) -> int:
+def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
-def _fail_stage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_STAGE
+    return code
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -85,61 +63,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_series(config) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
-    if config.synth_enabled:
-        return synth_year(
-            seed=config.seed,
-            areas=config.synth_areas,
-            hours=config.synth_hours,
-            start=config.synth_start,
-        )
-    return load_csv(config.generation_csv), load_csv(config.demand_csv)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     config.validate()
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    generation, _demand = _load_series(config)
+    generation, _demand, _fleet = load_inputs(config)
     train_ds, _test_ds = split_chronological(generation, config.train_fraction)
-    spec = WindowSpec(config.lookback_p, config.horizon_m, config.target_feature_j)
-    normalizer = fit_normalizer(train_ds)
-    mask = (
-        load_mask_csv(config.mask_csv)
-        if config.mask_csv
-        else derive_dark_mask(train_ds, config.target_feature_j)
+    models, history = fit_models(config, train_ds)
+    checkpoint.save_lstm(
+        out / "mlstm.npz", models.net, models.params, models.normalizer, models.mask
     )
-    net = NetworkConfig(
-        input_features=generation.n_features,
-        layer_sizes=config.layer_sizes,
-        dropout_rate=config.dropout_rate,
-        cell_activation=config.cell_activation,
-        seed=config.network_seed,
-    )
-    tc = TrainingConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        seed=config.training_seed,
-        shuffle=config.shuffle,
-        lr_decay=config.lr_decay,
-    )
-    train_norm = TimeSeriesDataset(
-        train_ds.timestamps,
-        normalize(train_ds.values, normalizer),
-        train_ds.feature_names,
-    )
-    params, history = train(window_arrays(train_norm, spec), net, tc)
-    profiles, months = daily_profiles(train_ds, config.target_feature_j)
-    km = kmeans_fit(
-        profiles, config.kmeans_clusters, seed=config.kmeans_seed, months=months
-    )
-    monthly = monthly_hour_fit(train_ds, config.target_feature_j)
-    checkpoint.save_lstm(out / "mlstm.npz", net, params, normalizer, mask)
-    checkpoint.save_kmeans(out / "kmeans.npz", km, mask)
-    checkpoint.save_monthly(out / "monthly.npz", monthly, mask)
-    save_mask_csv(mask, out / "dark_mask.csv")
+    checkpoint.save_kmeans(out / "kmeans.npz", models.kmeans, models.mask)
+    checkpoint.save_monthly(out / "monthly.npz", models.monthly, models.mask)
+    save_mask_csv(models.mask, out / "dark_mask.csv")
     print(
         f"trained {len(history)} epochs, final MSE {history[-1]:.6g}; "
         f"checkpoints in {out}"
@@ -150,50 +87,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_forecast(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     config.validate()
-    models = Path(args.models)
+    models_dir = Path(args.models)
+    net, params, normalizer, mask = checkpoint.load_lstm(models_dir / "mlstm.npz")
+    km, _ = checkpoint.load_kmeans(models_dir / "kmeans.npz")
+    monthly, _ = checkpoint.load_monthly(models_dir / "monthly.npz")
+    models = FittedModels(net, params, normalizer, mask, km, monthly)
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    generation, _demand = _load_series(config)
-    _train_ds, test_ds = split_chronological(generation, config.train_fraction)
-    spec = WindowSpec(config.lookback_p, config.horizon_m, config.target_feature_j)
-
-    net, params, normalizer, mask = checkpoint.load_lstm(models / "mlstm.npz")
-    km, _ = checkpoint.load_kmeans(models / "kmeans.npz")
-    monthly, _ = checkpoint.load_monthly(models / "monthly.npz")
-    full = predict_series(params, net, generation, spec, normalizer, mask)
-    idx = {int(k): i for i, k in enumerate(full.timestamps.astype(np.int64))}
-    sel = [idx.get(int(k)) for k in test_ds.timestamps.astype(np.int64)]
-    if any(i is None for i in sel):
-        return _fail_stage("test span not fully covered by the forecast window")
-    name = generation.feature_names[config.target_feature_j]
-    series = {
-        "mlstm": full.values[np.array(sel)],
-        "monthly": apply_dark_mask(
-            ForecastSeries(
-                test_ds.timestamps,
-                monthly_forecast_values(monthly, test_ds.timestamps),
-                name,
-            ),
-            mask,
-        ).values,
-        "kmeans": apply_dark_mask(
-            ForecastSeries(
-                test_ds.timestamps,
-                kmeans_forecast_values(km, test_ds.timestamps),
-                name,
-            ),
-            mask,
-        ).values,
-    }
+    generation, _demand, _fleet = load_inputs(config)
+    train_ds, test_ds = split_chronological(generation, config.train_fraction)
+    forecasts = forecast_test(config, models, generation, train_ds.n)
+    columns = [test_ds.values[:, config.target_feature_j]]
+    columns += [forecasts[m].values for m in METHODS]
     path = out / "forecasts.csv"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("timestamp,actual,kmeans,monthly,mlstm\n")
-        actual = test_ds.values[:, config.target_feature_j]
-        for i, ts in enumerate(test_ds.timestamps):
-            fh.write(
-                f"{ts},{actual[i]!r},{series['kmeans'][i]!r},"
-                f"{series['monthly'][i]!r},{series['mlstm'][i]!r}\n"
-            )
+        fh.write("timestamp,actual," + ",".join(METHODS) + "\n")
+        for ts, *cells in zip(test_ds.timestamps, *columns):
+            fh.write(f"{ts}," + ",".join(repr(c) for c in cells) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -207,11 +117,17 @@ def _read_single_column(path: str, expect_hours: int | None = None) -> np.ndarra
     return ds.values[:, 0]
 
 
-def _cmd_dispatch(args: argparse.Namespace) -> int:
+def _read_series_and_fleet(args: argparse.Namespace):
+    """Demand, forecast and actual series of equal length, and the fleet."""
     fleet = load_fleet_csv(args.fleet) if args.fleet else default_fleet()
     demand = _read_single_column(args.demand)
     forecast = _read_single_column(args.forecast, demand.shape[0])
     actual = _read_single_column(args.actual, demand.shape[0])
+    return demand, forecast, actual, fleet
+
+
+def _cmd_dispatch(args: argparse.Namespace) -> int:
+    demand, forecast, actual, fleet = _read_series_and_fleet(args)
     case = DispatchCase(
         demand=demand,
         forecast=forecast,
@@ -237,60 +153,35 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
             row += [repr(float(rt.delta[v, t])) for v in range(len(names))]
             row += [repr(float(rt.spill[t])), repr(float(rt.ls_rt[t]))]
             fh.write(",".join(row) + "\n")
-    gas_mask = np.array([g.gas_fired for g in case.fleet], dtype=bool)
-    combined = da.p + rt.delta
-    gas = float(combined[gas_mask].sum()) if gas_mask.any() else 0.0
+    metrics = case_metrics(case, da, rt)
     print(f"wrote {path}")
     print(f"da_objective_usd={da.objective!r} rt_objective_usd={rt.objective!r}")
     print(
-        f"gas_mwh={gas!r} co2_kg={case.emission_factor * gas!r} "
-        f"shed_mwh={float((da.ls + rt.ls_rt).sum())!r} "
-        f"spill_mwh={float(rt.spill.sum())!r}"
+        f"gas_mwh={metrics.gas_mwh!r} co2_kg={metrics.co2_kg!r} "
+        f"shed_mwh={metrics.shed_mwh!r} spill_mwh={metrics.spill_mwh!r}"
     )
-    try:
-        print(f"nmae={nmae_metric(forecast, actual)!r}")
-    except DispatchError:
-        print("nmae=undefined (actual series has zero mean)")
+    _print_nmae(nmae_metric(forecast, actual) if actual.any() else math.nan)
     return EXIT_OK
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    fleet = load_fleet_csv(args.fleet) if args.fleet else default_fleet()
-    demand = _read_single_column(args.demand)
-    forecast = _read_single_column(args.forecast, demand.shape[0])
-    actual = _read_single_column(args.actual, demand.shape[0])
-    n_days = demand.shape[0] // 24
-    if n_days == 0:
-        return _fail_config("evaluate needs at least one complete 24-hour day")
-    gas = shed = spill = cost = 0.0
-    for d in range(n_days):
-        sl = slice(24 * d, 24 * (d + 1))
-        case = DispatchCase(
-            demand=demand[sl],
-            forecast=forecast[sl],
-            actual=actual[sl],
-            fleet=fleet,
-            voll=args.voll,
-            emission_factor=args.emission_factor,
-        )
-        da = solve_da(case)
-        rt = solve_rt(case, da)
-        gas_mask = np.array([g.gas_fired for g in fleet], dtype=bool)
-        combined = da.p + rt.delta
-        gas += float(combined[gas_mask].sum()) if gas_mask.any() else 0.0
-        shed += float((da.ls + rt.ls_rt).sum())
-        spill += float(rt.spill.sum())
-        cost += float(da.objective + rt.objective)
-    span = slice(0, 24 * n_days)
-    print(f"gas_mwh={gas!r}")
-    print(f"co2_kg={args.emission_factor * gas!r}")
-    print(f"load_shedding_mwh={shed!r}")
-    print(f"spillage_mwh={spill!r}")
-    print(f"da_rt_cost_usd={cost!r}")
-    try:
-        print(f"nmae={nmae_metric(forecast[span], actual[span])!r}")
-    except DispatchError:
+def _print_nmae(value: float) -> None:
+    if math.isnan(value):
         print("nmae=undefined (actual series has zero mean)")
+    else:
+        print(f"nmae={value!r}")
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    demand, forecast, actual, fleet = _read_series_and_fleet(args)
+    report, _daily, _absorbed = evaluate_days(
+        demand, forecast, actual, fleet, args.voll, args.emission_factor
+    )
+    print(f"gas_mwh={report.gas_mwh!r}")
+    print(f"co2_kg={report.co2_kg!r}")
+    print(f"load_shedding_mwh={report.shed_mwh!r}")
+    print(f"spillage_mwh={report.spill_mwh!r}")
+    print(f"da_rt_cost_usd={report.cost_usd!r}")
+    _print_nmae(report.nmae)
     return EXIT_OK
 
 
@@ -304,7 +195,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_pipeline(config)
     manifest = emit_report(result, config.output_dir)
     print(f"outputs in {config.output_dir}")
-    for method in ("kmeans", "monthly", "mlstm"):
+    for method in METHODS:
         r = result.reports[method]
         print(
             f"{method}: gas_mwh={r.gas_mwh:.2f} co2_kg={r.co2_kg:.1f} "
@@ -375,12 +266,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, DispatchError) as exc:
-        return _fail_config(str(exc))
+    except INPUT_ERRORS as exc:
+        return _fail(str(exc), EXIT_CONFIG)
     except StageError as exc:
-        return _fail_stage(str(exc))
+        return _fail(str(exc), EXIT_STAGE)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        return _fail_stage(f"unexpected failure: {exc}")
+        return _fail(f"unexpected failure: {exc}", EXIT_STAGE)
 
 
 if __name__ == "__main__":

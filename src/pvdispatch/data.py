@@ -158,22 +158,6 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class WindowedSample:
-    """One supervised sample: a (p, F) input block and its scalar label."""
-
-    input: np.ndarray
-    label: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.input, dtype=float)
-        if arr.ndim != 2:
-            raise DataError("sample input must be a (p, F) matrix")
-        if not math.isfinite(self.label):
-            raise DataError("sample label must be finite")
-        object.__setattr__(self, "input", _readonly(arr))
-
-
-@dataclass(frozen=True)
 class NormalizationParams:
     """Per-feature min-max scaling fitted on the training split only."""
 
@@ -353,31 +337,15 @@ def denormalize_feature(
     return np.asarray(values, dtype=float) * params.span()[j] + params.feature_min[j]
 
 
-def make_windows(ds: TimeSeriesDataset, spec: WindowSpec) -> list[WindowedSample]:
-    """Stride-1 sliding windows over the dataset.
-
-    Sample k covers rows k..k+p-1 (all features) with label at row
-    k+p+m-1 of the target feature; there are exactly N - p - m + 1 samples.
-    """
-    p, m, j = spec.lookback_p, spec.horizon_m, spec.target_feature_j
-    if j >= ds.n_features:
-        raise DataError(
-            f"target feature {j} out of range for {ds.n_features} features"
-        )
-    if ds.n < p + m:
-        raise DataError(
-            f"need at least p + m = {p + m} rows for windowing, have {ds.n}"
-        )
-    inputs, labels = window_arrays(ds, spec)
-    return [
-        WindowedSample(inputs[k], float(labels[k])) for k in range(inputs.shape[0])
-    ]
-
-
 def window_arrays(
     ds: TimeSeriesDataset, spec: WindowSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked window inputs (B, p, F) and labels (B,) for batch training."""
+    """Stride-1 sliding windows stacked for batch training.
+
+    Window k covers rows k..k+p-1 (all features) with its label at row
+    k+p+m-1 of the target feature: inputs (B, p, F) and labels (B,) with
+    B = N - p - m + 1.
+    """
     p, m, j = spec.lookback_p, spec.horizon_m, spec.target_feature_j
     if j >= ds.n_features:
         raise DataError(

@@ -126,6 +126,16 @@ class DispatchCase:
             )
         if self.emission_factor <= 0:
             raise DispatchError("emission_factor must be > 0")
+        # Day ahead, every unit runs at pmin or more and nothing can absorb
+        # a surplus, so demand below the total pmin has no schedule.
+        pmin_total = sum(g.pmin for g in fleet)
+        short = np.nonzero(demand < pmin_total)[0]
+        if short.size:
+            h = int(short[0])
+            raise DispatchError(
+                f"hour {h}: demand {demand[h]:g} MW is below the fleet's total "
+                f"pmin {pmin_total:g} MW, so no day-ahead schedule exists"
+            )
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "forecast", forecast)
         object.__setattr__(self, "actual", actual)
@@ -159,6 +169,18 @@ class RtSolution:
     ls_rt: np.ndarray
     objective: float
     iterations: int = 0
+
+
+@dataclass(frozen=True)
+class CaseMetrics:
+    """Grid metrics of one dispatch case: gas-fired energy, its CO2, load
+    shedding, spillage, and the day-ahead plus real-time cost."""
+
+    gas_mwh: float
+    co2_kg: float
+    shed_mwh: float
+    spill_mwh: float
+    cost_usd: float
 
 
 @dataclass(frozen=True)
@@ -248,24 +270,27 @@ def build_da_lp(case: DispatchCase) -> LinearProgram:
     )
 
 
-def _require_optimal(sol: LpSolution, market: str) -> None:
+def _solve_audited(lp: LinearProgram, market: str, tol: float) -> LpSolution:
+    """Solve a dispatch program and audit the answer. Every case that
+    :class:`DispatchCase` admits is feasible, so anything but an optimal,
+    feasible point is a solver fault."""
+    sol = solve_lp(lp, tol=tol)
     if sol.status is not LpStatus.OPTIMAL:
         raise DispatchInternalError(
             f"{market} dispatch came back {sol.status.value}; the formulation "
-            "guarantees feasibility, so the inputs or solver are broken"
+            "guarantees feasibility, so the solver is broken"
         )
+    bad = check_solution(lp, sol, tol=1e-6)
+    if bad:
+        raise DispatchInternalError(
+            f"{market} solution failed feasibility audit: {bad[0].message}"
+        )
+    return sol
 
 
 def solve_da(case: DispatchCase, tol: float = 1e-9) -> DaSolution:
     """Solve the day-ahead program and unpack the schedule."""
-    lp = build_da_lp(case)
-    sol = solve_lp(lp, tol=tol)
-    _require_optimal(sol, "day-ahead")
-    bad = check_solution(lp, sol, tol=1e-6)
-    if bad:
-        raise DispatchInternalError(
-            f"day-ahead solution failed feasibility audit: {bad[0].message}"
-        )
+    sol = _solve_audited(build_da_lp(case), "day-ahead", tol)
     t_n = case.horizon
     v_n = len(case.fleet)
     x = sol.x
@@ -348,21 +373,7 @@ def build_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
 
 def solve_rt(case: DispatchCase, da: DaSolution, tol: float = 1e-9) -> RtSolution:
     """Solve the real-time adjustment program against actual renewables."""
-    lp = build_rt_lp(case, da)
-    sol = solve_lp(lp, tol=tol)
-    if sol.status is LpStatus.INFEASIBLE:
-        # Identify the hour whose balance cannot close, for the error text.
-        worst = int(np.argmax(np.abs(lp.b_eq)))
-        raise DispatchInternalError(
-            f"real-time dispatch infeasible around hour {worst}; the "
-            "formulation guarantees feasibility, so inputs are inconsistent"
-        )
-    _require_optimal(sol, "real-time")
-    bad = check_solution(lp, sol, tol=1e-6)
-    if bad:
-        raise DispatchInternalError(
-            f"real-time solution failed feasibility audit: {bad[0].message}"
-        )
+    sol = _solve_audited(build_rt_lp(case, da), "real-time", tol)
     t_n = case.horizon
     flex = [v for v, g in enumerate(case.fleet) if g.rt_available]
     f_n = len(flex)
@@ -375,27 +386,17 @@ def solve_rt(case: DispatchCase, da: DaSolution, tol: float = 1e-9) -> RtSolutio
     return RtSolution(delta, spill, ls_rt, float(sol.objective), sol.iterations)
 
 
-def compute_metrics(
-    case: DispatchCase,
-    da: DaSolution,
-    rt: RtSolution,
-    forecast: np.ndarray,
-    actual: np.ndarray,
-) -> EvaluationReport:
-    """Bundle the grid metrics for one solved case."""
+def case_metrics(case: DispatchCase, da: DaSolution, rt: RtSolution) -> CaseMetrics:
+    """The grid metrics of one solved day-ahead + real-time case."""
     gas_mask = np.array([g.gas_fired for g in case.fleet], dtype=bool)
     combined = da.p + rt.delta
     gas_mwh = float(combined[gas_mask].sum()) if gas_mask.any() else 0.0
-    shed = float((da.ls + rt.ls_rt).sum())
-    spill = float(rt.spill.sum())
-    cost = float(da.objective + rt.objective)
-    return EvaluationReport(
+    return CaseMetrics(
         gas_mwh=gas_mwh,
         co2_kg=case.emission_factor * gas_mwh,
-        shed_mwh=shed,
-        spill_mwh=spill,
-        cost_usd=cost,
-        nmae=nmae(forecast, actual),
+        shed_mwh=float((da.ls + rt.ls_rt).sum()),
+        spill_mwh=float(rt.spill.sum()),
+        cost_usd=float(da.objective + rt.objective),
     )
 
 

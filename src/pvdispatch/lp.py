@@ -206,29 +206,6 @@ def check_solution(
     return out
 
 
-def lp_to_text(lp: LinearProgram) -> str:
-    """Human-readable listing of an LP for debugging; not a contract surface."""
-
-    def name(j: int) -> str:
-        return lp.names[j] if lp.names else f"x{j}"
-
-    def terms(row: np.ndarray) -> str:
-        parts = [
-            f"{row[j]:+g} {name(j)}" for j in range(lp.n_vars) if row[j] != 0.0
-        ]
-        return " ".join(parts) if parts else "0"
-
-    lines = ["minimize", f"  {terms(lp.c)}", "subject to"]
-    for i in range(lp.A_eq.shape[0]):
-        lines.append(f"  {terms(lp.A_eq[i])} = {lp.b_eq[i]:g}")
-    for i in range(lp.A_ub.shape[0]):
-        lines.append(f"  {terms(lp.A_ub[i])} <= {lp.b_ub[i]:g}")
-    lines.append("bounds")
-    for j in range(lp.n_vars):
-        lines.append(f"  {lp.lower[j]:g} <= {name(j)} <= {lp.upper[j]:g}")
-    return "\n".join(lines)
-
-
 @dataclass
 class _StandardForm:
     """min c.y, A y = b, y >= 0, with a map back to the original variables."""

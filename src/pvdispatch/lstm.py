@@ -34,7 +34,6 @@ from .data import (
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
-    WindowedSample,
     apply_dark_mask,
     denormalize_feature,
     normalize,
@@ -436,30 +435,18 @@ def adam_step(
     return new_params, new_state
 
 
-def _samples_to_arrays(
-    samples: list[WindowedSample] | tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, tuple):
-        inputs, labels = samples
-        return np.asarray(inputs, dtype=float), np.asarray(labels, dtype=float)
-    if not samples:
-        raise ValueError("training needs at least one sample")
-    inputs = np.stack([s.input for s in samples]).astype(float)
-    labels = np.array([s.label for s in samples], dtype=float)
-    return inputs, labels
-
-
 def train(
-    samples: list[WindowedSample] | tuple[np.ndarray, np.ndarray],
+    samples: tuple[np.ndarray, np.ndarray],
     net: NetworkConfig,
     tc: TrainingConfig,
 ) -> tuple[NetworkParameters, list[float]]:
-    """Mini-batch Adam training; returns parameters and per-epoch mean MSE.
+    """Mini-batch Adam training on (inputs (B, p, F), labels (B,)) windows;
+    returns parameters and per-epoch mean MSE.
 
     Fully deterministic given (net.seed, tc.seed): the shuffle order and
     each batch's dropout mask are drawn from one seeded stream.
     """
-    inputs, labels = _samples_to_arrays(samples)
+    inputs, labels = (np.asarray(a, dtype=float) for a in samples)
     if inputs.shape[0] == 0:
         raise ValueError("training needs at least one sample")
     n = inputs.shape[0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,16 +26,20 @@ import yaml
 
 from . import __version__
 from .baselines import (
+    KMeansModel,
+    MonthlyHourModel,
     daily_profiles,
     kmeans_fit,
     kmeans_forecast_values,
     monthly_forecast_values,
     monthly_hour_fit,
 )
+from .checkpoint import CheckpointError
 from .data import (
     DarkHourMask,
     DataError,
     ForecastSeries,
+    NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
     apply_dark_mask,
@@ -47,30 +52,47 @@ from .data import (
     window_arrays,
 )
 from .dispatch import (
+    CaseMetrics,
     DispatchCase,
+    DispatchError,
     EvaluationReport,
+    GeneratorSpec,
+    case_metrics,
     default_fleet,
     load_fleet_csv,
     nmae,
     solve_da,
     solve_rt,
 )
-from .lstm import NetworkConfig, TrainingConfig, predict_series, train
-from .synth import SynthParams, synth_year
+from .lstm import (
+    NetworkConfig,
+    NetworkParameters,
+    TrainingConfig,
+    predict_series,
+    train,
+)
+from .synth import synth_year
 
 METHODS = ("kmeans", "monthly", "mlstm")
-METRIC_ROWS = (
-    "gas_mwh",
-    "co2_kg",
-    "load_shedding_mwh",
-    "spillage_mwh",
-    "da_rt_cost_usd",
-    "nmae",
-)
+# metrics.csv row -> EvaluationReport attribute; the first five rows are
+# also CaseMetrics attributes and the columns of metrics_daily.csv.
+_REPORT_FIELDS = {
+    "gas_mwh": "gas_mwh",
+    "co2_kg": "co2_kg",
+    "load_shedding_mwh": "shed_mwh",
+    "spillage_mwh": "spill_mwh",
+    "da_rt_cost_usd": "cost_usd",
+    "nmae": "nmae",
+}
+METRIC_ROWS = tuple(_REPORT_FIELDS)
 
 
 class ConfigError(ValueError):
     """Invalid pipeline configuration."""
+
+
+# Bad input or configuration: passed through stages unwrapped (CLI exit 2).
+INPUT_ERRORS = (ConfigError, DataError, DispatchError, CheckpointError)
 
 
 class StageError(RuntimeError):
@@ -128,10 +150,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
-        if self.lookback_p < 1 or self.horizon_m < 1:
-            raise ConfigError("lookback_p and horizon_m must be >= 1")
-        if self.target_feature_j < 0:
-            raise ConfigError("target_feature_j must be >= 0")
         if self.emission_factor <= 0:
             raise ConfigError("emission_factor must be > 0")
         if self.dispatch_horizon != 24:
@@ -152,82 +170,106 @@ class PipelineConfig:
                 raise ConfigError(f"{label}: no such file: {p}")
         # Constructor-level checks, surfaced before any stage runs.
         try:
-            NetworkConfig(
-                input_features=1,
-                layer_sizes=self.layer_sizes,
-                dropout_rate=self.dropout_rate,
-                cell_activation=self.cell_activation,
-                seed=self.network_seed,
-            )
-            TrainingConfig(
-                epochs=self.epochs,
-                batch_size=self.batch_size,
-                learning_rate=self.learning_rate,
-                seed=self.training_seed,
-                shuffle=self.shuffle,
-                lr_decay=self.lr_decay,
-            )
+            _window_spec(self)
+            _network_config(self, input_features=1)
+            _training_config(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
 
+def _network_config(config: PipelineConfig, input_features: int) -> NetworkConfig:
+    return NetworkConfig(
+        input_features=input_features,
+        layer_sizes=config.layer_sizes,
+        dropout_rate=config.dropout_rate,
+        cell_activation=config.cell_activation,
+        seed=config.network_seed,
+    )
+
+
+def _training_config(config: PipelineConfig) -> TrainingConfig:
+    return TrainingConfig(
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        learning_rate=config.learning_rate,
+        seed=config.training_seed,
+        shuffle=config.shuffle,
+        lr_decay=config.lr_decay,
+    )
+
+
+def _window_spec(config: PipelineConfig) -> WindowSpec:
+    return WindowSpec(config.lookback_p, config.horizon_m, config.target_feature_j)
+
+
+# (YAML section, key, config field, conversion); a missing key keeps the
+# field's default.
+_YAML_FIELDS = (
+    ("data.synth", "hours", "synth_hours", int),
+    ("data.synth", "start", "synth_start", str),
+    ("data.synth", "areas", "synth_areas", int),
+    ("window", "lookback", "lookback_p", int),
+    ("window", "horizon", "horizon_m", int),
+    ("window", "target", "target_feature_j", int),
+    ("split", "train_fraction", "train_fraction", float),
+    ("network", "layers", "layer_sizes", lambda v: tuple(int(h) for h in v)),
+    ("network", "dropout", "dropout_rate", float),
+    ("network", "activation", "cell_activation", str),
+    ("network", "seed", "network_seed", int),
+    ("training", "epochs", "epochs", int),
+    ("training", "batch_size", "batch_size", int),
+    ("training", "learning_rate", "learning_rate", float),
+    ("training", "lr_decay", "lr_decay", float),
+    ("training", "seed", "training_seed", int),
+    ("training", "shuffle", "shuffle", bool),
+    ("baselines", "kmeans_clusters", "kmeans_clusters", int),
+    ("baselines", "kmeans_seed", "kmeans_seed", int),
+    ("dispatch", "voll", "voll", float),
+    ("dispatch", "emission_factor", "emission_factor", float),
+    ("dispatch", "horizon", "dispatch_horizon", int),
+    ("", "seed", "seed", int),
+    ("", "output_dir", "output_dir", str),
+)
+
+
+def _mapping(value, name: str) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
-    """Build a config from the nested YAML layout."""
+    """Build a config from the nested YAML layout.
+
+    A section that is not a mapping, or a value that does not convert to
+    its field's type, raises :class:`ConfigError` naming it.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    data = _mapping(raw.get("data"), "data")
+    sections = {"": raw, "data.synth": _mapping(data.get("synth"), "data.synth")}
+    for name in ("window", "split", "network", "training", "baselines", "dispatch"):
+        sections[name] = _mapping(raw.get(name), name)
     flat: dict = {}
-    data = raw.get("data", {})
-    synth = data.get("synth", {}) if isinstance(data, dict) else {}
+    for section, key, field, convert in _YAML_FIELDS:
+        if key not in sections[section]:
+            continue
+        value = sections[section][key]
+        try:
+            flat[field] = convert(value)
+        except (TypeError, ValueError):
+            where = f"{section}.{key}" if section else key
+            raise ConfigError(f"{where}: invalid value {value!r}") from None
+    synth = sections["data.synth"]
     if synth:
         flat["synth_enabled"] = bool(synth.get("enabled", True))
-        flat["synth_hours"] = int(synth.get("hours", 8760))
-        flat["synth_start"] = str(synth.get("start", "2023-01-01T00"))
-        flat["synth_areas"] = int(synth.get("areas", 3))
-    if isinstance(data, dict):
-        if data.get("generation_csv"):
-            flat["generation_csv"] = str(data["generation_csv"])
-            flat.setdefault("synth_enabled", False)
-        if data.get("demand_csv"):
-            flat["demand_csv"] = str(data["demand_csv"])
-        if data.get("fleet_csv"):
-            flat["fleet_csv"] = str(data["fleet_csv"])
-        if data.get("mask_csv"):
-            flat["mask_csv"] = str(data["mask_csv"])
-    window = raw.get("window", {})
-    if window:
-        flat["lookback_p"] = int(window.get("lookback", 24))
-        flat["horizon_m"] = int(window.get("horizon", 12))
-        flat["target_feature_j"] = int(window.get("target", 0))
-    split = raw.get("split", {})
-    if split:
-        flat["train_fraction"] = float(split.get("train_fraction", 0.75))
-    network = raw.get("network", {})
-    if network:
-        flat["layer_sizes"] = tuple(int(h) for h in network.get("layers", (64, 32)))
-        flat["dropout_rate"] = float(network.get("dropout", 0.2))
-        flat["cell_activation"] = str(network.get("activation", "relu"))
-        flat["network_seed"] = int(network.get("seed", 1))
-    training = raw.get("training", {})
-    if training:
-        flat["epochs"] = int(training.get("epochs", 50))
-        flat["batch_size"] = int(training.get("batch_size", 32))
-        flat["learning_rate"] = float(training.get("learning_rate", 1e-3))
-        flat["lr_decay"] = float(training.get("lr_decay", 1.0))
-        flat["training_seed"] = int(training.get("seed", 2))
-        flat["shuffle"] = bool(training.get("shuffle", True))
-    baselines = raw.get("baselines", {})
-    if baselines:
-        flat["kmeans_clusters"] = int(baselines.get("kmeans_clusters", 10))
-        flat["kmeans_seed"] = int(baselines.get("kmeans_seed", 3))
-    dispatch = raw.get("dispatch", {})
-    if dispatch:
-        flat["voll"] = float(dispatch.get("voll", 1000.0))
-        flat["emission_factor"] = float(dispatch.get("emission_factor", 202.0))
-        flat["dispatch_horizon"] = int(dispatch.get("horizon", 24))
-    if "seed" in raw:
-        flat["seed"] = int(raw["seed"])
-    if "output_dir" in raw:
-        flat["output_dir"] = str(raw["output_dir"])
+    for key in ("generation_csv", "demand_csv", "fleet_csv", "mask_csv"):
+        if data.get(key):
+            flat[key] = str(data[key])
+    if "generation_csv" in flat:
+        flat.setdefault("synth_enabled", False)
     try:
         return PipelineConfig(**flat)
     except TypeError as exc:
@@ -245,13 +287,26 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config_from_dict(raw or {})
 
 
+@dataclass(frozen=True)
+class FittedModels:
+    """The three forecasters fitted on the training span, with the
+    normalizer and dark mask they share."""
+
+    net: NetworkConfig
+    params: NetworkParameters
+    normalizer: NormalizationParams
+    mask: DarkHourMask
+    kmeans: KMeansModel
+    monthly: MonthlyHourModel
+
+
 @dataclass
 class MethodOutcome:
     """Everything the pipeline produced for one forecast method."""
 
-    forecast: ForecastSeries
+    forecast: ForecastSeries  # the whole test span
     report: EvaluationReport
-    daily: list[dict]
+    daily: list[CaseMetrics]  # one per dispatched day
     absorbed: np.ndarray  # actual minus spill, per dispatched hour
 
 
@@ -278,48 +333,48 @@ def _stage(timings: dict[str, float], name: str):
 
         def __exit__(self, exc_type, exc, tb):
             timings[name] = timings.get(name, 0.0) + time.perf_counter() - self.t0
-            if exc is not None and not isinstance(exc, StageError):
+            if exc is not None and not isinstance(exc, (StageError, *INPUT_ERRORS)):
                 raise StageError(name, exc) from exc
             return False
 
     return _Timer()
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Execute every stage and return reports keyed by forecast method."""
-    config.validate()
-    timings: dict[str, float] = {}
-
-    with _stage(timings, "load_data"):
-        if config.synth_enabled:
-            generation, demand_ds = synth_year(
-                seed=config.seed,
-                areas=config.synth_areas,
-                hours=config.synth_hours,
-                start=config.synth_start,
-            )
-        else:
-            generation = load_csv(config.generation_csv)
-            demand_ds = load_csv(config.demand_csv)
-        if config.target_feature_j >= generation.n_features:
-            raise DataError(
-                f"target feature {config.target_feature_j} out of range for "
-                f"{generation.n_features} areas"
-            )
-        if demand_ds.n != generation.n or (
-            demand_ds.timestamps[0] != generation.timestamps[0]
-        ):
-            raise DataError("demand series must align with the generation series")
-        fleet = (
-            load_fleet_csv(config.fleet_csv) if config.fleet_csv else default_fleet()
+def load_inputs(
+    config: PipelineConfig,
+) -> tuple[TimeSeriesDataset, TimeSeriesDataset, tuple[GeneratorSpec, ...]]:
+    """The generation and demand series and the fleet that ``config`` names."""
+    if config.synth_enabled:
+        generation, demand = synth_year(
+            seed=config.seed,
+            areas=config.synth_areas,
+            hours=config.synth_hours,
+            start=config.synth_start,
         )
-
-    with _stage(timings, "split"):
-        train_ds, test_ds = split_chronological(generation, config.train_fraction)
-        spec = WindowSpec(
-            config.lookback_p, config.horizon_m, config.target_feature_j
+    else:
+        generation = load_csv(config.generation_csv)
+        demand = load_csv(config.demand_csv)
+    if config.target_feature_j >= generation.n_features:
+        raise DataError(
+            f"target feature {config.target_feature_j} out of range for "
+            f"{generation.n_features} areas"
         )
+    if demand.n != generation.n or demand.timestamps[0] != generation.timestamps[0]:
+        raise DataError("demand series must align with the generation series")
+    fleet = load_fleet_csv(config.fleet_csv) if config.fleet_csv else default_fleet()
+    return generation, demand, fleet
 
+
+def fit_models(
+    config: PipelineConfig,
+    train_ds: TimeSeriesDataset,
+    timings: dict[str, float] | None = None,
+) -> tuple[FittedModels, list[float]]:
+    """Fit the normalizer, the dark mask and all three forecasters on the
+    training span; returns them and the network's per-epoch mean MSE.
+
+    Each step is timed into ``timings`` as a stage."""
+    timings = {} if timings is None else timings
     with _stage(timings, "fit_preprocessing"):
         normalizer = fit_normalizer(train_ds)
         if config.mask_csv:
@@ -328,27 +383,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             mask = derive_dark_mask(train_ds, config.target_feature_j)
 
     with _stage(timings, "train_mlstm"):
-        net = NetworkConfig(
-            input_features=generation.n_features,
-            layer_sizes=config.layer_sizes,
-            dropout_rate=config.dropout_rate,
-            cell_activation=config.cell_activation,
-            seed=config.network_seed,
-        )
-        tc = TrainingConfig(
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-            seed=config.training_seed,
-            shuffle=config.shuffle,
-            lr_decay=config.lr_decay,
-        )
+        net = _network_config(config, train_ds.n_features)
         train_norm = TimeSeriesDataset(
             train_ds.timestamps,
             normalize(train_ds.values, normalizer),
             train_ds.feature_names,
         )
-        params, _history = train(window_arrays(train_norm, spec), net, tc)
+        windows = window_arrays(train_norm, _window_spec(config))
+        params, history = train(windows, net, _training_config(config))
 
     with _stage(timings, "fit_baselines"):
         profiles, day_months = daily_profiles(train_ds, config.target_feature_j)
@@ -359,117 +401,158 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             months=day_months,
         )
         monthly = monthly_hour_fit(train_ds, config.target_feature_j)
+    return FittedModels(net, params, normalizer, mask, km, monthly), history
+
+
+def with_lead_in(
+    generation: TimeSeriesDataset, spec: WindowSpec, n_train: int
+) -> TimeSeriesDataset:
+    """Rows ``n_train - (lookback_p + horizon_m - 1)`` onward: the test span
+    and the lead-in its first window reads, so that the windows of
+    :func:`~pvdispatch.lstm.predict_series` target exactly the test span."""
+    start = n_train - (spec.lookback_p + spec.horizon_m - 1)
+    if start < 0:
+        raise DataError(
+            f"the {n_train} training hours are shorter than the "
+            f"{spec.lookback_p + spec.horizon_m - 1}-hour forecast lead-in"
+        )
+    return TimeSeriesDataset(
+        generation.timestamps[start:],
+        generation.values[start:],
+        generation.feature_names,
+    )
+
+
+def forecast_test(
+    config: PipelineConfig,
+    models: FittedModels,
+    generation: TimeSeriesDataset,
+    n_train: int,
+) -> dict[str, ForecastSeries]:
+    """Forecast the test span (rows ``n_train`` onward) with each method,
+    dark slots forced to 0 MW."""
+    spec = _window_spec(config)
+    mlstm = predict_series(
+        models.params,
+        models.net,
+        with_lead_in(generation, spec, n_train),
+        spec,
+        models.normalizer,
+        models.mask,
+    )
+    test_ts = generation.timestamps[n_train:]
+    name = generation.feature_names[config.target_feature_j]
+    baselines = {
+        "kmeans": kmeans_forecast_values(models.kmeans, test_ts),
+        "monthly": monthly_forecast_values(models.monthly, test_ts),
+    }
+    forecasts = {
+        m: apply_dark_mask(ForecastSeries(test_ts, values, name), models.mask)
+        for m, values in baselines.items()
+    }
+    forecasts["mlstm"] = mlstm
+    return forecasts
+
+
+def evaluate_days(
+    demand: np.ndarray,
+    forecast: np.ndarray,
+    actual: np.ndarray,
+    fleet: tuple[GeneratorSpec, ...],
+    voll: float,
+    emission_factor: float,
+) -> tuple[EvaluationReport, list[CaseMetrics], np.ndarray]:
+    """Solve day-ahead then real-time dispatch for each complete 24-hour day
+    of the span and total the metrics.
+
+    Returns the report, each day's metrics, and the absorbed renewable
+    (actual minus spill) per dispatched hour. A trailing partial day is
+    left out. NMAE is NaN when the actual series is all zero.
+    """
+    n_days = len(demand) // 24
+    if n_days == 0:
+        raise DataError("evaluation needs at least one complete 24-hour day")
+    gas = shed = spill = cost = 0.0
+    daily: list[CaseMetrics] = []
+    absorbed = np.empty(24 * n_days)
+    for d in range(n_days):
+        sl = slice(24 * d, 24 * (d + 1))
+        try:
+            case = DispatchCase(
+                demand=demand[sl],
+                forecast=forecast[sl],
+                actual=actual[sl],
+                fleet=fleet,
+                voll=voll,
+                emission_factor=emission_factor,
+            )
+        except DispatchError as exc:
+            raise DispatchError(f"day {d} of the span: {exc}") from None
+        da = solve_da(case)
+        rt = solve_rt(case, da)
+        day = case_metrics(case, da, rt)
+        gas += day.gas_mwh
+        shed += day.shed_mwh
+        spill += day.spill_mwh
+        cost += day.cost_usd
+        absorbed[sl] = actual[sl] - rt.spill
+        daily.append(day)
+    span = slice(0, 24 * n_days)
+    report = EvaluationReport(
+        gas_mwh=gas,
+        co2_kg=emission_factor * gas,
+        shed_mwh=shed,
+        spill_mwh=spill,
+        cost_usd=cost,
+        nmae=nmae(forecast[span], actual[span]) if actual[span].any() else math.nan,
+    )
+    return report, daily, absorbed
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
+    """Execute every stage and return reports keyed by forecast method."""
+    config.validate()
+    timings: dict[str, float] = {}
+
+    with _stage(timings, "load_data"):
+        generation, demand_ds, fleet = load_inputs(config)
+
+    with _stage(timings, "split"):
+        train_ds, test_ds = split_chronological(generation, config.train_fraction)
+
+    models, _history = fit_models(config, train_ds, timings)
 
     with _stage(timings, "forecast"):
-        target_name = generation.feature_names[config.target_feature_j]
-        full_lstm = predict_series(params, net, generation, spec, normalizer, mask)
-        # Slice the backtest forecast down to the test span.
-        offsets = {
-            ts: i for i, ts in enumerate(full_lstm.timestamps.astype(np.int64))
-        }
-        test_keys = test_ds.timestamps.astype(np.int64)
-        missing = [k for k in test_keys if int(k) not in offsets]
-        if missing:
-            raise DataError("forecast does not cover the full test span")
-        idx = np.array([offsets[int(k)] for k in test_keys])
-        forecasts = {
-            "mlstm": ForecastSeries(
-                test_ds.timestamps, full_lstm.values[idx], target_name
-            )
-        }
-        forecasts["monthly"] = apply_dark_mask(
-            ForecastSeries(
-                test_ds.timestamps,
-                monthly_forecast_values(monthly, test_ds.timestamps),
-                target_name,
-            ),
-            mask,
-        )
-        forecasts["kmeans"] = apply_dark_mask(
-            ForecastSeries(
-                test_ds.timestamps,
-                kmeans_forecast_values(km, test_ds.timestamps),
-                target_name,
-            ),
-            mask,
-        )
+        forecasts = forecast_test(config, models, generation, train_ds.n)
 
     with _stage(timings, "dispatch"):
-        actual = test_ds.values[:, config.target_feature_j]
-        demand_all = demand_ds.values[:, 0]
-        demand_test = demand_all[generation.n - test_ds.n :]
-        hours_of_day = test_ds.hours()
-        first_midnight = int(np.argmax(hours_of_day == 0))
-        if not (hours_of_day == 0).any():
-            raise DataError("test span contains no complete calendar day")
+        # Dispatch whole calendar days, from the first midnight of the span.
+        first_midnight = int(np.argmax(test_ds.hours() == 0))
         n_days = (test_ds.n - first_midnight) // 24
-        if n_days == 0:
-            raise DataError("test span contains no complete calendar day")
         day_slice = slice(first_midnight, first_midnight + 24 * n_days)
-        dispatch_ts = test_ds.timestamps[day_slice]
-        dispatch_actual = actual[day_slice]
-        dispatch_demand = demand_test[day_slice]
+        dispatch_actual = test_ds.values[day_slice, config.target_feature_j]
+        dispatch_demand = demand_ds.values[train_ds.n :, 0][day_slice]
         outcomes: dict[str, MethodOutcome] = {}
         for method in METHODS:
             series = forecasts[method]
-            fvals = series.values[day_slice]
-            gas = 0.0
-            shed = 0.0
-            spill = 0.0
-            cost = 0.0
-            absorbed = np.empty(24 * n_days)
-            daily: list[dict] = []
-            for d in range(n_days):
-                sl = slice(24 * d, 24 * (d + 1))
-                case = DispatchCase(
-                    demand=dispatch_demand[sl],
-                    forecast=fvals[sl],
-                    actual=dispatch_actual[sl],
-                    fleet=fleet,
-                    voll=config.voll,
-                    emission_factor=config.emission_factor,
-                )
-                da = solve_da(case)
-                rt = solve_rt(case, da)
-                gas_mask = np.array([g.gas_fired for g in fleet], dtype=bool)
-                combined = da.p + rt.delta
-                day_gas = float(combined[gas_mask].sum()) if gas_mask.any() else 0.0
-                day_shed = float((da.ls + rt.ls_rt).sum())
-                day_spill = float(rt.spill.sum())
-                day_cost = float(da.objective + rt.objective)
-                gas += day_gas
-                shed += day_shed
-                spill += day_spill
-                cost += day_cost
-                absorbed[sl] = dispatch_actual[sl] - rt.spill
-                daily.append(
-                    {
-                        "date": str(dispatch_ts[24 * d].astype("datetime64[D]")),
-                        "gas_mwh": day_gas,
-                        "co2_kg": config.emission_factor * day_gas,
-                        "load_shedding_mwh": day_shed,
-                        "spillage_mwh": day_spill,
-                        "da_rt_cost_usd": day_cost,
-                    }
-                )
-            report = EvaluationReport(
-                gas_mwh=gas,
-                co2_kg=config.emission_factor * gas,
-                shed_mwh=shed,
-                spill_mwh=spill,
-                cost_usd=cost,
-                nmae=nmae(fvals, dispatch_actual),
+            report, daily, absorbed = evaluate_days(
+                dispatch_demand,
+                series.values[day_slice],
+                dispatch_actual,
+                fleet,
+                config.voll,
+                config.emission_factor,
             )
             outcomes[method] = MethodOutcome(series, report, daily, absorbed)
 
     return PipelineResult(
         config=config,
         outcomes=outcomes,
-        dispatch_timestamps=dispatch_ts,
+        dispatch_timestamps=test_ds.timestamps[day_slice],
         demand=dispatch_demand,
         actual=dispatch_actual,
         timings=timings,
-        mask=mask,
+        mask=models.mask,
     )
 
 
@@ -494,52 +577,29 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
         metrics_path = out / "metrics.csv"
         with metrics_path.open("w", newline="", encoding="utf-8") as fh:
             fh.write("metric," + ",".join(METHODS) + "\n")
-            values = {
-                "gas_mwh": lambda r: r.gas_mwh,
-                "co2_kg": lambda r: r.co2_kg,
-                "load_shedding_mwh": lambda r: r.shed_mwh,
-                "spillage_mwh": lambda r: r.spill_mwh,
-                "da_rt_cost_usd": lambda r: r.cost_usd,
-                "nmae": lambda r: r.nmae,
-            }
-            for row in METRIC_ROWS:
+            for row, field in _REPORT_FIELDS.items():
                 cells = [
-                    _fmt(values[row](result.outcomes[m].report)) for m in METHODS
+                    _fmt(getattr(result.outcomes[m].report, field)) for m in METHODS
                 ]
                 fh.write(row + "," + ",".join(cells) + "\n")
         written.append(metrics_path)
 
         daily_path = out / "metrics_daily.csv"
+        daily_rows = METRIC_ROWS[:5]
         with daily_path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(
-                "date,method,gas_mwh,co2_kg,load_shedding_mwh,"
-                "spillage_mwh,da_rt_cost_usd\n"
-            )
+            fh.write("date,method," + ",".join(daily_rows) + "\n")
             for method in METHODS:
-                for day in result.outcomes[method].daily:
-                    fh.write(
-                        ",".join(
-                            [
-                                day["date"],
-                                method,
-                                _fmt(day["gas_mwh"]),
-                                _fmt(day["co2_kg"]),
-                                _fmt(day["load_shedding_mwh"]),
-                                _fmt(day["spillage_mwh"]),
-                                _fmt(day["da_rt_cost_usd"]),
-                            ]
-                        )
-                        + "\n"
-                    )
+                for d, day in enumerate(result.outcomes[method].daily):
+                    date = result.dispatch_timestamps[24 * d].astype("datetime64[D]")
+                    cells = [_fmt(getattr(day, _REPORT_FIELDS[r])) for r in daily_rows]
+                    fh.write(",".join([str(date), method, *cells]) + "\n")
         written.append(daily_path)
 
         disc_path = out / "discrepancy.csv"
-        ts_index = {
-            int(k): i
-            for i, k in enumerate(
-                result.outcomes[METHODS[0]].forecast.timestamps.astype(np.int64)
-            )
-        }
+        # Every forecast covers the test span; dispatch starts `offset`
+        # hours into it.
+        forecast_start = result.outcomes[METHODS[0]].forecast.timestamps[0]
+        offset = int((result.dispatch_timestamps[0] - forecast_start).astype(np.int64))
         with disc_path.open("w", newline="", encoding="utf-8") as fh:
             header = ["timestamp", "demand", "actual"]
             header += [f"forecast_{m}" for m in METHODS]
@@ -547,8 +607,10 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
             fh.write(",".join(header) + "\n")
             for i, ts in enumerate(result.dispatch_timestamps):
                 row = [str(ts), _fmt(result.demand[i]), _fmt(result.actual[i])]
-                j = ts_index[int(ts.astype(np.int64))]
-                row += [_fmt(result.outcomes[m].forecast.values[j]) for m in METHODS]
+                row += [
+                    _fmt(result.outcomes[m].forecast.values[offset + i])
+                    for m in METHODS
+                ]
                 row += [_fmt(result.outcomes[m].absorbed[i]) for m in METHODS]
                 fh.write(",".join(row) + "\n")
         written.append(disc_path)

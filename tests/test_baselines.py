@@ -7,7 +7,6 @@ from pvdispatch.baselines import (
     kmeans_forecast_values,
     monthly_forecast_values,
     monthly_hour_fit,
-    monthly_hour_forecast,
     rep_day_forecast,
 )
 from pvdispatch.data import DataError, TimeSeriesDataset
@@ -134,12 +133,17 @@ class TestRepDay:
             )
 
 
+def june_at(*hours):
+    return np.array([f"2023-06-15T{h:02d}" for h in hours], dtype="datetime64[h]")
+
+
 class TestMonthlyHour:
     def test_constant_slots_reproduced(self):
         ds = dataset("2023-06-01T00", 30, lambda m, h, i: 5.0 if h == 12 else 1.0)
         model = monthly_hour_fit(ds, 0)
-        assert monthly_hour_forecast(model, 6, 12) == 5.0
-        assert monthly_hour_forecast(model, 6, 3) == 1.0
+        np.testing.assert_array_equal(
+            monthly_forecast_values(model, june_at(12, 3)), [5.0, 1.0]
+        )
 
     def test_mean_of_two_values(self):
         vals = iter([2.0, 4.0] * 10000)
@@ -149,24 +153,14 @@ class TestMonthlyHour:
 
         ds = dataset("2023-06-01T00", 2, fn)
         model = monthly_hour_fit(ds, 0)
-        assert monthly_hour_forecast(model, 6, 12) == pytest.approx(3.0)
+        assert monthly_forecast_values(model, june_at(12))[0] == pytest.approx(3.0)
 
     def test_unseen_month_errors(self):
         ds = dataset("2023-06-01T00", 20, lambda m, h, i: 1.0)
         model = monthly_hour_fit(ds, 0)
         with pytest.raises(DataError, match="month 2"):
-            monthly_hour_forecast(model, 2, 10)
-
-    def test_vectorized_lookup_matches_scalar(self):
-        ds = dataset("2023-03-01T00", 40, lambda m, h, i: m * 10.0 + h)
-        model = monthly_hour_fit(ds, 0)
-        ts = ds.timestamps[: 24 * 3]
-        vec = monthly_forecast_values(model, ts)
-        months = ts.astype("datetime64[M]").astype(np.int64) % 12 + 1
-        hours = ts.astype("datetime64[h]").astype(np.int64) % 24
-        for i in range(ts.shape[0]):
-            assert vec[i] == monthly_hour_forecast(
-                model, int(months[i]), int(hours[i])
+            monthly_forecast_values(
+                model, np.array(["2023-02-10T10"], dtype="datetime64[h]")
             )
 
 

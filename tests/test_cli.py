@@ -3,6 +3,15 @@ import pytest
 
 from pvdispatch.cli import main
 from pvdispatch.data import load_csv
+from pvdispatch.dispatch import GeneratorSpec, save_fleet_csv
+from pvdispatch.pipeline import (
+    METHODS,
+    METRIC_ROWS,
+    PipelineConfig,
+    emit_report,
+    run_pipeline,
+)
+from test_pipeline import FAST
 
 
 CONFIG_YAML = """\
@@ -110,6 +119,27 @@ class TestDispatchCommand:
                     "spillage_mwh=", "da_rt_cost_usd=", "nmae="):
             assert key in out
 
+    def test_demand_below_fleet_pmin_exits_2_naming_hour(self, tmp_path, capsys):
+        fleet = (
+            GeneratorSpec("G1", cost=20.0, pmax=50.0, pmin=15.0, ramp=20.0),
+            GeneratorSpec("G2", cost=30.0, pmax=30.0, pmin=5.0, ramp=30.0),
+        )
+        save_fleet_csv(fleet, tmp_path / "fleet.csv")
+        self._series_csv(tmp_path / "demand.csv", "demand", [30.0] * 5 + [12.0] * 19)
+        self._series_csv(tmp_path / "pv.csv", "pv", [0.0] * 24)
+        rc = main(
+            [
+                "dispatch",
+                "--demand", str(tmp_path / "demand.csv"),
+                "--forecast", str(tmp_path / "pv.csv"),
+                "--actual", str(tmp_path / "pv.csv"),
+                "--fleet", str(tmp_path / "fleet.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert "hour 5" in capsys.readouterr().err
+
     def test_mismatched_lengths_config_error(self, tmp_path):
         self._series_csv(tmp_path / "demand.csv", "demand", [80.0] * 24)
         self._series_csv(tmp_path / "forecast.csv", "pv", [0.0] * 12)
@@ -142,3 +172,74 @@ class TestTrainForecastCommands:
         lines = (out / "forecasts.csv").read_text().strip().split("\n")
         assert lines[0] == "timestamp,actual,kmeans,monthly,mlstm"
         assert len(lines) > 300
+
+
+class TestEvaluateMatchesRun:
+    def test_evaluate_prints_the_run_metric_cells(self, tmp_path, capsys):
+        """`evaluate` on the series of a run's discrepancy.csv prints exactly
+        that run's metrics.csv cells: both go through one evaluation path."""
+        emit_report(run_pipeline(PipelineConfig(**FAST)), tmp_path / "run")
+        lines = (tmp_path / "run" / "discrepancy.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+
+        def column_csv(name):
+            j = header.index(name)
+            path = tmp_path / f"{name}.csv"
+            body = "".join(f"{r[0]},{r[j]}\n" for r in rows)
+            path.write_text("timestamp,mw\n" + body)
+            return str(path)
+
+        table = {
+            line.split(",")[0]: dict(zip(METHODS, line.split(",")[1:]))
+            for line in (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+        }
+        demand, actual = column_csv("demand"), column_csv("actual")
+        for method in METHODS:
+            capsys.readouterr()
+            rc = main(
+                ["evaluate", "--demand", demand, "--actual", actual,
+                 "--forecast", column_csv(f"forecast_{method}")]
+            )
+            assert rc == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert printed == [f"{row}={table[row][method]}" for row in METRIC_ROWS]
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "yaml_text, field",
+        [
+            ("training: {epochs: x}\n", "training.epochs"),
+            ("data: {synth: 5}\n", "data.synth"),
+            ("data: [1, 2]\n", "data"),
+            ("network: {layers: [8, a]}\n", "network.layers"),
+        ],
+    )
+    def test_bad_config_exits_2_naming_the_field(
+        self, tmp_path, capsys, yaml_text, field
+    ):
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml_text)
+        assert main(["run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tmp_path / "out")
+        rc = main(
+            ["forecast", "--config", str(cfg), "--models", str(tmp_path / "absent")]
+        )
+        assert rc == 2
+        assert "no such file" in capsys.readouterr().err
+
+    def test_input_error_inside_a_run_stage_exits_2(self, tmp_path, capsys):
+        main(["synth", "--out", str(tmp_path / "long"), "--hours", "48"])
+        main(["synth", "--out", str(tmp_path / "short"), "--hours", "24"])
+        p = tmp_path / "cfg.yaml"
+        p.write_text(
+            f"data: {{generation_csv: '{tmp_path / 'long' / 'generation.csv'}', "
+            f"demand_csv: '{tmp_path / 'short' / 'demand.csv'}'}}\n"
+        )
+        capsys.readouterr()
+        assert main(["run", "--config", str(p)]) == 2
+        assert "demand series must align" in capsys.readouterr().err

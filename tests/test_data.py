@@ -16,7 +16,6 @@ from pvdispatch.data import (
     fit_normalizer,
     load_csv,
     load_mask_csv,
-    make_windows,
     normalize,
     save_mask_csv,
     split_chronological,
@@ -177,8 +176,9 @@ class TestNormalization:
 class TestWindows:
     def test_counts_year(self):
         ds = make_ds(8760, f=3)
-        samples = make_windows(ds, WindowSpec(24, 1, 0))
-        assert len(samples) == 8736
+        inputs, labels = window_arrays(ds, WindowSpec(24, 1, 0))
+        assert inputs.shape == (8736, 24, 3)
+        assert labels.shape == (8736,)
 
     def test_hand_example(self):
         ds = TimeSeriesDataset(
@@ -186,17 +186,17 @@ class TestWindows:
             np.array([[1.0], [2.0], [3.0], [4.0]]),
             ("x",),
         )
-        samples = make_windows(ds, WindowSpec(2, 1, 0))
-        assert len(samples) == 2
-        np.testing.assert_array_equal(samples[0].input.ravel(), [1.0, 2.0])
-        assert samples[0].label == 3.0
-        np.testing.assert_array_equal(samples[1].input.ravel(), [2.0, 3.0])
-        assert samples[1].label == 4.0
+        inputs, labels = window_arrays(ds, WindowSpec(2, 1, 0))
+        assert inputs.shape == (2, 2, 1)
+        np.testing.assert_array_equal(inputs[0].ravel(), [1.0, 2.0])
+        assert labels[0] == 3.0
+        np.testing.assert_array_equal(inputs[1].ravel(), [2.0, 3.0])
+        assert labels[1] == 4.0
 
     def test_too_short_names_minimum(self):
         ds = make_ds(24)
         with pytest.raises(DataError, match="25"):
-            make_windows(ds, WindowSpec(24, 1, 0))
+            window_arrays(ds, WindowSpec(24, 1, 0))
 
     @given(
         n=st.integers(2, 200),
@@ -209,9 +209,10 @@ class TestWindows:
         spec = WindowSpec(p, m, 0)
         if n < p + m:
             with pytest.raises(DataError):
-                make_windows(ds, spec)
+                window_arrays(ds, spec)
             return
-        assert len(make_windows(ds, spec)) == n - p - m + 1
+        inputs, labels = window_arrays(ds, spec)
+        assert inputs.shape[0] == labels.shape[0] == n - p - m + 1
 
     def test_label_denormalizes_to_source_cell(self):
         ds = make_ds(60, f=2, seed=9)
@@ -224,15 +225,6 @@ class TestWindows:
         for k in (0, 10, len(labels) - 1):
             raw = denormalize_feature(np.array([labels[k]]), params, 1)[0]
             assert raw == pytest.approx(ds.values[k + 5 + 2 - 1, 1], abs=1e-9)
-
-    def test_window_arrays_match_samples(self):
-        ds = make_ds(40, f=2, seed=2)
-        spec = WindowSpec(6, 3, 0)
-        inputs, labels = window_arrays(ds, spec)
-        samples = make_windows(ds, spec)
-        assert inputs.shape == (len(samples), 6, 2)
-        np.testing.assert_array_equal(inputs[4], samples[4].input)
-        assert labels[4] == samples[4].label
 
 
 class TestDarkMask:

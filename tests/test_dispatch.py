@@ -11,7 +11,7 @@ from pvdispatch.dispatch import (
     GeneratorSpec,
     build_da_lp,
     build_rt_lp,
-    compute_metrics,
+    case_metrics,
     default_fleet,
     load_fleet_csv,
     nmae,
@@ -67,6 +67,25 @@ class TestBuildDaLp:
                 demand=[1.0, 2.0], forecast=[0.0], actual=[0.0, 0.0],
                 fleet=default_fleet(),
             )
+
+    def test_demand_below_total_pmin_rejected_naming_hour(self):
+        fleet = (
+            GeneratorSpec("G1", cost=20.0, pmax=50.0, pmin=15.0, ramp=20.0),
+            GeneratorSpec(
+                "G2", cost=30.0, pmax=30.0, pmin=5.0, ramp=30.0, rt_available=True
+            ),
+        )
+        zeros = [0.0] * 4
+        with pytest.raises(DispatchError, match="hour 2"):
+            DispatchCase(
+                demand=[40.0, 20.0, 19.0, 10.0], forecast=zeros, actual=zeros,
+                fleet=fleet,
+            )
+        # Demand equal to the total pmin still has a schedule.
+        case = DispatchCase(
+            demand=[20.0] * 4, forecast=zeros, actual=zeros, fleet=fleet
+        )
+        np.testing.assert_allclose(solve_da(case).p, [[15.0] * 4, [5.0] * 4])
 
 
 class TestSolveDa:
@@ -229,11 +248,9 @@ class TestMetrics:
         case = case_t1(120.0, 0.0)
         da = solve_da(case)
         rt = solve_rt(case, da)
-        report = compute_metrics(
-            case, da, rt, np.array([0.0]), np.array([1.0])
-        )
-        assert report.co2_kg == report.gas_mwh * 202.0
-        assert report.gas_mwh == pytest.approx(20.0, abs=1e-6)
+        metrics = case_metrics(case, da, rt)
+        assert metrics.co2_kg == metrics.gas_mwh * 202.0
+        assert metrics.gas_mwh == pytest.approx(20.0, abs=1e-6)
 
     def test_nmae_perfect_zero(self):
         assert nmae(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
@@ -263,8 +280,8 @@ class TestMetrics:
         case = case_t1(90.0, 10.0, actual=2.0)
         da = solve_da(case)
         rt = solve_rt(case, da)
-        report = compute_metrics(case, da, rt, case.forecast, case.actual)
-        assert report.cost_usd == pytest.approx(da.objective + rt.objective)
+        metrics = case_metrics(case, da, rt)
+        assert metrics.cost_usd == pytest.approx(da.objective + rt.objective)
 
 
 class TestProperties:

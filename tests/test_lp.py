@@ -9,7 +9,6 @@ from pvdispatch.lp import (
     LpSolution,
     LpStatus,
     check_solution,
-    lp_to_text,
     solve_lp,
 )
 
@@ -71,18 +70,6 @@ class TestBasics:
         lp = random_box_lp(rng)
         with pytest.raises(IterationLimitError):
             solve_lp(lp, max_iters=1)
-
-    def test_lp_text_dump(self):
-        lp = LinearProgram(
-            c=[1.0, 2.0],
-            A_eq=[[1.0, 1.0]],
-            b_eq=[3.0],
-            lower=[0.0, 0.0],
-            upper=[5.0, 5.0],
-            names=("alpha", "beta"),
-        )
-        text = lp_to_text(lp)
-        assert "alpha" in text and "minimize" in text and "= 3" in text
 
 
 class TestCheckSolution:

@@ -341,7 +341,7 @@ class TestTrain:
     def test_empty_rejected(self):
         net = NetworkConfig(input_features=2, layer_sizes=(3,))
         with pytest.raises(ValueError):
-            train([], net, TrainingConfig(epochs=1))
+            train((np.empty((0, 6, 2)), np.empty(0)), net, TrainingConfig(epochs=1))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_aborts_with_epoch(self):
