@@ -103,7 +103,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,actual," + ",".join(METHODS) + "\n")
         for ts, *cells in zip(test_ds.timestamps, *columns):
-            fh.write(f"{ts}," + ",".join(repr(c) for c in cells) + "\n")
+            fh.write(f"{ts}," + ",".join(repr(float(c)) for c in cells) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -17,7 +17,9 @@ against the original standard-form matrix at the end so feasibility
 residuals do not inherit tableau roundoff.
 
 Dispatch instances here are a few hundred rows, so a dense tableau is
-adequate and easy to audit.
+adequate and easy to audit. A pivot updates only the rows with a nonzero
+entry in the entering column; that is exact, since every other row would
+have had zero times the pivot row subtracted from it.
 """
 
 from __future__ import annotations
@@ -222,42 +224,41 @@ class _StandardForm:
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     n = lp.n_vars
-    cols: list[tuple] = []
+    # Per structural column: its source variable and sign.
+    src: list[int] = []
+    sign: list[float] = []
     recon: list[tuple] = []
     extra_ub_rows: list[tuple[int, float]] = []  # (column, rhs) for y_col <= rhs
     for j in range(n):
         lo, up = lp.lower[j], lp.upper[j]
+        col = len(src)
         if np.isfinite(lo):
-            col = len(cols)
-            cols.append(("plain", j, lo))
+            src.append(j)
+            sign.append(1.0)
             recon.append(("shift", col, lo))
             if np.isfinite(up):
                 extra_ub_rows.append((col, up - lo))
         elif np.isfinite(up):
-            col = len(cols)
-            cols.append(("mirror", j, up))
+            src.append(j)
+            sign.append(-1.0)
             recon.append(("mirror", col, up))
         else:
-            col = len(cols)
-            cols.append(("plain", j, 0.0))
-            cols.append(("neg", j, 0.0))
+            src += [j, j]
+            sign += [1.0, -1.0]
             recon.append(("split", col, col + 1))
-    n_struct = len(cols)
+    n_struct = len(src)
+    sign_arr = np.array(sign)
+    shifts = [
+        (src[col], ref) for kind, col, ref in recon if kind != "split" and ref != 0.0
+    ]
 
     def build_block(a_orig: np.ndarray, b_orig: np.ndarray):
-        m = a_orig.shape[0]
-        a_new = np.zeros((m, n_struct))
         b_new = b_orig.copy()
-        for col, (kind, j, ref) in enumerate(cols):
-            if kind == "plain":
-                a_new[:, col] = a_orig[:, j]
-                b_new -= a_orig[:, j] * ref
-            elif kind == "mirror":
-                a_new[:, col] = -a_orig[:, j]
-                b_new -= a_orig[:, j] * ref
-            else:  # neg half of a split variable
-                a_new[:, col] = -a_orig[:, j]
-        return a_new, b_new
+        # Shifted one column at a time, in column order, as the rounding of
+        # b depends on the order of the subtractions.
+        for j, ref in shifts:
+            b_new -= a_orig[:, j] * ref
+        return a_orig[:, src] * sign_arr, b_new
 
     a_eq, b_eq = build_block(lp.A_eq, lp.b_eq)
     a_ub, b_ub = build_block(lp.A_ub, lp.b_ub)
@@ -279,13 +280,7 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     b = np.concatenate([b_eq, b_ub])
 
     c_new = np.zeros(n_struct + n_ub)
-    for col, (kind, j, _ref) in enumerate(cols):
-        if kind == "plain":
-            c_new[col] = lp.c[j]
-        elif kind == "mirror":
-            c_new[col] = -lp.c[j]
-        else:
-            c_new[col] = -lp.c[j]
+    c_new[:n_struct] = lp.c[src] * sign_arr
     return _StandardForm(a, b, c_new, n_struct, recon, n_eq)
 
 
@@ -348,7 +343,8 @@ class _Simplex:
         tableau[row] /= tableau[row, col]
         factors = tableau[:, col].copy()
         factors[row] = 0.0
-        tableau -= np.outer(factors, tableau[row])
+        rows = np.nonzero(factors)[0]
+        tableau[rows] -= np.outer(factors[rows], tableau[row])
         tableau[:, col] = 0.0
         tableau[row, col] = 1.0
 
@@ -422,12 +418,11 @@ def solve_lp(
         for i in range(m):
             if basis[i] < n_total:
                 continue
-            pivot_col = -1
-            row = tableau[i, :n_total]
-            candidates = np.nonzero(np.abs(row) > 1e-9)[0]
-            if candidates.size:
-                pivot_col = int(candidates[0])
-            if pivot_col >= 0:
+            # Pivot on the largest entry: a tiny one would scale the row
+            # by its inverse and amplify roundoff across the tableau.
+            magnitude = np.abs(tableau[i, :n_total])
+            pivot_col = int(np.argmax(magnitude))
+            if magnitude[pivot_col] > 1e-9:
                 engine._pivot(tableau, i, pivot_col)
                 basis[i] = pivot_col
             else:

@@ -202,9 +202,17 @@ def _window_spec(config: PipelineConfig) -> WindowSpec:
     return WindowSpec(config.lookback_p, config.horizon_m, config.target_feature_j)
 
 
+def _flag(value) -> bool:
+    """A YAML boolean; strings such as "no" are rejected, not read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
+
+
 # (YAML section, key, config field, conversion); a missing key keeps the
 # field's default.
 _YAML_FIELDS = (
+    ("data.synth", "enabled", "synth_enabled", _flag),
     ("data.synth", "hours", "synth_hours", int),
     ("data.synth", "start", "synth_start", str),
     ("data.synth", "areas", "synth_areas", int),
@@ -221,7 +229,7 @@ _YAML_FIELDS = (
     ("training", "learning_rate", "learning_rate", float),
     ("training", "lr_decay", "lr_decay", float),
     ("training", "seed", "training_seed", int),
-    ("training", "shuffle", "shuffle", bool),
+    ("training", "shuffle", "shuffle", _flag),
     ("baselines", "kmeans_clusters", "kmeans_clusters", int),
     ("baselines", "kmeans_seed", "kmeans_seed", int),
     ("dispatch", "voll", "voll", float),
@@ -229,6 +237,13 @@ _YAML_FIELDS = (
     ("dispatch", "horizon", "dispatch_horizon", int),
     ("", "seed", "seed", int),
     ("", "output_dir", "output_dir", str),
+)
+_SECTIONS = ("window", "split", "network", "training", "baselines", "dispatch")
+_DATA_FILES = ("generation_csv", "demand_csv", "fleet_csv", "mask_csv")
+_KNOWN_KEYS = (
+    {(section, key) for section, key, *_ in _YAML_FIELDS}
+    | {("", name) for name in ("data", *_SECTIONS)}
+    | {("data", key) for key in ("synth", *_DATA_FILES)}
 )
 
 
@@ -243,15 +258,23 @@ def _mapping(value, name: str) -> dict:
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build a config from the nested YAML layout.
 
-    A section that is not a mapping, or a value that does not convert to
-    its field's type, raises :class:`ConfigError` naming it.
+    An unknown section or key, a section that is not a mapping, or a value
+    that does not convert to its field's type raises :class:`ConfigError`
+    naming it.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     data = _mapping(raw.get("data"), "data")
-    sections = {"": raw, "data.synth": _mapping(data.get("synth"), "data.synth")}
-    for name in ("window", "split", "network", "training", "baselines", "dispatch"):
+    sections = {
+        "": raw, "data": data, "data.synth": _mapping(data.get("synth"), "data.synth")
+    }
+    for name in _SECTIONS:
         sections[name] = _mapping(raw.get(name), name)
+    for section, values in sections.items():
+        for key in values:
+            if (section, key) not in _KNOWN_KEYS:
+                where = f"{section}.{key}" if section else str(key)
+                raise ConfigError(f"{where}: unknown config key")
     flat: dict = {}
     for section, key, field, convert in _YAML_FIELDS:
         if key not in sections[section]:
@@ -262,10 +285,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         except (TypeError, ValueError):
             where = f"{section}.{key}" if section else key
             raise ConfigError(f"{where}: invalid value {value!r}") from None
-    synth = sections["data.synth"]
-    if synth:
-        flat["synth_enabled"] = bool(synth.get("enabled", True))
-    for key in ("generation_csv", "demand_csv", "fleet_csv", "mask_csv"):
+    if sections["data.synth"]:
+        flat.setdefault("synth_enabled", True)
+    for key in _DATA_FILES:
         if data.get(key):
             flat[key] = str(data[key])
     if "generation_csv" in flat:

@@ -154,3 +154,55 @@ def random_benign_case(
         voll=1000.0 + float(rng.uniform(0.0, 500.0)),
         emission_factor=202.0,
     )
+
+
+def random_dispatch_case(
+    rng: np.random.Generator, horizon: int = 24
+) -> DispatchCase:
+    """A realistic dispatch case that exercises every part of both programs.
+
+    Some units have ``pmin > 0`` and some cannot move in real time; the
+    forecast errs in both signs around the actual renewable output, whose
+    midday peak can exceed the demand left after the fleet's total pmin
+    (a surplus to curtail or spill); demand can also exceed the fleet's
+    capacity, so load may be shed.
+    """
+    n_gen = int(rng.integers(2, 5))
+    rt_flags = rng.random(n_gen) < 0.5
+    flexible, frozen = rng.choice(n_gen, size=2, replace=False)
+    rt_flags[flexible], rt_flags[frozen] = True, False
+    fleet = []
+    for i in range(n_gen):
+        pmax = float(rng.uniform(20.0, 60.0))
+        pmin = float(rng.uniform(0.05, 0.4) * pmax) if rng.random() < 0.6 else 0.0
+        fleet.append(
+            GeneratorSpec(
+                name=f"U{i + 1}",
+                cost=float(rng.uniform(5.0, 40.0)),
+                pmax=pmax,
+                pmin=pmin,
+                ramp=float(rng.uniform(0.2, 1.0) * pmax),
+                rt_available=bool(rt_flags[i]),
+                gas_fired=bool(rng.random() < 0.5),
+            )
+        )
+    cap = sum(g.pmax for g in fleet)
+    pmin_total = sum(g.pmin for g in fleet)
+    t = np.arange(horizon)
+    base = rng.uniform(0.4, 0.95) * cap
+    swing = rng.uniform(0.05, 0.2) * cap
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    demand = base + swing * np.sin(2.0 * np.pi * t / horizon + phase)
+    demand = np.maximum(demand, pmin_total + rng.uniform(0.0, 5.0))
+    peak = rng.uniform(0.2, 1.2) * demand.mean()
+    actual = np.clip(np.sin(np.pi * (t - 6.0) / 12.0), 0.0, None) * peak
+    error = rng.uniform(0.7, 1.3) * (1.0 + rng.normal(0.0, 0.2, horizon))
+    forecast = np.clip(actual * error, 0.0, None)
+    return DispatchCase(
+        demand=demand,
+        forecast=forecast,
+        actual=actual,
+        fleet=tuple(fleet),
+        voll=1000.0 + float(rng.uniform(0.0, 500.0)),
+        emission_factor=202.0,
+    )

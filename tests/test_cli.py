@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from pvdispatch import checkpoint
 from pvdispatch.cli import main
-from pvdispatch.data import load_csv
+from pvdispatch.data import load_csv, split_chronological
 from pvdispatch.dispatch import GeneratorSpec, save_fleet_csv
 from pvdispatch.pipeline import (
     METHODS,
     METRIC_ROWS,
+    FittedModels,
     PipelineConfig,
     emit_report,
+    forecast_test,
+    load_config,
+    load_inputs,
     run_pipeline,
 )
 from test_pipeline import FAST
@@ -173,6 +178,28 @@ class TestTrainForecastCommands:
         assert lines[0] == "timestamp,actual,kmeans,monthly,mlstm"
         assert len(lines) > 300
 
+        # The file reads back, cell for cell, as what forecast_test gave.
+        config = load_config(cfg)
+        net, params, normalizer, mask = checkpoint.load_lstm(out / "mlstm.npz")
+        models = FittedModels(
+            net, params, normalizer, mask,
+            checkpoint.load_kmeans(out / "kmeans.npz")[0],
+            checkpoint.load_monthly(out / "monthly.npz")[0],
+        )
+        generation, _demand, _fleet = load_inputs(config)
+        train_ds, test_ds = split_chronological(generation, config.train_fraction)
+        forecasts = forecast_test(config, models, generation, train_ds.n)
+        written = load_csv(out / "forecasts.csv")
+        assert written.feature_names == ("actual", *METHODS)
+        np.testing.assert_array_equal(written.timestamps, test_ds.timestamps)
+        np.testing.assert_array_equal(
+            written.values[:, 0], test_ds.values[:, config.target_feature_j]
+        )
+        for k, method in enumerate(METHODS, start=1):
+            np.testing.assert_array_equal(
+                written.values[:, k], forecasts[method].values
+            )
+
 
 class TestEvaluateMatchesRun:
     def test_evaluate_prints_the_run_metric_cells(self, tmp_path, capsys):
@@ -214,6 +241,11 @@ class TestErrorContract:
             ("data: {synth: 5}\n", "data.synth"),
             ("data: [1, 2]\n", "data"),
             ("network: {layers: [8, a]}\n", "network.layers"),
+            ("training: {epoch: 5}\n", "training.epoch"),
+            ("data: {synth: {hour: 48}}\n", "data.synth.hour"),
+            ("trainig: {epochs: 5}\n", "trainig"),
+            ("training: {shuffle: 'no'}\n", "training.shuffle"),
+            ("data: {synth: {enabled: 1}}\n", "data.synth.enabled"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(

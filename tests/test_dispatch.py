@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_vertices, merit_order_cost, random_benign_case
+from oracles import (
+    enumerate_vertices,
+    merit_order_cost,
+    random_benign_case,
+    random_dispatch_case,
+)
 from pvdispatch.dispatch import (
     DispatchCase,
     DispatchError,
@@ -339,6 +344,56 @@ class TestProperties:
         lp_rt = build_rt_lp(case, da)
         sol_rt = solve_lp(lp_rt)
         assert check_solution(lp_rt, sol_rt, tol=1e-6) == []
+
+
+def _highs_objective(linprog, lp) -> float:
+    res = linprog(
+        lp.c,
+        A_ub=lp.A_ub if lp.A_ub.size else None,
+        b_ub=lp.b_ub if lp.b_ub.size else None,
+        A_eq=lp.A_eq if lp.A_eq.size else None,
+        b_eq=lp.b_eq if lp.b_eq.size else None,
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestHighsOracle:
+    def test_da_and_rt_match_highs_on_random_days(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.Generator(np.random.PCG64(2026))
+        seen = dict(pmin=0, frozen=0, over=0, under=0, surplus=0)
+        for _ in range(200):
+            case = random_dispatch_case(rng)
+            pmin_total = sum(g.pmin for g in case.fleet)
+            seen["pmin"] += pmin_total > 0
+            seen["frozen"] += any(not g.rt_available for g in case.fleet)
+            seen["over"] += bool((case.forecast > case.actual).any())
+            seen["under"] += bool((case.forecast < case.actual).any())
+            seen["surplus"] += bool((case.actual > case.demand - pmin_total).any())
+
+            lp_da = build_da_lp(case)
+            da = solve_da(case)
+            x_da = np.concatenate([da.p.ravel(), da.rnw, da.ls])
+            sol_da = LpSolution(LpStatus.OPTIMAL, x_da, da.objective, da.iterations)
+            assert check_solution(lp_da, sol_da, tol=1e-6) == []
+            assert da.objective == pytest.approx(
+                _highs_objective(linprog, lp_da), rel=1e-6, abs=1e-6
+            )
+
+            lp_rt = build_rt_lp(case, da)
+            rt = solve_rt(case, da)
+            flex = [g.rt_available for g in case.fleet]
+            x_rt = np.concatenate([rt.delta[flex].ravel(), rt.spill, rt.ls_rt])
+            sol_rt = LpSolution(LpStatus.OPTIMAL, x_rt, rt.objective, rt.iterations)
+            assert check_solution(lp_rt, sol_rt, tol=1e-6) == []
+            assert rt.objective == pytest.approx(
+                _highs_objective(linprog, lp_rt), rel=1e-6, abs=1e-6
+            )
+        # The sample must reach each feature for the agreement to cover it.
+        assert min(seen.values()) >= 50, seen
 
 
 class TestFleetCsv:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_vertices, random_box_lp
+from oracles import enumerate_vertices, random_box_lp, random_dispatch_case
+from pvdispatch.dispatch import solve_da, solve_rt
 from pvdispatch.lp import (
     IterationLimitError,
     LinearProgram,
     LpError,
     LpSolution,
     LpStatus,
+    _Simplex,
     check_solution,
     solve_lp,
 )
@@ -211,3 +213,70 @@ class TestDegenerateAndStress:
         )
         sol = solve_lp(lp)
         assert sol.x[0] == pytest.approx(4.0, abs=1e-9)
+
+    def test_drive_out_pivots_on_largest_entry(self, monkeypatch):
+        # Phase 1 ends with row 0's artificial basic at zero. The row's
+        # first structural entry is tiny, a later one large: pivoting on
+        # the tiny one scales the row by 1e6 and feeds a 5e6 pivot later.
+        pivots = []
+        pivot = _Simplex._pivot
+
+        def spy(tableau, row, col):
+            pivots.append(float(tableau[row, col]))
+            pivot(tableau, row, col)
+
+        monkeypatch.setattr(_Simplex, "_pivot", staticmethod(spy))
+        lp = LinearProgram(
+            c=[2.0, -1.0, 1.0],
+            A_eq=[[-1e-6, -5.0, 0.0], [1.0, 1.0, 1.0]],
+            b_eq=[0.0, 3.0],
+            lower=[0.0, 0.0, 0.0],
+            upper=[4.0, 4.0, 4.0],
+        )
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert check_solution(lp, sol, tol=1e-9) == []
+        status, best, _ = enumerate_vertices(lp)
+        assert status == "optimal"
+        assert sol.objective == pytest.approx(best, abs=1e-9)
+        assert pivots == [1.0, -5.0]
+
+
+def _dense_pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Reference pivot: the update applied to every row of the tableau."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+
+
+class TestPivot:
+    def test_sparse_update_equals_dense_reference(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        for _ in range(100):
+            m, n = int(rng.integers(2, 60)), int(rng.integers(2, 80))
+            tableau = rng.normal(size=(m, n))
+            tableau[rng.random((m, n)) < 0.5] = 0.0
+            row, col = int(rng.integers(m)), int(rng.integers(n))
+            tableau[:, col] *= rng.random(m) < 0.1  # mostly zeros
+            tableau[row, col] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+            expected = tableau.copy()
+            _dense_pivot(expected, row, col)
+            _Simplex._pivot(tableau, row, col)
+            assert np.array_equal(tableau, expected)
+
+    def test_dispatch_day_matches_dense_reference(self, monkeypatch):
+        case = random_dispatch_case(np.random.Generator(np.random.PCG64(8)))
+        da = solve_da(case)
+        rt = solve_rt(case, da)
+        monkeypatch.setattr(_Simplex, "_pivot", staticmethod(_dense_pivot))
+        da_ref = solve_da(case)
+        rt_ref = solve_rt(case, da_ref)
+        assert da.iterations == da_ref.iterations > 0
+        assert rt.iterations == rt_ref.iterations > 0
+        assert da.objective == da_ref.objective
+        assert rt.objective == rt_ref.objective
+        assert np.array_equal(da.p, da_ref.p)
+        assert np.array_equal(rt.delta, rt_ref.delta)
