@@ -29,6 +29,8 @@ from .dispatch import (
 from .pipeline import (
     INPUT_ERRORS,
     METHODS,
+    METRIC_ROWS,
+    REPORT_FIELDS,
     FittedModels,
     StageError,
     emit_report,
@@ -176,11 +178,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report, _daily, _absorbed = evaluate_days(
         demand, forecast, actual, fleet, args.voll, args.emission_factor
     )
-    print(f"gas_mwh={report.gas_mwh!r}")
-    print(f"co2_kg={report.co2_kg!r}")
-    print(f"load_shedding_mwh={report.shed_mwh!r}")
-    print(f"spillage_mwh={report.spill_mwh!r}")
-    print(f"da_rt_cost_usd={report.cost_usd!r}")
+    for row in METRIC_ROWS[:5]:  # the last row, nmae, may be undefined
+        print(f"{row}={getattr(report, REPORT_FIELDS[row])!r}")
     _print_nmae(report.nmae)
     return EXIT_OK
 

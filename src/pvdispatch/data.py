@@ -312,25 +312,6 @@ def normalize(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
     return np.where(span > 0, out, 0.0)
 
 
-def denormalize(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Inverse of :func:`normalize` on non-degenerate features."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] != params.n_features:
-        raise DataError(
-            f"denormalize: {values.shape[-1]} features, params have {params.n_features}"
-        )
-    return values * params.span() + params.feature_min
-
-
-def normalize_feature(
-    values: np.ndarray, params: NormalizationParams, j: int
-) -> np.ndarray:
-    span = float(params.span()[j])
-    if span <= 0:
-        return np.zeros_like(np.asarray(values, dtype=float))
-    return (np.asarray(values, dtype=float) - params.feature_min[j]) / span
-
-
 def denormalize_feature(
     values: np.ndarray, params: NormalizationParams, j: int
 ) -> np.ndarray:
@@ -379,8 +360,8 @@ class DarkHourMask:
     """Boolean 12x24 table; true entries force PV output to exactly zero.
 
     ``month_defined`` records which calendar months carried training data;
-    querying an undefined month is an error because darkness there was
-    never observed.
+    applying the mask in an undefined month is an error because darkness
+    there was never observed.
     """
 
     table: np.ndarray
@@ -397,15 +378,6 @@ class DarkHourMask:
             raise DataError("month_defined must have 12 entries")
         object.__setattr__(self, "table", _readonly(table))
         object.__setattr__(self, "month_defined", _readonly(defined))
-
-    def is_dark(self, month: int, hour: int) -> bool:
-        if not 1 <= month <= 12:
-            raise DataError(f"month must be 1..12, got {month}")
-        if not 0 <= hour <= 23:
-            raise DataError(f"hour must be 0..23, got {hour}")
-        if not self.month_defined[month - 1]:
-            raise DataError(f"dark mask undefined for month {month}")
-        return bool(self.table[month - 1, hour])
 
 
 def derive_dark_mask(train: TimeSeriesDataset, target_j: int) -> DarkHourMask:

@@ -207,74 +207,97 @@ def nmae(forecast: np.ndarray, actual: np.ndarray) -> float:
     return float(np.abs(forecast - actual).mean()) / mean_actual
 
 
+def _per_unit(values) -> np.ndarray:
+    """A per-unit figure as a (U, 1) column, broadcast over the hours."""
+    return np.array(list(values), dtype=float).reshape(-1, 1)
+
+
+def _market_lp(
+    cost: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    ramp_up: np.ndarray,
+    ramp_down: np.ndarray,
+    rnw_sign: float,
+    rnw_upper: np.ndarray,
+    ls_lower: np.ndarray,
+    ls_upper: np.ndarray,
+    voll: float,
+    b_eq: np.ndarray,
+) -> LinearProgram:
+    """The program both markets share, over U units and T hours.
+
+    Variable layout: unit outputs u[k,t] grouped by unit, then a renewable
+    column r[t] in [0, rnw_upper[t]], then shedding ls[t] in [ls_lower[t],
+    ls_upper[t]]. Balance rows: sum_k u[k,t] + rnw_sign * r[t] + ls[t] =
+    b_eq[t]. Each unit-hour has an up row u[k,t] - u[k,t-1] <= ramp_up[k,t]
+    followed by a down row u[k,t-1] - u[k,t] <= ramp_down[k,t], with hour 0
+    wrapping to the last hour. The per-unit arrays are (U, 1) or (U, T).
+    """
+    u_n, t_n = cost.size, b_eq.size
+    n_u = u_n * t_n
+    n = n_u + 2 * t_n
+
+    def unit_hours(a: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(a, (u_n, t_n)).ravel()
+
+    c = np.concatenate([unit_hours(cost), np.zeros(t_n), np.full(t_n, voll)])
+    lo = np.concatenate([unit_hours(lower), np.zeros(t_n), ls_lower])
+    up = np.concatenate([unit_hours(upper), rnw_upper, ls_upper])
+
+    # Entries are assigned into zeros, so every untouched one stays +0.0.
+    hours = np.arange(t_n)
+    a_eq = np.zeros((t_n, n))
+    a_eq[np.tile(hours, u_n), np.arange(n_u)] = 1.0
+    a_eq[hours, n_u + hours] = rnw_sign
+    a_eq[hours, n_u + t_n + hours] = 1.0
+
+    # Accumulated, not assigned: at T = 1 an hour is its own predecessor,
+    # and its +1 and -1 must cancel to +0.0.
+    col = np.arange(n_u)
+    prev = np.roll(col.reshape(u_n, t_n), 1, axis=1).ravel()
+    a_ub = np.zeros((2 * n_u, n))
+    a_ub[2 * col, col] += 1.0
+    a_ub[2 * col, prev] -= 1.0
+    a_ub[2 * col + 1, col] -= 1.0
+    a_ub[2 * col + 1, prev] += 1.0
+    b_ub = np.empty(2 * n_u)
+    b_ub[0::2] = unit_hours(ramp_up)
+    b_ub[1::2] = unit_hours(ramp_down)
+
+    return LinearProgram(
+        c=c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub, lower=lo, upper=up
+    )
+
+
 def build_da_lp(case: DispatchCase) -> LinearProgram:
     """Assemble the day-ahead program.
 
     Variable layout: p[v,t] grouped by generator, then rnw[t], then ls[t].
     Ramp rows cover every hour, with hour 0 wrapping to the final hour.
     """
-    t_n = case.horizon
-    v_n = len(case.fleet)
-    n = v_n * t_n + 2 * t_n
-
-    def p_col(v: int, t: int) -> int:
-        return v * t_n + t
-
-    rnw0 = v_n * t_n
-    ls0 = rnw0 + t_n
-
-    c = np.zeros(n)
-    lower = np.zeros(n)
-    upper = np.empty(n)
-    names = []
-    for v, gen in enumerate(case.fleet):
-        for t in range(t_n):
-            c[p_col(v, t)] = gen.cost
-            lower[p_col(v, t)] = gen.pmin
-            upper[p_col(v, t)] = gen.pmax
-    for t in range(t_n):
-        upper[rnw0 + t] = case.forecast[t]
-        upper[ls0 + t] = case.demand[t]
-        c[ls0 + t] = case.voll
-    names = (
-        [f"p[{g.name},{t}]" for g in case.fleet for t in range(t_n)]
-        + [f"rnw[{t}]" for t in range(t_n)]
-        + [f"ls[{t}]" for t in range(t_n)]
-    )
-
-    a_eq = np.zeros((t_n, n))
-    for t in range(t_n):
-        for v in range(v_n):
-            a_eq[t, p_col(v, t)] = 1.0
-        a_eq[t, rnw0 + t] = 1.0
-        a_eq[t, ls0 + t] = 1.0
-    b_eq = case.demand.copy()
-
-    a_ub = np.zeros((2 * v_n * t_n, n))
-    b_ub = np.empty(2 * v_n * t_n)
-    row = 0
-    for v, gen in enumerate(case.fleet):
-        for t in range(t_n):
-            prev = (t - 1) % t_n
-            a_ub[row, p_col(v, t)] += 1.0
-            a_ub[row, p_col(v, prev)] -= 1.0
-            b_ub[row] = gen.ramp
-            a_ub[row + 1, p_col(v, t)] -= 1.0
-            a_ub[row + 1, p_col(v, prev)] += 1.0
-            b_ub[row + 1] = gen.ramp
-            row += 2
-
-    return LinearProgram(
-        c=c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
-        lower=lower, upper=upper, names=tuple(names),
+    fleet = case.fleet
+    ramp = _per_unit(g.ramp for g in fleet)
+    return _market_lp(
+        cost=_per_unit(g.cost for g in fleet),
+        lower=_per_unit(g.pmin for g in fleet),
+        upper=_per_unit(g.pmax for g in fleet),
+        ramp_up=ramp,
+        ramp_down=ramp,
+        rnw_sign=1.0,
+        rnw_upper=case.forecast,
+        ls_lower=np.zeros(case.horizon),
+        ls_upper=case.demand,
+        voll=case.voll,
+        b_eq=case.demand.copy(),
     )
 
 
-def _solve_audited(lp: LinearProgram, market: str, tol: float) -> LpSolution:
+def _solve_audited(lp: LinearProgram, market: str) -> LpSolution:
     """Solve a dispatch program and audit the answer. Every case that
     :class:`DispatchCase` admits is feasible, so anything but an optimal,
     feasible point is a solver fault."""
-    sol = solve_lp(lp, tol=tol)
+    sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
         raise DispatchInternalError(
             f"{market} dispatch came back {sol.status.value}; the formulation "
@@ -288,9 +311,9 @@ def _solve_audited(lp: LinearProgram, market: str, tol: float) -> LpSolution:
     return sol
 
 
-def solve_da(case: DispatchCase, tol: float = 1e-9) -> DaSolution:
+def solve_da(case: DispatchCase) -> DaSolution:
     """Solve the day-ahead program and unpack the schedule."""
-    sol = _solve_audited(build_da_lp(case), "day-ahead", tol)
+    sol = _solve_audited(build_da_lp(case), "day-ahead")
     t_n = case.horizon
     v_n = len(case.fleet)
     x = sol.x
@@ -307,80 +330,38 @@ def build_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
     spill[t], then ls_rt[t]. Capacity and shedding windows are encoded as
     bounds; combined-schedule ramp limits are inequality rows.
     """
-    t_n = case.horizon
     flex = [v for v, g in enumerate(case.fleet) if g.rt_available]
-    f_n = len(flex)
-    n = f_n * t_n + 2 * t_n
-
-    def d_col(fi: int, t: int) -> int:
-        return fi * t_n + t
-
-    spill0 = f_n * t_n
-    ls0 = spill0 + t_n
-
-    c = np.zeros(n)
-    lower = np.empty(n)
-    upper = np.empty(n)
-    names = []
-    for fi, v in enumerate(flex):
-        gen = case.fleet[v]
-        for t in range(t_n):
-            c[d_col(fi, t)] = gen.cost
-            lower[d_col(fi, t)] = gen.pmin - da.p[v, t]
-            upper[d_col(fi, t)] = gen.pmax - da.p[v, t]
-        names.extend(f"d[{gen.name},{t}]" for t in range(t_n))
-    for t in range(t_n):
-        lower[spill0 + t] = 0.0
-        upper[spill0 + t] = case.actual[t]
-        lower[ls0 + t] = -da.ls[t]
-        upper[ls0 + t] = case.demand[t] - da.ls[t]
-        c[ls0 + t] = case.voll
-    names += [f"spill[{t}]" for t in range(t_n)]
-    names += [f"ls_rt[{t}]" for t in range(t_n)]
-
+    gens = [case.fleet[v] for v in flex]
+    p = da.p[flex]
+    ramp = _per_unit(g.ramp for g in gens)
+    # The day-ahead move into each hour, hour 0 coming from the last.
+    base = p - np.roll(p, 1, axis=1)
     # Balance: committed DA terms are constants, so the rhs carries them.
-    a_eq = np.zeros((t_n, n))
-    b_eq = np.empty(t_n)
     committed = da.p.sum(axis=0)
-    for t in range(t_n):
-        for fi in range(f_n):
-            a_eq[t, d_col(fi, t)] = 1.0
-        a_eq[t, spill0 + t] = -1.0
-        a_eq[t, ls0 + t] = 1.0
-        b_eq[t] = case.demand[t] - committed[t] - case.actual[t] - da.ls[t]
-
-    a_ub = np.zeros((2 * f_n * t_n, n))
-    b_ub = np.empty(2 * f_n * t_n)
-    row = 0
-    for fi, v in enumerate(flex):
-        gen = case.fleet[v]
-        for t in range(t_n):
-            prev = (t - 1) % t_n
-            base = da.p[v, t] - da.p[v, prev]
-            a_ub[row, d_col(fi, t)] += 1.0
-            a_ub[row, d_col(fi, prev)] -= 1.0
-            b_ub[row] = gen.ramp - base
-            a_ub[row + 1, d_col(fi, t)] -= 1.0
-            a_ub[row + 1, d_col(fi, prev)] += 1.0
-            b_ub[row + 1] = gen.ramp + base
-            row += 2
-
-    return LinearProgram(
-        c=c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
-        lower=lower, upper=upper, names=tuple(names),
+    return _market_lp(
+        cost=_per_unit(g.cost for g in gens),
+        lower=_per_unit(g.pmin for g in gens) - p,
+        upper=_per_unit(g.pmax for g in gens) - p,
+        ramp_up=ramp - base,
+        ramp_down=ramp + base,
+        rnw_sign=-1.0,
+        rnw_upper=case.actual,
+        ls_lower=-da.ls,
+        ls_upper=case.demand - da.ls,
+        voll=case.voll,
+        b_eq=case.demand - committed - case.actual - da.ls,
     )
 
 
-def solve_rt(case: DispatchCase, da: DaSolution, tol: float = 1e-9) -> RtSolution:
+def solve_rt(case: DispatchCase, da: DaSolution) -> RtSolution:
     """Solve the real-time adjustment program against actual renewables."""
-    sol = _solve_audited(build_rt_lp(case, da), "real-time", tol)
+    sol = _solve_audited(build_rt_lp(case, da), "real-time")
     t_n = case.horizon
     flex = [v for v, g in enumerate(case.fleet) if g.rt_available]
     f_n = len(flex)
     x = sol.x
     delta = np.zeros((len(case.fleet), t_n))
-    for fi, v in enumerate(flex):
-        delta[v] = x[fi * t_n : (fi + 1) * t_n]
+    delta[flex] = x[: f_n * t_n].reshape(f_n, t_n)
     spill = x[f_n * t_n : f_n * t_n + t_n].copy()
     ls_rt = x[f_n * t_n + t_n :].copy()
     return RtSolution(delta, spill, ls_rt, float(sol.objective), sol.iterations)

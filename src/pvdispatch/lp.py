@@ -8,13 +8,19 @@ Problem form:
                 lower <= x <= upper   (entries may be -inf / +inf)
 
 The solver converts to standard form (finite lower bounds shifted to zero,
-upper-bounded-below-only variables mirrored, doubly-unbounded variables
-split into positive parts, finite upper bounds and inequality rows given
-slacks), runs phase 1 with artificial variables, then phase 2 with Dantzig
-pricing. After 50 consecutive degenerate pivots it switches permanently to
-Bland's rule, which guarantees termination. Basic values are re-solved
-against the original standard-form matrix at the end so feasibility
-residuals do not inherit tableau roundoff.
+variables bounded only above mirrored, doubly-unbounded variables split
+into positive parts, finite upper bounds and inequality rows given slacks),
+runs phase 1 with artificial variables, then phase 2 with Dantzig pricing.
+The way back is three arrays: ``src`` (the original variable of each
+structural column), ``sign`` (+1, or -1 for a mirrored column or the
+negative part of a split) and ``offset`` (the lower bound, the upper bound
+or 0, per original variable), so ``x = offset + sum of sign * y`` over each
+variable's columns. After 50 consecutive degenerate pivots the solver
+switches permanently to Bland's rule, which guarantees termination. Basic
+values are re-solved against the original standard-form matrix at the end
+so feasibility residuals do not inherit tableau roundoff. A program with
+no constraint row at all takes the same path: its empty tableau is
+optimal or unbounded at the first pricing.
 
 Dispatch instances here are a few hundred rows, so a dense tableau is
 adequate and easy to audit. A pivot updates only the rows with a nonzero
@@ -30,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _PIVOT_TOL = 1e-11
+_TOL = 1e-9  # pricing, ratio-tie and degeneracy tolerance
 _BLAND_STALL = 50
 
 
@@ -58,7 +65,6 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -100,11 +106,6 @@ class LinearProgram:
         if (lower > upper).any():
             j = int(np.argmax(lower > upper))
             raise LpError(f"variable {j}: lower bound {lower[j]} > upper {upper[j]}")
-        names = self.names
-        if names is not None:
-            names = tuple(str(s) for s in names)
-            if len(names) != n:
-                raise LpError(f"{len(names)} names for {n} variables")
         for attr, val in (
             ("c", c),
             ("A_eq", a_eq),
@@ -113,7 +114,6 @@ class LinearProgram:
             ("b_ub", b_ub),
             ("lower", lower),
             ("upper", upper),
-            ("names", names),
         ):
             object.__setattr__(self, attr, val)
 
@@ -210,66 +210,51 @@ def check_solution(
 
 @dataclass
 class _StandardForm:
-    """min c.y, A y = b, y >= 0, with a map back to the original variables."""
+    """min c.y, A y = b, y >= 0, with a map back to the original variables:
+    ``x = offset + bincount(src, sign * y[:n_struct])``."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     n_struct: int  # structural columns (before slacks)
-    # per original variable: ("shift", col, lo) | ("mirror", col, up) |
-    # ("split", col_pos, col_neg)
-    recon: list[tuple]
+    src: np.ndarray  # original variable of each structural column
+    sign: np.ndarray  # +1, or -1 for a mirrored column or a split's negative part
+    offset: np.ndarray  # per original variable: lower bound, upper bound or 0
     n_eq: int  # leading rows that are equalities (no slack of their own)
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     n = lp.n_vars
-    # Per structural column: its source variable and sign.
-    src: list[int] = []
-    sign: list[float] = []
-    recon: list[tuple] = []
-    extra_ub_rows: list[tuple[int, float]] = []  # (column, rhs) for y_col <= rhs
-    for j in range(n):
-        lo, up = lp.lower[j], lp.upper[j]
-        col = len(src)
-        if np.isfinite(lo):
-            src.append(j)
-            sign.append(1.0)
-            recon.append(("shift", col, lo))
-            if np.isfinite(up):
-                extra_ub_rows.append((col, up - lo))
-        elif np.isfinite(up):
-            src.append(j)
-            sign.append(-1.0)
-            recon.append(("mirror", col, up))
-        else:
-            src += [j, j]
-            sign += [1.0, -1.0]
-            recon.append(("split", col, col + 1))
-    n_struct = len(src)
-    sign_arr = np.array(sign)
-    shifts = [
-        (src[col], ref) for kind, col, ref in recon if kind != "split" and ref != 0.0
-    ]
+    has_lo = np.isfinite(lp.lower)
+    has_up = np.isfinite(lp.upper)
+    free = ~has_lo & ~has_up
+    # A free variable gets a positive and a negative column, in that order.
+    width = np.where(free, 2, 1)
+    src = np.repeat(np.arange(n), width)
+    first = np.cumsum(width) - width  # first column of each variable
+    n_struct = src.size
+    sign = np.ones(n_struct)
+    sign[first[~has_lo & has_up]] = -1.0
+    sign[first[free] + 1] = -1.0
+    offset = np.where(has_lo, lp.lower, np.where(has_up, lp.upper, 0.0))
+    shifted = np.nonzero(offset)[0]
 
     def build_block(a_orig: np.ndarray, b_orig: np.ndarray):
         b_new = b_orig.copy()
         # Shifted one column at a time, in column order, as the rounding of
         # b depends on the order of the subtractions.
-        for j, ref in shifts:
-            b_new -= a_orig[:, j] * ref
-        return a_orig[:, src] * sign_arr, b_new
+        for j in shifted:
+            b_new -= a_orig[:, j] * offset[j]
+        return a_orig[:, src] * sign, b_new
 
     a_eq, b_eq = build_block(lp.A_eq, lp.b_eq)
     a_ub, b_ub = build_block(lp.A_ub, lp.b_ub)
-    if extra_ub_rows:
-        bound_a = np.zeros((len(extra_ub_rows), n_struct))
-        bound_b = np.empty(len(extra_ub_rows))
-        for i, (col, rhs) in enumerate(extra_ub_rows):
-            bound_a[i, col] = 1.0
-            bound_b[i] = rhs
-        a_ub = np.vstack([a_ub, bound_a])
-        b_ub = np.concatenate([b_ub, bound_b])
+    # A variable with both bounds finite keeps y <= upper - lower as a row.
+    boxed = np.nonzero(has_lo & has_up)[0]
+    bound_a = np.zeros((boxed.size, n_struct))
+    bound_a[np.arange(boxed.size), first[boxed]] = 1.0
+    a_ub = np.vstack([a_ub, bound_a])
+    b_ub = np.concatenate([b_ub, lp.upper[boxed] - lp.lower[boxed]])
 
     n_ub = a_ub.shape[0]
     n_eq = a_eq.shape[0]
@@ -280,21 +265,20 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     b = np.concatenate([b_eq, b_ub])
 
     c_new = np.zeros(n_struct + n_ub)
-    c_new[:n_struct] = lp.c[src] * sign_arr
-    return _StandardForm(a, b, c_new, n_struct, recon, n_eq)
+    c_new[:n_struct] = lp.c[src] * sign
+    return _StandardForm(a, b, c_new, n_struct, src, sign, offset, n_eq)
 
 
 class _Simplex:
     """Tableau state shared by the two phases."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, tol: float, max_iters: int):
+    def __init__(self, a: np.ndarray, b: np.ndarray, max_iters: int):
         # Rows are sign-fixed so every rhs is nonnegative.
         self.a = a.copy()
         self.b = b.copy()
         self.negated = self.b < 0
         self.a[self.negated] *= -1.0
         self.b[self.negated] *= -1.0
-        self.tol = tol
         self.max_iters = max_iters
         self.iterations = 0
         self.bland = False
@@ -305,13 +289,13 @@ class _Simplex:
         while True:
             reduced = tableau[-1, :-1]
             if self.bland:
-                negs = np.nonzero(reduced < -self.tol)[0]
+                negs = np.nonzero(reduced < -_TOL)[0]
                 if negs.size == 0:
                     return "optimal"
                 enter = int(negs[0])
             else:
                 enter = int(np.argmin(reduced))
-                if reduced[enter] >= -self.tol:
+                if reduced[enter] >= -_TOL:
                     return "optimal"
             col = tableau[:-1, enter]
             rhs = tableau[:-1, -1]
@@ -322,9 +306,9 @@ class _Simplex:
             best = ratios.min()
             # Tie-break on the smallest basis index (Bland-style) so the
             # pivot sequence is deterministic.
-            tied = np.nonzero(ratios <= best + self.tol * (1.0 + best))[0]
+            tied = np.nonzero(ratios <= best + _TOL * (1.0 + best))[0]
             leave = int(min(tied, key=lambda r: basis[r]))
-            if best <= self.tol:
+            if best <= _TOL:
                 self._stall += 1
                 if self._stall >= _BLAND_STALL:
                     self.bland = True
@@ -349,37 +333,17 @@ class _Simplex:
         tableau[row, col] = 1.0
 
 
-def solve_lp(
-    lp: LinearProgram, tol: float = 1e-9, max_iters: int = 20000
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
     """Two-phase primal simplex.
 
-    Optimal solutions satisfy the equality rows within ``tol``-scale
+    Optimal solutions satisfy the equality rows within ``_TOL``-scale
     residuals and the inequality rows and bounds up to the same order;
     exceeding ``max_iters`` raises :class:`IterationLimitError` instead of
     mislabeling the program.
     """
     sf = _to_standard_form(lp)
     m, n_total = sf.a.shape
-    if m == 0:
-        # No constraints at all: bounded iff every cost direction is blocked.
-        x = np.zeros(lp.n_vars)
-        for j, step in enumerate(sf.recon):
-            kind = step[0]
-            if kind == "shift":
-                x[j] = step[2]
-                if sf.c[step[1]] < 0 and not np.isfinite(lp.upper[j]):
-                    return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
-            elif kind == "mirror":
-                x[j] = step[2]
-                if sf.c[step[1]] < 0:
-                    return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
-            else:
-                if lp.c[j] != 0.0:
-                    return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
-        return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), 0)
-
-    engine = _Simplex(sf.a, sf.b, tol, max_iters)
+    engine = _Simplex(sf.a, sf.b, max_iters)
     a, b = engine.a, engine.b
 
     # Phase 1: an inequality row whose slack kept its +1 sign starts with
@@ -411,7 +375,7 @@ def solve_lp(
         if outcome != "optimal":
             raise LpError("phase 1 reported unbounded; this cannot happen")
         phase1_obj = -tableau[-1, -1]
-        if phase1_obj > max(1e-7, tol * 100.0):
+        if phase1_obj > max(1e-7, _TOL * 100.0):
             return LpSolution(LpStatus.INFEASIBLE, None, None, engine.iterations)
         # Drive surviving artificials out of the basis or drop their rows.
         keep_rows = np.ones(m, dtype=bool)
@@ -466,15 +430,9 @@ def solve_lp(
         except np.linalg.LinAlgError:
             pass
 
-    x = np.zeros(lp.n_vars)
-    for j, step in enumerate(sf.recon):
-        kind = step[0]
-        if kind == "shift":
-            x[j] = y[step[1]] + step[2]
-        elif kind == "mirror":
-            x[j] = step[2] - y[step[1]]
-        else:
-            x[j] = y[step[1]] - y[step[2]]
+    x = sf.offset + np.bincount(
+        sf.src, weights=sf.sign * y[: sf.n_struct], minlength=lp.n_vars
+    )
     return LpSolution(
         LpStatus.OPTIMAL, x, float(lp.c @ x), engine.iterations
     )

@@ -160,9 +160,6 @@ class NetworkParameters:
             raise ValueError(f"vector has {vec.size} entries, need {offset}")
         return out
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(leaf).all() for leaf in self.leaves())
-
 
 @dataclass
 class AdamState:

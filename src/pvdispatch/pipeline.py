@@ -76,7 +76,7 @@ from .synth import synth_year
 METHODS = ("kmeans", "monthly", "mlstm")
 # metrics.csv row -> EvaluationReport attribute; the first five rows are
 # also CaseMetrics attributes and the columns of metrics_daily.csv.
-_REPORT_FIELDS = {
+REPORT_FIELDS = {
     "gas_mwh": "gas_mwh",
     "co2_kg": "co2_kg",
     "load_shedding_mwh": "shed_mwh",
@@ -84,7 +84,7 @@ _REPORT_FIELDS = {
     "da_rt_cost_usd": "cost_usd",
     "nmae": "nmae",
 }
-METRIC_ROWS = tuple(_REPORT_FIELDS)
+METRIC_ROWS = tuple(REPORT_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -599,7 +599,7 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
         metrics_path = out / "metrics.csv"
         with metrics_path.open("w", newline="", encoding="utf-8") as fh:
             fh.write("metric," + ",".join(METHODS) + "\n")
-            for row, field in _REPORT_FIELDS.items():
+            for row, field in REPORT_FIELDS.items():
                 cells = [
                     _fmt(getattr(result.outcomes[m].report, field)) for m in METHODS
                 ]
@@ -613,7 +613,7 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
             for method in METHODS:
                 for d, day in enumerate(result.outcomes[method].daily):
                     date = result.dispatch_timestamps[24 * d].astype("datetime64[D]")
-                    cells = [_fmt(getattr(day, _REPORT_FIELDS[r])) for r in daily_rows]
+                    cells = [_fmt(getattr(day, REPORT_FIELDS[r])) for r in daily_rows]
                     fh.write(",".join([str(date), method, *cells]) + "\n")
         written.append(daily_path)
 

@@ -5,6 +5,11 @@ choice of n active constraints (equality rows always included, then
 inequality rows and bound facets) yields a candidate basic point; feasible
 candidates are collected and the best objective wins. It shares no code
 with the simplex path it audits.
+
+The reference builders assemble the day-ahead and real-time programs one
+(unit, hour) entry at a time, the plain reading of the formulation in
+:mod:`pvdispatch.dispatch`, so the vectorised builders can be checked
+against them byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from pvdispatch.dispatch import DispatchCase, GeneratorSpec
+from pvdispatch.dispatch import DaSolution, DispatchCase, GeneratorSpec
 from pvdispatch.lp import LinearProgram
 
 
@@ -23,6 +28,12 @@ def enumerate_vertices(lp: LinearProgram, feas_tol: float = 1e-7):
     Returns (status, best_objective, best_x) where status is "optimal" or
     "infeasible". Requires finite bounds on every variable so the feasible
     set, if nonempty, is a polytope with at least one vertex.
+
+    A candidate may break a bound or a row by up to ``feas_tol``. On an LP
+    with coefficients near ``feas_tol`` or below (an equality row with a
+    1e-6 entry, say), such a point can beat the true optimum by a wide
+    margin, so this oracle cannot audit those programs; compare them with
+    an independent solver such as HiGHS instead.
     """
     n = lp.n_vars
     if not (np.isfinite(lp.lower).all() and np.isfinite(lp.upper).all()):
@@ -205,4 +216,117 @@ def random_dispatch_case(
         fleet=tuple(fleet),
         voll=1000.0 + float(rng.uniform(0.0, 500.0)),
         emission_factor=202.0,
+    )
+
+
+def reference_da_lp(case: DispatchCase) -> LinearProgram:
+    """The day-ahead program, entry by entry: p[v,t], then rnw[t], ls[t]."""
+    t_n = case.horizon
+    v_n = len(case.fleet)
+    n = v_n * t_n + 2 * t_n
+
+    def p_col(v: int, t: int) -> int:
+        return v * t_n + t
+
+    rnw0 = v_n * t_n
+    ls0 = rnw0 + t_n
+
+    c = np.zeros(n)
+    lower = np.zeros(n)
+    upper = np.empty(n)
+    for v, gen in enumerate(case.fleet):
+        for t in range(t_n):
+            c[p_col(v, t)] = gen.cost
+            lower[p_col(v, t)] = gen.pmin
+            upper[p_col(v, t)] = gen.pmax
+    for t in range(t_n):
+        upper[rnw0 + t] = case.forecast[t]
+        upper[ls0 + t] = case.demand[t]
+        c[ls0 + t] = case.voll
+
+    a_eq = np.zeros((t_n, n))
+    for t in range(t_n):
+        for v in range(v_n):
+            a_eq[t, p_col(v, t)] = 1.0
+        a_eq[t, rnw0 + t] = 1.0
+        a_eq[t, ls0 + t] = 1.0
+    b_eq = case.demand.copy()
+
+    a_ub = np.zeros((2 * v_n * t_n, n))
+    b_ub = np.empty(2 * v_n * t_n)
+    row = 0
+    for v, gen in enumerate(case.fleet):
+        for t in range(t_n):
+            prev = (t - 1) % t_n
+            a_ub[row, p_col(v, t)] += 1.0
+            a_ub[row, p_col(v, prev)] -= 1.0
+            b_ub[row] = gen.ramp
+            a_ub[row + 1, p_col(v, t)] -= 1.0
+            a_ub[row + 1, p_col(v, prev)] += 1.0
+            b_ub[row + 1] = gen.ramp
+            row += 2
+
+    return LinearProgram(
+        c=c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper
+    )
+
+
+def reference_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
+    """The real-time program, entry by entry: d[v,t] for the flexible
+    units, then spill[t], ls_rt[t]."""
+    t_n = case.horizon
+    flex = [v for v, g in enumerate(case.fleet) if g.rt_available]
+    f_n = len(flex)
+    n = f_n * t_n + 2 * t_n
+
+    def d_col(fi: int, t: int) -> int:
+        return fi * t_n + t
+
+    spill0 = f_n * t_n
+    ls0 = spill0 + t_n
+
+    c = np.zeros(n)
+    lower = np.empty(n)
+    upper = np.empty(n)
+    for fi, v in enumerate(flex):
+        gen = case.fleet[v]
+        for t in range(t_n):
+            c[d_col(fi, t)] = gen.cost
+            lower[d_col(fi, t)] = gen.pmin - da.p[v, t]
+            upper[d_col(fi, t)] = gen.pmax - da.p[v, t]
+    for t in range(t_n):
+        lower[spill0 + t] = 0.0
+        upper[spill0 + t] = case.actual[t]
+        lower[ls0 + t] = -da.ls[t]
+        upper[ls0 + t] = case.demand[t] - da.ls[t]
+        c[ls0 + t] = case.voll
+
+    a_eq = np.zeros((t_n, n))
+    b_eq = np.empty(t_n)
+    committed = da.p.sum(axis=0)
+    for t in range(t_n):
+        for fi in range(f_n):
+            a_eq[t, d_col(fi, t)] = 1.0
+        a_eq[t, spill0 + t] = -1.0
+        a_eq[t, ls0 + t] = 1.0
+        b_eq[t] = case.demand[t] - committed[t] - case.actual[t] - da.ls[t]
+
+    a_ub = np.zeros((2 * f_n * t_n, n))
+    b_ub = np.empty(2 * f_n * t_n)
+    row = 0
+    for fi, v in enumerate(flex):
+        gen = case.fleet[v]
+        for t in range(t_n):
+            prev = (t - 1) % t_n
+            base = da.p[v, t] - da.p[v, prev]
+            a_ub[row, d_col(fi, t)] += 1.0
+            a_ub[row, d_col(fi, prev)] -= 1.0
+            b_ub[row] = gen.ramp - base
+            a_ub[row + 1, d_col(fi, t)] -= 1.0
+            a_ub[row + 1, d_col(fi, prev)] += 1.0
+            b_ub[row + 1] = gen.ramp + base
+            row += 2
+
+    return LinearProgram(
+        c=c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper
     )

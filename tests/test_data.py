@@ -10,7 +10,6 @@ from pvdispatch.data import (
     TimeSeriesDataset,
     WindowSpec,
     apply_dark_mask,
-    denormalize,
     denormalize_feature,
     derive_dark_mask,
     fit_normalizer,
@@ -153,7 +152,7 @@ class TestNormalization:
     def test_roundtrip(self, lo, width, x):
         params = NormalizationParams(np.array([lo]), np.array([lo + width]))
         z = normalize(np.array([[x]]), params)
-        back = denormalize(z, params)[0, 0]
+        back = denormalize_feature(z[:, 0], params, 0)[0]
         assert back == pytest.approx(x, rel=1e-12, abs=1e-9)
 
     def test_fit_uses_train_only(self):
@@ -167,9 +166,7 @@ class TestNormalization:
         ds = make_ds(30, f=3, seed=5)
         params = fit_normalizer(ds)
         col = ds.values[:, 1]
-        from pvdispatch.data import normalize_feature
-
-        z = normalize_feature(col, params, 1)
+        z = normalize(ds.values, params)[:, 1]
         np.testing.assert_allclose(denormalize_feature(z, params, 1), col, rtol=1e-12)
 
 
@@ -239,8 +236,8 @@ class TestDarkMask:
     def test_all_zero_slot_is_dark(self):
         ds = self._ds_with_zero_hours([3])
         mask = derive_dark_mask(ds, 0)
-        assert mask.is_dark(1, 3) is True
-        assert mask.is_dark(2, 3) is True
+        assert mask.table[0, 3] and mask.table[1, 3]
+        assert mask.table[:2].sum() == 2
 
     def test_single_positive_observation_unmasks(self):
         ds = self._ds_with_zero_hours([12], n=24 * 30, start="2023-06-01T00")
@@ -248,13 +245,16 @@ class TestDarkMask:
         vals[12, 0] = 4.2  # one positive noon observation
         ds2 = TimeSeriesDataset(ds.timestamps, vals, ds.feature_names)
         mask = derive_dark_mask(ds2, 0)
-        assert mask.is_dark(6, 12) is False
+        assert mask.month_defined[5]
+        assert not mask.table[5, 12]
 
     def test_undefined_month_query_errors(self):
         ds = self._ds_with_zero_hours([2], n=24 * 10, start="2023-06-01T00")
         mask = derive_dark_mask(ds, 0)
+        assert not mask.month_defined[1]
+        fc = ForecastSeries(hourly_ts("2023-02-01T00", 24), np.ones(24), "pv")
         with pytest.raises(DataError, match="month 2"):
-            mask.is_dark(2, 0)
+            apply_dark_mask(fc, mask)
 
     def test_apply_zeroes_masked_slots(self):
         ds = self._ds_with_zero_hours([5])

@@ -8,6 +8,8 @@ from oracles import (
     merit_order_cost,
     random_benign_case,
     random_dispatch_case,
+    reference_da_lp,
+    reference_rt_lp,
 )
 from pvdispatch.dispatch import (
     DispatchCase,
@@ -344,6 +346,60 @@ class TestProperties:
         lp_rt = build_rt_lp(case, da)
         sol_rt = solve_lp(lp_rt)
         assert check_solution(lp_rt, sol_rt, tol=1e-6) == []
+
+
+_LP_ARRAYS = ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lower", "upper")
+
+
+def assert_builders_match_reference(case: DispatchCase) -> None:
+    # Bytes, not values: a -0.0 where the reference has +0.0 is a change.
+    da = solve_da(case)
+    for built, ref in (
+        (build_da_lp(case), reference_da_lp(case)),
+        (build_rt_lp(case, da), reference_rt_lp(case, da)),
+    ):
+        for name in _LP_ARRAYS:
+            got, want = getattr(built, name), getattr(ref, name)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def small_fleet_case(rng, horizon: int, n_rt: int) -> DispatchCase:
+    """Three units, the first ``n_rt`` of them movable in real time, with
+    shedding, spill and forecast errors of both signs all possible."""
+    fleet = tuple(
+        GeneratorSpec(
+            f"G{i}",
+            cost=float(rng.uniform(5.0, 40.0)),
+            pmax=50.0,
+            pmin=float(rng.choice([0.0, 5.0])),
+            ramp=float(rng.uniform(5.0, 50.0)),
+            rt_available=i < n_rt,
+            gas_fired=bool(i % 2),
+        )
+        for i in range(3)
+    )
+    actual = rng.uniform(0.0, 60.0, horizon) * (rng.random(horizon) < 0.7)
+    return DispatchCase(
+        demand=rng.uniform(15.0, 140.0, horizon),
+        forecast=np.clip(actual * rng.uniform(0.5, 1.5, horizon), 0.0, None),
+        actual=actual,
+        fleet=fleet,
+    )
+
+
+class TestBuildersMatchReference:
+    @pytest.mark.parametrize("n_rt", [0, 1, 3])
+    @pytest.mark.parametrize("horizon", [1, 2, 24])
+    def test_small_fleets(self, horizon, n_rt):
+        rng = np.random.Generator(np.random.PCG64(100 * horizon + n_rt))
+        for _ in range(3):
+            assert_builders_match_reference(small_fleet_case(rng, horizon, n_rt))
+
+    def test_random_days(self):
+        rng = np.random.Generator(np.random.PCG64(606))
+        for _ in range(40):
+            assert_builders_match_reference(random_dispatch_case(rng))
 
 
 def _highs_objective(linprog, lp) -> float:

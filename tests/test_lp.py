@@ -59,6 +59,39 @@ class TestBasics:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(7.0)
 
+    # No constraint rows at all; test_mirror_variable and
+    # test_unbounded_below cover the other two bound shapes.
+    @pytest.mark.parametrize(
+        "c, lower, upper, status, x",
+        [
+            pytest.param(
+                1.0, -np.inf, 7.0, LpStatus.UNBOUNDED, None, id="mirrored-cost-up"
+            ),
+            pytest.param(
+                2.0, -np.inf, np.inf, LpStatus.UNBOUNDED, None, id="free-cost-up"
+            ),
+            pytest.param(
+                -2.0, -np.inf, np.inf, LpStatus.UNBOUNDED, None, id="free-cost-down"
+            ),
+            pytest.param(
+                0.0, -np.inf, np.inf, LpStatus.OPTIMAL, 0.0, id="free-no-cost"
+            ),
+            # A cost inside the pricing tolerance counts as zero.
+            pytest.param(
+                -1e-10, 0.0, np.inf, LpStatus.OPTIMAL, 0.0, id="cost-within-tol"
+            ),
+        ],
+    )
+    def test_constraint_free(self, c, lower, upper, status, x):
+        sol = solve_lp(LinearProgram(c=[c], lower=[lower], upper=[upper]))
+        assert sol.status is status
+        assert sol.iterations == 0
+        if x is None:
+            assert sol.x is None
+        else:
+            assert sol.x[0] == x
+            assert sol.objective == c * x
+
     def test_malformed_rejected(self):
         with pytest.raises(LpError):
             LinearProgram(c=[1.0, 2.0], A_eq=[[1.0]], b_eq=[1.0])
