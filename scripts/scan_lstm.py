@@ -4,8 +4,6 @@ every few epochs, for hyperparameter tuning. Not part of the test suite."""
 import sys
 import time
 
-import numpy as np
-
 from pvdispatch.baselines import monthly_hour_fit, monthly_forecast_values
 from pvdispatch.data import (
     TimeSeriesDataset,
@@ -17,16 +15,7 @@ from pvdispatch.data import (
     window_arrays,
 )
 from pvdispatch.dispatch import nmae
-from pvdispatch.lstm import (
-    AdamState,
-    NetworkConfig,
-    adam_step,
-    backward,
-    forward_batch,
-    init_params,
-    loss_mse,
-    predict_series,
-)
+from pvdispatch.lstm import NetworkConfig, TrainingConfig, predict_series, train_epochs
 from pvdispatch.pipeline import with_lead_in
 from pvdispatch.synth import SynthParams, synth_year
 
@@ -55,35 +44,21 @@ def main():
         train_ds.timestamps, normalize(train_ds.values, normalizer),
         train_ds.feature_names,
     )
-    inputs, labels = window_arrays(tn, spec)
-    n = len(labels)
+    samples = window_arrays(tn, spec)
     net = NetworkConfig(input_features=3, layer_sizes=(64, 32), dropout_rate=dropout, seed=1)
     decay = float(sys.argv[8]) if len(sys.argv) > 8 else 1.0
-    params = init_params(net)
-    state = AdamState.init(params, lr=lr)
-    rng = np.random.Generator(np.random.PCG64(2))
-
-    def test_nmae():
-        test_rows = with_lead_in(gen, spec, train_ds.n)
-        series = predict_series(params, net, test_rows, spec, normalizer, mask)
-        return nmae(series.values, actual)
+    tc = TrainingConfig(
+        epochs=epochs, batch_size=batch, learning_rate=lr, seed=2, lr_decay=decay
+    )
+    test_rows = with_lead_in(gen, spec, train_ds.n)
 
     t0 = time.time()
-    for epoch in range(epochs):
-        state.lr = lr * decay**epoch
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch):
-            sel = order[start : start + batch]
-            ds_seed = int(rng.integers(0, 2**63 - 1))
-            preds, cache = forward_batch(params, net, inputs[sel], True, ds_seed)
-            total += loss_mse(preds, labels[sel]) * sel.size
-            grads = backward(params, cache, labels[sel])
-            params, state = adam_step(params, grads, state)
+    for epoch, (params, train_mse) in enumerate(train_epochs(samples, net, tc)):
         if (epoch + 1) % 5 == 0 or epoch == 0:
-            tn_val = test_nmae()
+            series = predict_series(params, net, test_rows, spec, normalizer, mask)
+            tn_val = nmae(series.values, actual)
             print(
-                f"epoch {epoch + 1:3d} train_mse {total / n:.5f} "
+                f"epoch {epoch + 1:3d} train_mse {train_mse:.5f} "
                 f"test_nmae {tn_val:.4f} ratio {tn_val / m_nmae:.3f} "
                 f"[{time.time() - t0:.0f}s]",
                 flush=True,

@@ -9,13 +9,16 @@ baseline families so a single loader can dispatch on file content.
 from __future__ import annotations
 
 import json
+import zipfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import KMeansModel, MonthlyHourModel
 from .data import DarkHourMask, NormalizationParams
-from .lstm import LayerParams, NetworkConfig, NetworkParameters
+from .lstm import LayerParams, NetworkConfig, NetworkParameters, init_params
 
 FORMAT_VERSION = 1
 
@@ -32,24 +35,33 @@ def _write(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         np.savez(fh, **payload)
 
 
-def _read(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+@contextmanager
+def _read(path: str | Path, kind: str) -> Iterator[tuple[dict, np.lib.npyio.NpzFile]]:
+    """Open a checkpoint that holds a ``kind`` model; yields its metadata and
+    arrays. A missing, unreadable or malformed record inside the ``with``
+    block raises :class:`CheckpointError` naming the file."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no such file: {path}")
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"{path}: not a checkpoint: {exc}") from None
-    if "__meta__" not in archive:
-        raise CheckpointError(f"{path}: missing metadata record")
-    meta = json.loads(bytes(archive["__meta__"]).decode())
-    version = meta.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version}, expected {FORMAT_VERSION}"
-        )
-    arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
-    return meta, arrays
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(bytes(archive["__meta__"]).decode())
+            version = meta.get("format_version") if isinstance(meta, dict) else None
+            if version != FORMAT_VERSION:
+                raise CheckpointError(
+                    f"{path}: format version {version}, expected {FORMAT_VERSION}"
+                )
+            if meta.get("kind") != kind:
+                raise CheckpointError(
+                    f"{path}: kind {meta.get('kind')!r}, expected {kind!r}"
+                )
+            yield meta, archive
+    except CheckpointError:
+        raise
+    except (
+        KeyError, OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile
+    ) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from None
 
 
 def _mask_arrays(mask: DarkHourMask | None) -> dict[str, np.ndarray]:
@@ -101,28 +113,31 @@ def save_lstm(
 def load_lstm(
     path: str | Path,
 ) -> tuple[NetworkConfig, NetworkParameters, NormalizationParams, DarkHourMask | None]:
-    meta, arrays = _read(path)
-    if meta.get("kind") != "lstm":
-        raise CheckpointError(f"{path}: kind {meta.get('kind')!r}, expected 'lstm'")
-    config = NetworkConfig(
-        input_features=int(meta["input_features"]),
-        layer_sizes=tuple(int(h) for h in meta["layer_sizes"]),
-        dropout_rate=float(meta["dropout_rate"]),
-        cell_activation=str(meta["cell_activation"]),
-        seed=int(meta["seed"]),
-    )
-    layers = []
-    for i in range(len(config.layer_sizes)):
-        layers.append(
-            LayerParams(
-                arrays[f"layer{i}_w_in"],
-                arrays[f"layer{i}_w_rec"],
-                arrays[f"layer{i}_bias"],
-            )
+    with _read(path, "lstm") as (meta, arrays):
+        config = NetworkConfig(
+            input_features=int(meta["input_features"]),
+            layer_sizes=tuple(int(h) for h in meta["layer_sizes"]),
+            dropout_rate=float(meta["dropout_rate"]),
+            cell_activation=str(meta["cell_activation"]),
+            seed=int(meta["seed"]),
         )
-    params = NetworkParameters(layers, arrays["dense_w"], arrays["dense_b"])
-    normalizer = NormalizationParams(arrays["norm_min"], arrays["norm_max"])
-    return config, params, normalizer, _mask_from(arrays)
+        layers = []
+        for i in range(len(config.layer_sizes)):
+            layers.append(
+                LayerParams(
+                    arrays[f"layer{i}_w_in"],
+                    arrays[f"layer{i}_w_rec"],
+                    arrays[f"layer{i}_bias"],
+                )
+            )
+        params = NetworkParameters(layers, arrays["dense_w"], arrays["dense_b"])
+        normalizer = NormalizationParams(arrays["norm_min"], arrays["norm_max"])
+        # A mismatch would otherwise surface mid-forecast, as a stage failure.
+        expected = [leaf.shape for leaf in init_params(config).leaves()]
+        widths_match = normalizer.n_features == config.input_features
+        if [leaf.shape for leaf in params.leaves()] != expected or not widths_match:
+            raise CheckpointError(f"{path}: array shapes do not match the metadata")
+        return config, params, normalizer, _mask_from(arrays)
 
 
 def save_kmeans(
@@ -140,17 +155,15 @@ def save_kmeans(
 
 
 def load_kmeans(path: str | Path) -> tuple[KMeansModel, DarkHourMask | None]:
-    meta, arrays = _read(path)
-    if meta.get("kind") != "kmeans":
-        raise CheckpointError(f"{path}: kind {meta.get('kind')!r}, expected 'kmeans'")
-    model = KMeansModel(
-        centroids=arrays["centroids"],
-        assignments=arrays["assignments"],
-        inertia=float(arrays["inertia"][0]),
-        month_modal=arrays["month_modal"],
-        n_iterations=int(meta["n_iterations"]),
-    )
-    return model, _mask_from(arrays)
+    with _read(path, "kmeans") as (meta, arrays):
+        model = KMeansModel(
+            centroids=arrays["centroids"],
+            assignments=arrays["assignments"],
+            inertia=float(arrays["inertia"][0]),
+            month_modal=arrays["month_modal"],
+            n_iterations=int(meta["n_iterations"]),
+        )
+        return model, _mask_from(arrays)
 
 
 def save_monthly(
@@ -162,7 +175,5 @@ def save_monthly(
 
 
 def load_monthly(path: str | Path) -> tuple[MonthlyHourModel, DarkHourMask | None]:
-    meta, arrays = _read(path)
-    if meta.get("kind") != "monthly":
-        raise CheckpointError(f"{path}: kind {meta.get('kind')!r}, expected 'monthly'")
-    return MonthlyHourModel(arrays["table"]), _mask_from(arrays)
+    with _read(path, "monthly") as (_meta, arrays):
+        return MonthlyHourModel(arrays["table"]), _mask_from(arrays)

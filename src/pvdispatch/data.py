@@ -41,9 +41,10 @@ def _validate_hourly_axis(timestamps: np.ndarray, what: str) -> None:
     bad = np.nonzero(steps != HOUR)[0]
     if bad.size:
         i = int(bad[0])
+        kind = "duplicate or backward" if steps[i] <= np.timedelta64(0, "h") else "gap"
         raise DataError(
-            f"{what}: timestamps must advance by exactly 1 hour; "
-            f"row {i + 2} ({timestamps[i + 1]}) follows {timestamps[i]}"
+            f"{what}: row {i + 2}: {kind} in hourly sequence "
+            f"({timestamps[i]} -> {timestamps[i + 1]})"
         )
 
 
@@ -244,17 +245,10 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
             rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    timestamps = np.array(ts_list, dtype="datetime64[h]")
-    steps = np.diff(timestamps)
-    bad = np.nonzero(steps != HOUR)[0]
-    if bad.size:
-        i = int(bad[0])
-        kind = "duplicate or backward" if steps[i] <= np.timedelta64(0, "h") else "gap"
-        raise DataError(
-            f"{path}: row {i + 2}: {kind} in hourly sequence "
-            f"({timestamps[i]} -> {timestamps[i + 1]})"
-        )
-    return TimeSeriesDataset(timestamps, np.array(rows, dtype=float), names)
+    try:
+        return TimeSeriesDataset(np.array(ts_list), np.array(rows, dtype=float), names)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
@@ -341,18 +335,6 @@ def window_arrays(
     inputs = view[:n_samples].transpose(0, 2, 1).copy()
     labels = ds.values[p + m - 1 :, j].copy()
     return inputs, labels
-
-
-def window_target_timestamps(
-    ds: TimeSeriesDataset, spec: WindowSpec
-) -> np.ndarray:
-    """Timestamps of the label hour for each window, in sample order."""
-    p, m = spec.lookback_p, spec.horizon_m
-    if ds.n < p + m:
-        raise DataError(
-            f"need at least p + m = {p + m} rows for windowing, have {ds.n}"
-        )
-    return ds.timestamps[p + m - 1 :]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ can be checked against central finite differences.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .data import (
     apply_dark_mask,
     denormalize_feature,
     normalize,
-    window_target_timestamps,
 )
 
 
@@ -161,6 +161,13 @@ class NetworkParameters:
         return out
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Windows per forward pass in predict_series; bounds its activation memory.
+PREDICT_CHUNK = 1024
+
+
 @dataclass
 class AdamState:
     """Adam moment accumulators, shaped like the parameters they update."""
@@ -169,13 +176,10 @@ class AdamState:
     v: NetworkParameters
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: NetworkParameters, lr: float = 1e-3, **kw) -> "AdamState":
-        return cls(m=params.zeros_like(), v=params.zeros_like(), t=0, lr=lr, **kw)
+    def init(cls, params: NetworkParameters, lr: float = 1e-3) -> "AdamState":
+        return cls(m=params.zeros_like(), v=params.zeros_like(), t=0, lr=lr)
 
 
 @dataclass(frozen=True)
@@ -241,12 +245,14 @@ def forward_batch(
     inputs: np.ndarray,
     training_mode: bool = False,
     dropout_seed: int = 0,
-    keep_cache: bool = True,
-) -> tuple[np.ndarray, dict | None]:
+) -> tuple[np.ndarray, dict]:
     """Run the stacked cells over a batch of (p, F) windows.
 
-    Returns per-sample scalar predictions and, when requested, the
-    activation cache consumed by :func:`backward`.
+    Returns per-sample scalar predictions and the activation cache consumed
+    by :func:`backward`. Each layer caches ``(x_seq, gates, cells_act,
+    cells, hidden)``: the (p, B, D) input sequence, the activated gates
+    (4, p, B, H) in (i, f, g, o) order, ``act(c)`` (p, B, H), and the cell
+    and hidden states (p + 1, B, H), whose row 0 is the zero initial state.
     """
     inputs = np.asarray(inputs, dtype=float)
     _check_window_shapes(params, config, inputs)
@@ -257,42 +263,23 @@ def forward_batch(
     x_seq = inputs.transpose(1, 0, 2)  # (p, B, D)
     for layer in params.layers:
         h_dim = layer.hidden
-        gates_i = np.empty((p, b, h_dim))
-        gates_f = np.empty((p, b, h_dim))
-        gates_g = np.empty((p, b, h_dim))
-        gates_o = np.empty((p, b, h_dim))
-        cells = np.empty((p, b, h_dim))
+        gates = np.empty((4, p, b, h_dim))
         cells_act = np.empty((p, b, h_dim))
-        hidden = np.empty((p, b, h_dim))
-        h_prev = np.zeros((b, h_dim))
-        c_prev = np.zeros((b, h_dim))
+        cells = np.zeros((p + 1, b, h_dim))
+        hidden = np.zeros((p + 1, b, h_dim))
         w_in_t = layer.w_in.T
         w_rec_t = layer.w_rec.T
         for t in range(p):
-            pre = x_seq[t] @ w_in_t + h_prev @ w_rec_t + layer.bias
-            i_t = sigmoid(pre[:, :h_dim])
-            f_t = sigmoid(pre[:, h_dim : 2 * h_dim])
-            g_t = act(pre[:, 2 * h_dim : 3 * h_dim])
-            o_t = sigmoid(pre[:, 3 * h_dim :])
-            c_t = f_t * c_prev + i_t * g_t
-            r_t = act(c_t)
-            h_t = o_t * r_t
-            gates_i[t], gates_f[t], gates_g[t], gates_o[t] = i_t, f_t, g_t, o_t
-            cells[t], cells_act[t], hidden[t] = c_t, r_t, h_t
-            h_prev, c_prev = h_t, c_t
-        layer_caches.append(
-            {
-                "x": x_seq,
-                "i": gates_i,
-                "f": gates_f,
-                "g": gates_g,
-                "o": gates_o,
-                "c": cells,
-                "r": cells_act,
-                "h": hidden,
-            }
-        )
-        x_seq = hidden
+            pre = x_seq[t] @ w_in_t + hidden[t] @ w_rec_t + layer.bias
+            gates[0, t] = sigmoid(pre[:, :h_dim])
+            gates[1, t] = sigmoid(pre[:, h_dim : 2 * h_dim])
+            gates[2, t] = act(pre[:, 2 * h_dim : 3 * h_dim])
+            gates[3, t] = sigmoid(pre[:, 3 * h_dim :])
+            cells[t + 1] = gates[1, t] * cells[t] + gates[0, t] * gates[2, t]
+            cells_act[t] = act(cells[t + 1])
+            hidden[t + 1] = gates[3, t] * cells_act[t]
+        layer_caches.append((x_seq, gates, cells_act, cells, hidden))
+        x_seq = hidden[1:]
 
     h_top = x_seq[-1]  # (B, H_last)
     rate = config.dropout_rate
@@ -307,36 +294,15 @@ def forward_batch(
     if not np.isfinite(predictions).all():
         raise DivergenceError("non-finite prediction in forward pass")
 
-    cache = None
-    if keep_cache:
-        cache = {
-            "layers": layer_caches,
-            "h_drop": h_drop,
-            "keep": keep,
-            "rate": rate if (training_mode and rate > 0.0) else 0.0,
-            "predictions": predictions,
-            "batch": b,
-            "steps": p,
-            "activation": config.cell_activation,
-        }
+    cache = {
+        "layers": layer_caches,
+        "h_drop": h_drop,
+        "keep": keep,
+        "rate": rate if (training_mode and rate > 0.0) else 0.0,
+        "predictions": predictions,
+        "activation": config.cell_activation,
+    }
     return predictions, cache
-
-
-def forward(
-    params: NetworkParameters,
-    config: NetworkConfig,
-    window: np.ndarray,
-    training_mode: bool = False,
-    dropout_seed: int = 0,
-) -> tuple[float, dict]:
-    """Predict from a single (p, F) window; returns the scalar and cache."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2:
-        raise ValueError("window must be a (p, F) matrix")
-    preds, cache = forward_batch(
-        params, config, window[None], training_mode, dropout_seed
-    )
-    return float(preds[0]), cache
 
 
 def loss_mse(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -355,11 +321,10 @@ def backward(
 ) -> NetworkParameters:
     """Gradients of the batch-mean squared error w.r.t. every parameter."""
     labels = np.asarray(labels, dtype=float)
-    b = cache["batch"]
+    b = cache["predictions"].shape[0]
     if labels.shape != (b,):
         raise ValueError(f"labels must have shape ({b},)")
     _, dact = _ACTIVATIONS[cache["activation"]]
-    p = cache["steps"]
 
     d_pred = 2.0 * (cache["predictions"] - labels) / b  # (B,)
     grads = params.zeros_like()
@@ -371,38 +336,31 @@ def backward(
     else:
         dh_top = dh_drop
 
-    # Seed the top layer at the final step only; lower layers receive the
-    # full back-propagated sequence from the layer above.
-    n_layers = len(params.layers)
-    dh_seq = None
-    for li in range(n_layers - 1, -1, -1):
-        layer = params.layers[li]
-        lc = cache["layers"][li]
+    # The top layer's output is read at the final step only; lower layers
+    # receive the full back-propagated sequence from the layer above.
+    p = cache["layers"][0][0].shape[0]  # steps of the (p, B, D) input
+    dh_seq = np.zeros((p, *dh_top.shape))
+    dh_seq[-1] = dh_top
+    for layer, grad, (x_seq, gates, cells_act, cells, hidden) in zip(
+        reversed(params.layers), reversed(grads.layers), reversed(cache["layers"])
+    ):
         h_dim = layer.hidden
-        g_w_in = grads.layers[li].w_in
-        g_w_rec = grads.layers[li].w_rec
-        g_bias = grads.layers[li].bias
-        dx_seq = np.zeros_like(lc["x"])
+        dx_seq = np.zeros_like(x_seq)
         dh_rec = np.zeros((b, h_dim))
         dc_carry = np.zeros((b, h_dim))
         da = np.empty((b, 4 * h_dim))
         for t in range(p - 1, -1, -1):
-            if li == n_layers - 1:
-                dh = dh_top + dh_rec if t == p - 1 else dh_rec
-            else:
-                dh = dh_seq[t] + dh_rec
-            i_t, f_t, g_t, o_t = lc["i"][t], lc["f"][t], lc["g"][t], lc["o"][t]
-            r_t = lc["r"][t]
-            c_prev = lc["c"][t - 1] if t > 0 else np.zeros((b, h_dim))
-            h_prev = lc["h"][t - 1] if t > 0 else np.zeros((b, h_dim))
+            dh = dh_seq[t] + dh_rec
+            i_t, f_t, g_t, o_t = gates[0, t], gates[1, t], gates[2, t], gates[3, t]
+            r_t = cells_act[t]
             dc = dh * o_t * dact(r_t) + dc_carry
             da[:, :h_dim] = dc * g_t * i_t * (1.0 - i_t)
-            da[:, h_dim : 2 * h_dim] = dc * c_prev * f_t * (1.0 - f_t)
+            da[:, h_dim : 2 * h_dim] = dc * cells[t] * f_t * (1.0 - f_t)
             da[:, 2 * h_dim : 3 * h_dim] = dc * i_t * dact(g_t)
             da[:, 3 * h_dim :] = dh * r_t * o_t * (1.0 - o_t)
-            g_w_in += da.T @ lc["x"][t]
-            g_w_rec += da.T @ h_prev
-            g_bias += da.sum(axis=0)
+            grad.w_in += da.T @ x_seq[t]
+            grad.w_rec += da.T @ hidden[t]
+            grad.bias += da.sum(axis=0)
             dx_seq[t] = da @ layer.w_in
             dh_rec = da @ layer.w_rec
             dc_carry = dc * f_t
@@ -418,27 +376,26 @@ def adam_step(
     new_params = params.copy()
     new_m = state.m.copy()
     new_v = state.v.copy()
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for p_leaf, g_leaf, m_leaf, v_leaf in zip(
         new_params.leaves(), grads.leaves(), new_m.leaves(), new_v.leaves()
     ):
-        m_leaf[...] = state.beta1 * m_leaf + (1.0 - state.beta1) * g_leaf
-        v_leaf[...] = state.beta2 * v_leaf + (1.0 - state.beta2) * g_leaf * g_leaf
+        m_leaf[...] = ADAM_BETA1 * m_leaf + (1.0 - ADAM_BETA1) * g_leaf
+        v_leaf[...] = ADAM_BETA2 * v_leaf + (1.0 - ADAM_BETA2) * g_leaf * g_leaf
         m_hat = m_leaf / bc1
         v_hat = v_leaf / bc2
-        p_leaf -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(new_m, new_v, t, state.lr, state.beta1, state.beta2, state.eps)
-    return new_params, new_state
+        p_leaf -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(new_m, new_v, t, state.lr)
 
 
-def train(
+def train_epochs(
     samples: tuple[np.ndarray, np.ndarray],
     net: NetworkConfig,
     tc: TrainingConfig,
-) -> tuple[NetworkParameters, list[float]]:
+) -> Iterator[tuple[NetworkParameters, float]]:
     """Mini-batch Adam training on (inputs (B, p, F), labels (B,)) windows;
-    returns parameters and per-epoch mean MSE.
+    yields the parameters and the mean MSE after each epoch.
 
     Fully deterministic given (net.seed, tc.seed): the shuffle order and
     each batch's dropout mask are drawn from one seeded stream.
@@ -450,7 +407,6 @@ def train(
     params = init_params(net)
     state = AdamState.init(params, lr=tc.learning_rate)
     rng = np.random.Generator(np.random.PCG64(tc.seed))
-    loss_history: list[float] = []
     for epoch in range(tc.epochs):
         state.lr = tc.learning_rate * tc.lr_decay**epoch
         order = rng.permutation(n) if tc.shuffle else np.arange(n)
@@ -476,7 +432,19 @@ def train(
             total += batch_loss * idx.size
             grads = backward(params, cache, labels[idx])
             params, state = adam_step(params, grads, state)
-        loss_history.append(total / n)
+        yield params, total / n
+
+
+def train(
+    samples: tuple[np.ndarray, np.ndarray],
+    net: NetworkConfig,
+    tc: TrainingConfig,
+) -> tuple[NetworkParameters, list[float]]:
+    """Run :func:`train_epochs` to the end; returns the final parameters
+    and the per-epoch mean MSE."""
+    loss_history: list[float] = []
+    for params, mse in train_epochs(samples, net, tc):
+        loss_history.append(mse)
     return params, loss_history
 
 
@@ -487,7 +455,6 @@ def predict_series(
     spec: WindowSpec,
     normalizer: NormalizationParams,
     mask: DarkHourMask | None = None,
-    chunk: int = 1024,
 ) -> ForecastSeries:
     """Backtest-style forecast over every target hour the dataset covers.
 
@@ -503,16 +470,16 @@ def predict_series(
     n_samples = ds.n - spec.lookback_p - spec.horizon_m + 1
     inputs = view[:n_samples].transpose(0, 2, 1)
     preds = np.empty(n_samples)
-    for start in range(0, n_samples, chunk):
-        block = np.ascontiguousarray(inputs[start : start + chunk])
-        out, _ = forward_batch(
-            params, config, block, training_mode=False, keep_cache=False
-        )
+    for start in range(0, n_samples, PREDICT_CHUNK):
+        block = np.ascontiguousarray(inputs[start : start + PREDICT_CHUNK])
+        # Index at once: holding the cache would keep this chunk's
+        # activations alive through the next chunk's pass.
+        out = forward_batch(params, config, block)[0]
         preds[start : start + out.shape[0]] = out
     mw = denormalize_feature(preds, normalizer, spec.target_feature_j)
     mw = np.maximum(mw, 0.0)
     series = ForecastSeries(
-        window_target_timestamps(ds, spec),
+        ds.timestamps[spec.lookback_p + spec.horizon_m - 1 :],
         mw,
         ds.feature_names[spec.target_feature_j],
     )

@@ -258,9 +258,9 @@ def _mapping(value, name: str) -> dict:
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build a config from the nested YAML layout.
 
-    An unknown section or key, a section that is not a mapping, or a value
-    that does not convert to its field's type raises :class:`ConfigError`
-    naming it.
+    An unknown section or key, a section that is not a mapping, a value
+    that does not convert to its field's type, or a generation or demand
+    file beside enabled synthetic data raises :class:`ConfigError` naming it.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -290,8 +290,14 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     for key in _DATA_FILES:
         if data.get(key):
             flat[key] = str(data[key])
-    if "generation_csv" in flat:
-        flat.setdefault("synth_enabled", False)
+    files = [key for key in ("generation_csv", "demand_csv") if key in flat]
+    if files:
+        if flat.get("synth_enabled"):
+            raise ConfigError(
+                f"data.{files[0]}: synthetic data is enabled; "
+                "set data.synth.enabled: false to read files"
+            )
+        flat["synth_enabled"] = False
     try:
         return PipelineConfig(**flat)
     except TypeError as exc:

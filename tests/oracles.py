@@ -10,6 +10,11 @@ The reference builders assemble the day-ahead and real-time programs one
 (unit, hour) entry at a time, the plain reading of the formulation in
 :mod:`pvdispatch.dispatch`, so the vectorised builders can be checked
 against them byte for byte.
+
+The reference recurrent passes keep one array per gate and state, with
+explicit step-0 and top-layer branches, so the gate-major cache of
+:func:`pvdispatch.lstm.forward_batch` and :func:`pvdispatch.lstm.backward`
+can be checked against them byte for byte.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from pvdispatch.dispatch import DaSolution, DispatchCase, GeneratorSpec
 from pvdispatch.lp import LinearProgram
+from pvdispatch.lstm import NetworkConfig, NetworkParameters, sigmoid
 
 
 def enumerate_vertices(lp: LinearProgram, feas_tol: float = 1e-7):
@@ -330,3 +336,107 @@ def reference_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
     return LinearProgram(
         c=c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper
     )
+
+
+_REFERENCE_ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(float)),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+}
+
+
+def reference_forward_batch(
+    params: NetworkParameters,
+    config: NetworkConfig,
+    inputs: np.ndarray,
+    training_mode: bool = False,
+    dropout_seed: int = 0,
+) -> tuple[np.ndarray, dict]:
+    """Stacked cells over (B, p, F) windows, one named array per gate."""
+    inputs = np.asarray(inputs, dtype=float)
+    b, p, _ = inputs.shape
+    act, _ = _REFERENCE_ACTIVATIONS[config.cell_activation]
+    layer_caches = []
+    x_seq = inputs.transpose(1, 0, 2)
+    for layer in params.layers:
+        h_dim = layer.hidden
+        lc = {k: np.empty((p, b, h_dim)) for k in "ifgocrh"}
+        h_prev = np.zeros((b, h_dim))
+        c_prev = np.zeros((b, h_dim))
+        for t in range(p):
+            pre = x_seq[t] @ layer.w_in.T + h_prev @ layer.w_rec.T + layer.bias
+            i_t = sigmoid(pre[:, :h_dim])
+            f_t = sigmoid(pre[:, h_dim : 2 * h_dim])
+            g_t = act(pre[:, 2 * h_dim : 3 * h_dim])
+            o_t = sigmoid(pre[:, 3 * h_dim :])
+            c_t = f_t * c_prev + i_t * g_t
+            r_t = act(c_t)
+            h_t = o_t * r_t
+            for k, v in zip("ifgocrh", (i_t, f_t, g_t, o_t, c_t, r_t, h_t)):
+                lc[k][t] = v
+            h_prev, c_prev = h_t, c_t
+        lc["x"] = x_seq
+        layer_caches.append(lc)
+        x_seq = lc["h"]
+    h_top = x_seq[-1]
+    rate = config.dropout_rate if training_mode else 0.0
+    keep = None
+    h_drop = h_top
+    if rate > 0.0:
+        drop_rng = np.random.Generator(np.random.PCG64(dropout_seed))
+        keep = (drop_rng.random(h_top.shape) >= rate).astype(float)
+        h_drop = h_top * keep / (1.0 - rate)
+    predictions = h_drop @ params.dense_w + params.dense_b[0]
+    cache = {
+        "layers": layer_caches, "h_drop": h_drop, "keep": keep, "rate": rate,
+        "predictions": predictions, "activation": config.cell_activation,
+    }
+    return predictions, cache
+
+
+def reference_backward(
+    params: NetworkParameters, cache: dict, labels: np.ndarray
+) -> NetworkParameters:
+    """Backpropagation through time over a reference cache, step by step."""
+    _, dact = _REFERENCE_ACTIVATIONS[cache["activation"]]
+    b = labels.shape[0]
+    d_pred = 2.0 * (cache["predictions"] - labels) / b
+    grads = params.zeros_like()
+    grads.dense_w[...] = cache["h_drop"].T @ d_pred
+    grads.dense_b[0] = d_pred.sum()
+    dh_top = d_pred[:, None] * params.dense_w[None, :]
+    if cache["rate"] > 0.0:
+        dh_top = dh_top * cache["keep"] / (1.0 - cache["rate"])
+    n_layers = len(params.layers)
+    dh_seq = None
+    for li in range(n_layers - 1, -1, -1):
+        layer = params.layers[li]
+        lc = cache["layers"][li]
+        h_dim = layer.hidden
+        p = lc["x"].shape[0]
+        g = grads.layers[li]
+        dx_seq = np.zeros_like(lc["x"])
+        dh_rec = np.zeros((b, h_dim))
+        dc_carry = np.zeros((b, h_dim))
+        da = np.empty((b, 4 * h_dim))
+        for t in range(p - 1, -1, -1):
+            if li == n_layers - 1:
+                dh = dh_top + dh_rec if t == p - 1 else dh_rec
+            else:
+                dh = dh_seq[t] + dh_rec
+            i_t, f_t, g_t, o_t = lc["i"][t], lc["f"][t], lc["g"][t], lc["o"][t]
+            r_t = lc["r"][t]
+            c_prev = lc["c"][t - 1] if t > 0 else np.zeros((b, h_dim))
+            h_prev = lc["h"][t - 1] if t > 0 else np.zeros((b, h_dim))
+            dc = dh * o_t * dact(r_t) + dc_carry
+            da[:, :h_dim] = dc * g_t * i_t * (1.0 - i_t)
+            da[:, h_dim : 2 * h_dim] = dc * c_prev * f_t * (1.0 - f_t)
+            da[:, 2 * h_dim : 3 * h_dim] = dc * i_t * dact(g_t)
+            da[:, 3 * h_dim :] = dh * r_t * o_t * (1.0 - o_t)
+            g.w_in += da.T @ lc["x"][t]
+            g.w_rec += da.T @ h_prev
+            g.bias += da.sum(axis=0)
+            dx_seq[t] = da @ layer.w_in
+            dh_rec = da @ layer.w_rec
+            dc_carry = dc * f_t
+        dh_seq = dx_seq
+    return grads

@@ -104,10 +104,10 @@ def test_criterion_2_gradient_suite():
             vp[i] += step
             vm[i] -= step
             up, _ = forward_batch(
-                params.from_vector(vp), cfg, inputs, training, trial, False
+                params.from_vector(vp), cfg, inputs, training, trial
             )
             dn, _ = forward_batch(
-                params.from_vector(vm), cfg, inputs, training, trial, False
+                params.from_vector(vm), cfg, inputs, training, trial
             )
             numeric[i] = (loss_mse(up, labels) - loss_mse(dn, labels)) / (2 * step)
         err = np.abs(analytic - numeric)

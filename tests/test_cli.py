@@ -4,7 +4,9 @@ import pytest
 from pvdispatch import checkpoint
 from pvdispatch.cli import main
 from pvdispatch.data import load_csv, split_chronological
+from pvdispatch.data import NormalizationParams
 from pvdispatch.dispatch import GeneratorSpec, save_fleet_csv
+from pvdispatch.lstm import NetworkConfig, init_params
 from pvdispatch.pipeline import (
     METHODS,
     METRIC_ROWS,
@@ -246,6 +248,10 @@ class TestErrorContract:
             ("trainig: {epochs: 5}\n", "trainig"),
             ("training: {shuffle: 'no'}\n", "training.shuffle"),
             ("data: {synth: {enabled: 1}}\n", "data.synth.enabled"),
+            (
+                "data: {synth: {hours: 48}, generation_csv: g.csv}\n",
+                "data.generation_csv",
+            ),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(
@@ -263,6 +269,34 @@ class TestErrorContract:
         )
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage_meta", "missing_array", "wrong_shape"]
+    )
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys, damage):
+        models = tmp_path / "models"
+        models.mkdir()
+        path = models / "mlstm.npz"
+        net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
+        normalizer = NormalizationParams(np.zeros(3), np.ones(3))
+        checkpoint.save_lstm(path, net, init_params(net), normalizer)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:200])
+        else:
+            with np.load(path) as archive:
+                arrays = dict(archive)
+            if damage == "garbage_meta":
+                arrays["__meta__"] = np.frombuffer(b"{not json", dtype=np.uint8)
+            elif damage == "missing_array":
+                del arrays["layer0_w_in"]
+            else:
+                arrays["layer0_w_rec"] = np.zeros((32, 5))
+            with path.open("wb") as fh:
+                np.savez(fh, **arrays)
+        cfg = write_config(tmp_path, tmp_path / "out")
+        rc = main(["forecast", "--config", str(cfg), "--models", str(models)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_input_error_inside_a_run_stage_exits_2(self, tmp_path, capsys):
         main(["synth", "--out", str(tmp_path / "long"), "--hours", "48"])

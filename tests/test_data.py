@@ -312,7 +312,7 @@ class TestDatasetValidation:
         ts = np.concatenate(
             [hourly_ts("2023-01-01T00", 3), hourly_ts("2023-01-01T05", 2)]
         )
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="row 4: gap"):
             TimeSeriesDataset(ts, np.zeros((5, 1)), ("a",))
 
     def test_rejects_negative(self):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_backward, reference_forward_batch
 
 from pvdispatch.data import (
     DataError,
@@ -18,14 +20,16 @@ from pvdispatch.lstm import (
     DivergenceError,
     NetworkConfig,
     TrainingConfig,
+    ADAM_EPS,
+    PREDICT_CHUNK,
     adam_step,
     backward,
-    forward,
     forward_batch,
     init_params,
     loss_mse,
     predict_series,
     train,
+    train_epochs,
 )
 
 
@@ -52,10 +56,10 @@ def numeric_gradient(params, cfg, inputs, labels, training, dropout_seed, h=1e-5
         vm = vec.copy()
         vm[i] -= h
         pp, _ = forward_batch(
-            params.from_vector(vp), cfg, inputs, training, dropout_seed, False
+            params.from_vector(vp), cfg, inputs, training, dropout_seed
         )
         pm, _ = forward_batch(
-            params.from_vector(vm), cfg, inputs, training, dropout_seed, False
+            params.from_vector(vm), cfg, inputs, training, dropout_seed
         )
         out[i] = (loss_mse(pp, labels) - loss_mse(pm, labels)) / (2.0 * h)
     return out
@@ -110,8 +114,8 @@ class TestForward:
         for leaf in params.leaves():
             leaf[...] = 0.0  # includes the forget bias
         rng = np.random.Generator(np.random.PCG64(0))
-        pred, _ = forward(params, cfg, rng.uniform(0, 1, (6, 2)))
-        assert pred == 0.0
+        pred, _ = forward_batch(params, cfg, rng.uniform(0, 1, (6, 2))[None])
+        assert pred[0] == 0.0
 
     def test_single_cell_matches_hand_computation(self):
         cfg = NetworkConfig(input_features=1, layer_sizes=(1,), dropout_rate=0.0)
@@ -131,17 +135,21 @@ class TestForward:
         c = i * g  # c_prev = 0 makes the forget gate moot
         h = o * max(c, 0.0)
         expected = 1.5 * h - 0.25
-        pred, _ = forward(params, cfg, np.array([[x]]))
-        assert pred == pytest.approx(expected, rel=1e-12)
+        pred, _ = forward_batch(params, cfg, np.array([[x]])[None])
+        assert pred[0] == pytest.approx(expected, rel=1e-12)
 
     def test_inference_ignores_dropout_seed(self):
         cfg = NetworkConfig(input_features=2, layer_sizes=(5, 4), dropout_rate=0.5)
         params = jostled_params(cfg, 0)
         rng = np.random.Generator(np.random.PCG64(1))
         window = rng.uniform(0, 1, (8, 2))
-        a, _ = forward(params, cfg, window, training_mode=False, dropout_seed=1)
-        b, _ = forward(params, cfg, window, training_mode=False, dropout_seed=999)
-        assert a == b
+        a, _ = forward_batch(
+            params, cfg, window[None], training_mode=False, dropout_seed=1
+        )
+        b, _ = forward_batch(
+            params, cfg, window[None], training_mode=False, dropout_seed=999
+        )
+        assert a[0] == b[0]
 
     def test_training_dropout_changes_output(self):
         cfg = NetworkConfig(input_features=2, layer_sizes=(8,), dropout_rate=0.5)
@@ -149,7 +157,9 @@ class TestForward:
         rng = np.random.Generator(np.random.PCG64(2))
         window = rng.uniform(0, 1, (6, 2))
         outs = {
-            forward(params, cfg, window, training_mode=True, dropout_seed=s)[0]
+            forward_batch(
+                params, cfg, window[None], training_mode=True, dropout_seed=s
+            )[0][0]
             for s in range(8)
         }
         assert len(outs) > 1
@@ -158,14 +168,14 @@ class TestForward:
         cfg = NetworkConfig(input_features=3, layer_sizes=(4,))
         params = init_params(cfg)
         with pytest.raises(ValueError, match="features"):
-            forward(params, cfg, np.zeros((5, 2)))
+            forward_batch(params, cfg, np.zeros((5, 2))[None])
 
     def test_nonfinite_reported_as_divergence(self):
         cfg = NetworkConfig(input_features=1, layer_sizes=(2,), dropout_rate=0.0)
         params = init_params(cfg)
         params.dense_w[...] = np.inf
         with pytest.raises(DivergenceError):
-            forward(params, cfg, np.ones((3, 1)))
+            forward_batch(params, cfg, np.ones((3, 1))[None])
 
 
 class TestLoss:
@@ -259,6 +269,36 @@ class TestBackward:
         assert gradients_match(analytic, numeric)
 
 
+class TestReferenceLoops:
+    """The gate-major cache gives the bytes of the per-gate reference loops."""
+
+    @pytest.mark.parametrize("batch", [1, 17])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("layers", [(5,), (6, 4), (7, 5, 3)])
+    def test_predictions_and_gradients_byte_identical(
+        self, layers, activation, dropout, batch
+    ):
+        cfg = NetworkConfig(
+            input_features=3, layer_sizes=layers, dropout_rate=dropout,
+            cell_activation=activation,
+        )
+        params = jostled_params(cfg, len(layers))
+        rng = np.random.Generator(np.random.PCG64(batch))
+        inputs = rng.uniform(0, 1, (batch, 6, 3))
+        labels = rng.uniform(0, 1, batch)
+        training = dropout > 0.0
+        preds, cache = forward_batch(params, cfg, inputs, training, 31)
+        ref_preds, ref_cache = reference_forward_batch(
+            params, cfg, inputs, training, 31
+        )
+        assert preds.tobytes() == ref_preds.tobytes()
+        grads = backward(params, cache, labels).leaves()
+        ref_grads = reference_backward(params, ref_cache, labels).leaves()
+        for leaf, ref_leaf in zip(grads, ref_grads, strict=True):
+            assert leaf.tobytes() == ref_leaf.tobytes()
+
+
 class TestAdam:
     def _tiny(self, seed=0):
         cfg = NetworkConfig(input_features=1, layer_sizes=(2,), seed=seed)
@@ -288,7 +328,7 @@ class TestAdam:
         for before, after, g in zip(
             params.leaves(), new_params.leaves(), grads.leaves()
         ):
-            expected = before - lr * g / (np.abs(g) + state.eps)
+            expected = before - lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(after, expected, rtol=1e-9)
             np.testing.assert_allclose(
                 after - before, -lr * np.sign(g), rtol=1e-6
@@ -337,6 +377,16 @@ class TestTrain:
         assert h1 == h2
         for a, b in zip(p1.leaves(), p2.leaves()):
             np.testing.assert_array_equal(a, b)
+
+    def test_train_is_the_last_epoch_of_train_epochs(self):
+        X, y = self._toy(seed=6)
+        net = NetworkConfig(input_features=2, layer_sizes=(5, 3), seed=7)
+        tc = TrainingConfig(epochs=4, batch_size=3, seed=8)
+        params, history = train((X, y), net, tc)
+        epochs = list(train_epochs((X, y), net, tc))
+        assert history == [mse for _, mse in epochs]
+        for a, b in zip(params.leaves(), epochs[-1][0].leaves(), strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_empty_rejected(self):
         net = NetworkConfig(input_features=2, layer_sizes=(3,))
@@ -417,3 +467,25 @@ class TestPredictSeries:
         params = init_params(cfg)
         with pytest.raises(DataError):
             predict_series(params, cfg, ds, spec, fit_normalizer(ds))
+
+    def test_peak_memory_is_one_chunk(self):
+        # Three chunks must not hold more than one chunk's activations at a
+        # time; a kept cache would roughly double the peak.
+        spec = WindowSpec(8, 1, 0)
+        ds = self._dataset(n=3 * PREDICT_CHUNK + 8)
+        cfg = NetworkConfig(input_features=2, layer_sizes=(16, 8), dropout_rate=0.0)
+        params = init_params(cfg)
+        normalizer = fit_normalizer(ds)
+        block = np.zeros((PREDICT_CHUNK, spec.lookback_p, 2))
+        tracemalloc.start()
+        try:
+            forward_batch(params, cfg, block)
+            one_chunk = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            series = predict_series(params, cfg, ds, spec, normalizer)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert series.n == 3 * PREDICT_CHUNK
+        assert peak < 1.5 * one_chunk
