@@ -59,16 +59,13 @@ def daily_profiles(
     Returns (profiles (D, 24), month (D,)); leading or trailing partial
     days are dropped.
     """
-    if target_j < 0 or target_j >= ds.n_features:
-        raise DataError(
-            f"target feature {target_j} out of range for {ds.n_features} features"
-        )
+    target = ds.column(target_j)
     hours = ds.hours()
     start = int(np.argmax(hours == 0)) if (hours == 0).any() else ds.n
     n_days = (ds.n - start) // 24
     if n_days == 0:
         raise DataError("no complete midnight-aligned day in dataset")
-    block = ds.values[start : start + 24 * n_days, target_j]
+    block = target[start : start + 24 * n_days]
     profiles = block.reshape(n_days, 24)
     months = timestamp_months(ds.timestamps[start : start + 24 * n_days : 24])
     return profiles, months
@@ -197,13 +194,9 @@ def rep_day_forecast(model: KMeansModel, month: int) -> np.ndarray:
 
 def monthly_hour_fit(train: TimeSeriesDataset, target_j: int) -> MonthlyHourModel:
     """Mean MW of the target feature per (month, hour) over the train split."""
-    if target_j < 0 or target_j >= train.n_features:
-        raise DataError(
-            f"target feature {target_j} out of range for {train.n_features} features"
-        )
+    vals = train.column(target_j)
     months = train.months()
     hours = train.hours()
-    vals = train.values[:, target_j]
     sums = np.zeros((12, 24))
     counts = np.zeros((12, 24))
     np.add.at(sums, (months - 1, hours), vals)

@@ -54,11 +54,11 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     generation, demand = synth_year(
         seed=args.seed, areas=args.areas, hours=args.hours, start=args.start
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(generation, out / "generation.csv")
     write_csv(demand, out / "demand.csv")
     print(f"wrote {out / 'generation.csv'} and {out / 'demand.csv'}")
@@ -99,7 +99,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     generation, _demand, _fleet = load_inputs(config)
     train_ds, test_ds = split_chronological(generation, config.train_fraction)
     forecasts = forecast_test(config, models, generation, train_ds.n)
-    columns = [test_ds.values[:, config.target_feature_j]]
+    columns = [test_ds.column(config.target_feature_j)]
     columns += [forecasts[m].values for m in METHODS]
     path = out / "forecasts.csv"
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -162,7 +162,7 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         f"gas_mwh={metrics.gas_mwh!r} co2_kg={metrics.co2_kg!r} "
         f"shed_mwh={metrics.shed_mwh!r} spill_mwh={metrics.spill_mwh!r}"
     )
-    _print_nmae(nmae_metric(forecast, actual) if actual.any() else math.nan)
+    _print_nmae(nmae_metric(forecast, actual))
     return EXIT_OK
 
 
@@ -190,7 +190,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = replace(config, seed=args.seed)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
-    config.validate()
     result = run_pipeline(config)
     manifest = emit_report(result, config.output_dir)
     print(f"outputs in {config.output_dir}")

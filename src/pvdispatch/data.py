@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,18 +35,35 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _validate_hourly_axis(timestamps: np.ndarray, what: str) -> None:
-    if timestamps.ndim != 1 or timestamps.size == 0:
+def _series_arrays(
+    timestamps: np.ndarray, values: np.ndarray, what: str, ndim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps as datetime64[h] and values as float, after the checks a
+    dataset and a forecast share: exact 1-hour steps, an ``ndim``-d value
+    array with one row per timestamp, and finite, nonnegative MW."""
+    ts = np.asarray(timestamps, dtype="datetime64[h]")
+    vals = np.asarray(values, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
         raise DataError(f"{what}: need at least one timestamp")
-    steps = np.diff(timestamps)
+    steps = np.diff(ts)
     bad = np.nonzero(steps != HOUR)[0]
     if bad.size:
         i = int(bad[0])
         kind = "duplicate or backward" if steps[i] <= np.timedelta64(0, "h") else "gap"
         raise DataError(
             f"{what}: row {i + 2}: {kind} in hourly sequence "
-            f"({timestamps[i]} -> {timestamps[i + 1]})"
+            f"({ts[i]} -> {ts[i + 1]})"
         )
+    if vals.ndim != ndim or vals.shape[0] != ts.shape[0]:
+        raise DataError(
+            f"{what} values of shape {vals.shape} are not {ndim}-d "
+            f"with one row per timestamp"
+        )
+    if not np.isfinite(vals).all():
+        raise DataError(f"{what} values must be finite")
+    if (vals < 0).any():
+        raise DataError(f"{what} values must be nonnegative MW")
+    return ts, vals
 
 
 def timestamp_months(timestamps: np.ndarray) -> np.ndarray:
@@ -72,24 +90,12 @@ class TimeSeriesDataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps, dtype="datetime64[h]")
-        vals = np.asarray(self.values, dtype=float)
-        _validate_hourly_axis(ts, "dataset")
-        if vals.ndim != 2:
-            raise DataError("values must be a 2-d matrix")
-        if vals.shape[0] != ts.shape[0]:
-            raise DataError(
-                f"{vals.shape[0]} value rows for {ts.shape[0]} timestamps"
-            )
+        ts, vals = _series_arrays(self.timestamps, self.values, "dataset", 2)
         names = tuple(str(n) for n in self.feature_names)
         if len(names) != vals.shape[1] or not names:
             raise DataError(
                 f"{len(names)} feature names for {vals.shape[1]} columns"
             )
-        if not np.isfinite(vals).all():
-            raise DataError("values must be finite")
-        if (vals < 0).any():
-            raise DataError("values must be nonnegative MW")
         object.__setattr__(self, "timestamps", _readonly(ts))
         object.__setattr__(self, "values", _readonly(vals))
         object.__setattr__(self, "feature_names", names)
@@ -108,6 +114,20 @@ class TimeSeriesDataset:
     def hours(self) -> np.ndarray:
         return timestamp_hours(self.timestamps)
 
+    def column(self, j: int) -> np.ndarray:
+        """The values of feature ``j``, which must exist."""
+        if not 0 <= j < self.n_features:
+            raise DataError(
+                f"target feature {j} out of range for {self.n_features} features"
+            )
+        return self.values[:, j]
+
+    def rows(self, start: int, stop: int | None = None) -> TimeSeriesDataset:
+        """Rows ``start`` up to ``stop`` as a dataset of their own."""
+        return TimeSeriesDataset(
+            self.timestamps[start:stop], self.values[start:stop], self.feature_names
+        )
+
 
 @dataclass(frozen=True)
 class ForecastSeries:
@@ -122,15 +142,7 @@ class ForecastSeries:
     target_feature: str
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps, dtype="datetime64[h]")
-        vals = np.asarray(self.values, dtype=float)
-        _validate_hourly_axis(ts, "forecast")
-        if vals.ndim != 1 or vals.shape[0] != ts.shape[0]:
-            raise DataError("forecast values must be one per timestamp")
-        if not np.isfinite(vals).all():
-            raise DataError("forecast values must be finite")
-        if (vals < 0).any():
-            raise DataError("forecast values must be nonnegative MW")
+        ts, vals = _series_arrays(self.timestamps, self.values, "forecast", 1)
         object.__setattr__(self, "timestamps", _readonly(ts))
         object.__setattr__(self, "values", _readonly(vals))
 
@@ -183,6 +195,35 @@ class NormalizationParams:
         return self.feature_max - self.feature_min
 
 
+def read_csv_rows(
+    path: str | Path,
+    check_header: Callable[[list[str] | None], None],
+    parse_row: Callable[[list[str]], object],
+    error: type[ValueError] = DataError,
+) -> list:
+    """``parse_row`` of each data row of a CSV file whose stripped header
+    cells (None if the file is empty) pass ``check_header``. A missing file,
+    or a ValueError from either callable, raises ``error`` naming the path
+    and, for a data row, its 1-based number (header excluded)."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        try:
+            check_header(None if header is None else [h.strip() for h in header])
+        except ValueError as exc:
+            raise error(f"{path}: {exc}") from None
+        parsed = []
+        for i, row in enumerate(reader, start=1):
+            try:
+                parsed.append(parse_row(row))
+            except ValueError as exc:
+                raise error(f"{path}: row {i}: {exc}") from None
+    return parsed
+
+
 def load_csv(path: str | Path) -> TimeSeriesDataset:
     """Read an hourly generation CSV into a validated dataset.
 
@@ -191,62 +232,48 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
     values, and gaps or duplicates in the hourly sequence.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+    names: list[str] = []
+
+    def check_header(header: list[str] | None) -> None:
+        if header is None:
+            raise ValueError("empty file")
         if len(header) < 2 or header[0] != "timestamp":
-            raise DataError(
-                f"{path}: header must be 'timestamp,<area1>,...'; got {header}"
-            )
-        names = tuple(header[1:])
-        ts_list: list[np.datetime64] = []
-        rows: list[list[float]] = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {i}: expected {len(header)} fields, got {len(row)}"
-                )
-            raw_ts = row[0].strip()
-            if not _TIMESTAMP_RE.match(raw_ts):
-                raise DataError(
-                    f"{path}: row {i}: timestamp {raw_ts!r} is not YYYY-MM-DDTHH"
-                )
+            raise ValueError(f"header must be 'timestamp,<area1>,...'; got {header}")
+        names.extend(header[1:])
+
+    def parse_row(row: list[str]) -> tuple[np.datetime64, list[float]]:
+        if len(row) != len(names) + 1:
+            raise ValueError(f"expected {len(names) + 1} fields, got {len(row)}")
+        raw_ts = row[0].strip()
+        if not _TIMESTAMP_RE.match(raw_ts):
+            raise ValueError(f"timestamp {raw_ts!r} is not YYYY-MM-DDTHH")
+        try:
+            ts = np.datetime64(raw_ts, "h")
+        except ValueError:
+            raise ValueError(f"invalid calendar instant {raw_ts!r}") from None
+        vals = []
+        for name, cell in zip(names, row[1:]):
             try:
-                ts = np.datetime64(raw_ts, "h")
+                v = float(cell)
             except ValueError:
-                raise DataError(
-                    f"{path}: row {i}: invalid calendar instant {raw_ts!r}"
+                raise ValueError(
+                    f"non-numeric value {cell!r} in column {name!r}"
                 ) from None
-            vals = []
-            for j, cell in enumerate(row[1:]):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i}: non-numeric value {cell!r} "
-                        f"in column {names[j]!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: row {i}: non-finite value in column {names[j]!r}"
-                    )
-                if v < 0:
-                    raise DataError(
-                        f"{path}: row {i}: negative value {v} in column {names[j]!r}"
-                    )
-                vals.append(v)
-            ts_list.append(ts)
-            rows.append(vals)
-    if not rows:
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value in column {name!r}")
+            if v < 0:
+                raise ValueError(f"negative value {v} in column {name!r}")
+            vals.append(v)
+        return ts, vals
+
+    parsed = read_csv_rows(path, check_header, parse_row)
+    if not parsed:
         raise DataError(f"{path}: no data rows")
+    timestamps, values = zip(*parsed)
     try:
-        return TimeSeriesDataset(np.array(ts_list), np.array(rows, dtype=float), names)
+        return TimeSeriesDataset(
+            np.array(timestamps), np.array(values, dtype=float), tuple(names)
+        )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -277,13 +304,7 @@ def split_chronological(
         raise DataError(
             f"split leaves an empty side: N={ds.n}, fraction={train_fraction}"
         )
-    train = TimeSeriesDataset(
-        ds.timestamps[:n_train], ds.values[:n_train], ds.feature_names
-    )
-    test = TimeSeriesDataset(
-        ds.timestamps[n_train:], ds.values[n_train:], ds.feature_names
-    )
-    return train, test
+    return ds.rows(0, n_train), ds.rows(n_train)
 
 
 def fit_normalizer(train: TimeSeriesDataset) -> NormalizationParams:
@@ -321,11 +342,8 @@ def window_arrays(
     k+p+m-1 of the target feature: inputs (B, p, F) and labels (B,) with
     B = N - p - m + 1.
     """
-    p, m, j = spec.lookback_p, spec.horizon_m, spec.target_feature_j
-    if j >= ds.n_features:
-        raise DataError(
-            f"target feature {j} out of range for {ds.n_features} features"
-        )
+    p, m = spec.lookback_p, spec.horizon_m
+    target = ds.column(spec.target_feature_j)
     if ds.n < p + m:
         raise DataError(
             f"need at least p + m = {p + m} rows for windowing, have {ds.n}"
@@ -333,7 +351,7 @@ def window_arrays(
     n_samples = ds.n - p - m + 1
     view = np.lib.stride_tricks.sliding_window_view(ds.values, p, axis=0)
     inputs = view[:n_samples].transpose(0, 2, 1).copy()
-    labels = ds.values[p + m - 1 :, j].copy()
+    labels = target[p + m - 1 :].copy()
     return inputs, labels
 
 
@@ -368,13 +386,9 @@ def derive_dark_mask(train: TimeSeriesDataset, target_j: int) -> DarkHourMask:
     Months absent from the training split stay undefined; slots never
     observed inside a covered month are left unmasked.
     """
-    if target_j < 0 or target_j >= train.n_features:
-        raise DataError(
-            f"target feature {target_j} out of range for {train.n_features} features"
-        )
+    vals = train.column(target_j)
     months = train.months()
     hours = train.hours()
-    vals = train.values[:, target_j]
     defined = np.zeros(12, dtype=bool)
     defined[np.unique(months) - 1] = True
     slot_max = np.full((12, 24), -1.0)
@@ -402,26 +416,26 @@ def load_mask_csv(path: str | Path) -> DarkHourMask:
     """Read an explicit mask override: header ``month,hour,dark``, one row
     per (month, hour), complete 12x24 coverage required."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     table = np.zeros((12, 24), dtype=bool)
     seen = np.zeros((12, 24), dtype=bool)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["month", "hour", "dark"]:
-            raise DataError(f"{path}: header must be 'month,hour,dark'")
-        for i, row in enumerate(reader, start=1):
-            try:
-                month, hour, dark = int(row[0]), int(row[1]), int(row[2])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}: row {i}: malformed mask row {row}") from None
-            if not (1 <= month <= 12 and 0 <= hour <= 23 and dark in (0, 1)):
-                raise DataError(f"{path}: row {i}: out-of-range mask row {row}")
-            if seen[month - 1, hour]:
-                raise DataError(f"{path}: row {i}: duplicate slot ({month},{hour})")
-            seen[month - 1, hour] = True
-            table[month - 1, hour] = bool(dark)
+
+    def check_header(header: list[str] | None) -> None:
+        if header != ["month", "hour", "dark"]:
+            raise ValueError("header must be 'month,hour,dark'")
+
+    def parse_row(row: list[str]) -> None:
+        try:
+            month, hour, dark = int(row[0]), int(row[1]), int(row[2])
+        except (ValueError, IndexError):
+            raise ValueError(f"malformed mask row {row}") from None
+        if not (1 <= month <= 12 and 0 <= hour <= 23 and dark in (0, 1)):
+            raise ValueError(f"out-of-range mask row {row}")
+        if seen[month - 1, hour]:
+            raise ValueError(f"duplicate slot ({month},{hour})")
+        seen[month - 1, hour] = True
+        table[month - 1, hour] = bool(dark)
+
+    read_csv_rows(path, check_header, parse_row)
     if not seen.all():
         missing = np.argwhere(~seen)[0]
         raise DataError(

@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_csv_rows
 from .lp import LinearProgram, LpSolution, LpStatus, check_solution, solve_lp
 
 
@@ -65,6 +66,9 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise DispatchError("generator needs a name")
+        for key in ("cost", "pmax", "pmin", "ramp"):
+            if not math.isfinite(getattr(self, key)):
+                raise DispatchError(f"{self.name}: {key} must be finite")
         if not (0.0 <= self.pmin <= self.pmax):
             raise DispatchError(f"{self.name}: need 0 <= pmin <= pmax")
         if self.cost < 0:
@@ -196,14 +200,15 @@ class EvaluationReport:
 
 
 def nmae(forecast: np.ndarray, actual: np.ndarray) -> float:
-    """Mean absolute error divided by the mean of the actual series."""
+    """Mean absolute error divided by the mean of the actual series; NaN,
+    as undefined, when that mean is zero."""
     forecast = np.asarray(forecast, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if forecast.shape != actual.shape or forecast.ndim != 1 or forecast.size == 0:
         raise DispatchError("nmae needs two equal-length non-empty series")
     mean_actual = float(actual.mean())
     if mean_actual == 0.0:
-        raise DispatchError("nmae undefined: actual series has zero mean")
+        return math.nan
     return float(np.abs(forecast - actual).mean()) / mean_actual
 
 
@@ -381,38 +386,32 @@ def case_metrics(case: DispatchCase, da: DaSolution, rt: RtSolution) -> CaseMetr
     )
 
 
+_FLEET_HEADER = ["name", "cost", "pmax", "pmin", "ramp", "rt_available", "gas_fired"]
+
+
 def load_fleet_csv(path: str | Path) -> tuple[GeneratorSpec, ...]:
     """Fleet file: header ``name,cost,pmax,pmin,ramp,rt_available,gas_fired``
     with 0/1 flags."""
     path = Path(path)
-    if not path.exists():
-        raise DispatchError(f"no such file: {path}")
-    expected = ["name", "cost", "pmax", "pmin", "ramp", "rt_available", "gas_fired"]
-    fleet: list[GeneratorSpec] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise DispatchError(
-                f"{path}: header must be {','.join(expected)!r}"
-            )
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(expected):
-                raise DispatchError(f"{path}: row {i}: expected 7 fields")
-            try:
-                fleet.append(
-                    GeneratorSpec(
-                        name=row[0].strip(),
-                        cost=float(row[1]),
-                        pmax=float(row[2]),
-                        pmin=float(row[3]),
-                        ramp=float(row[4]),
-                        rt_available=_parse_flag(row[5]),
-                        gas_fired=_parse_flag(row[6]),
-                    )
-                )
-            except (ValueError, DispatchError) as exc:
-                raise DispatchError(f"{path}: row {i}: {exc}") from None
+
+    def check_header(header: list[str] | None) -> None:
+        if header != _FLEET_HEADER:
+            raise ValueError(f"header must be {','.join(_FLEET_HEADER)!r}")
+
+    def parse_row(row: list[str]) -> GeneratorSpec:
+        if len(row) != len(_FLEET_HEADER):
+            raise ValueError("expected 7 fields")
+        return GeneratorSpec(
+            name=row[0].strip(),
+            cost=float(row[1]),
+            pmax=float(row[2]),
+            pmin=float(row[3]),
+            ramp=float(row[4]),
+            rt_available=_parse_flag(row[5]),
+            gas_fired=_parse_flag(row[6]),
+        )
+
+    fleet = read_csv_rows(path, check_header, parse_row, DispatchError)
     if not fleet:
         raise DispatchError(f"{path}: no generators")
     return tuple(fleet)
@@ -421,9 +420,7 @@ def load_fleet_csv(path: str | Path) -> tuple[GeneratorSpec, ...]:
 def save_fleet_csv(fleet: tuple[GeneratorSpec, ...], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["name", "cost", "pmax", "pmin", "ramp", "rt_available", "gas_fired"]
-        )
+        writer.writerow(_FLEET_HEADER)
         for g in fleet:
             writer.writerow(
                 [g.name, repr(g.cost), repr(g.pmax), repr(g.pmin), repr(g.ramp),

@@ -151,61 +151,32 @@ def check_solution(
     x = np.asarray(solution.x, dtype=float)
     if x.shape != (lp.n_vars,):
         raise LpError(f"solution has {x.size} values for {lp.n_vars} variables")
-    out: list[Violation] = []
-    if lp.A_eq.shape[0]:
-        resid = lp.A_eq @ x - lp.b_eq
-        for i in np.nonzero(np.abs(resid) > tol)[0]:
-            out.append(
-                Violation(
-                    "eq",
-                    int(i),
-                    float(abs(resid[i])),
-                    f"equality row {i} off by {resid[i]:.3e}",
-                )
-            )
-    if lp.A_ub.shape[0]:
-        excess = lp.A_ub @ x - lp.b_ub
-        for i in np.nonzero(excess > tol)[0]:
-            out.append(
-                Violation(
-                    "ub",
-                    int(i),
-                    float(excess[i]),
-                    f"inequality row {i} exceeded by {excess[i]:.3e}",
-                )
-            )
-    low_gap = lp.lower - x
-    for j in np.nonzero(low_gap > tol)[0]:
-        out.append(
-            Violation(
-                "lower",
-                int(j),
-                float(low_gap[j]),
-                f"variable {j} below lower bound by {low_gap[j]:.3e}",
-            )
-        )
-    up_gap = x - lp.upper
-    for j in np.nonzero(up_gap > tol)[0]:
-        out.append(
-            Violation(
-                "upper",
-                int(j),
-                float(up_gap[j]),
-                f"variable {j} above upper bound by {up_gap[j]:.3e}",
-            )
-        )
+    eq = lp.A_eq @ x - lp.b_eq
+    ub = lp.A_ub @ x - lp.b_ub
+    low = lp.lower - x
+    up = x - lp.upper
+    # (kind, magnitude, shown value, message) per row or variable.
+    checks = [
+        ("eq", np.abs(eq), eq, "equality row {i} off by {v:.3e}"),
+        ("ub", ub, ub, "inequality row {i} exceeded by {v:.3e}"),
+        ("lower", low, low, "variable {i} below lower bound by {v:.3e}"),
+        ("upper", up, up, "variable {i} above upper bound by {v:.3e}"),
+    ]
     if solution.objective is not None:
-        gap = abs(float(lp.c @ x) - solution.objective)
-        if gap > tol:
-            out.append(
-                Violation(
-                    "objective",
-                    None,
-                    gap,
-                    f"reported objective off by {gap:.3e}",
-                )
-            )
-    return out
+        gap = np.array([abs(float(lp.c @ x) - solution.objective)])
+        checks.append(("objective", gap, gap, "reported objective off by {v:.3e}"))
+    # `not m <= tol` also counts a NaN magnitude, so a point or objective
+    # that is not finite is never certified.
+    return [
+        Violation(
+            kind,
+            None if kind == "objective" else int(i),
+            float(magnitude[i]),
+            message.format(i=i, v=shown[i]),
+        )
+        for kind, magnitude, shown, message in checks
+        for i in np.nonzero(~(magnitude <= tol))[0]
+    ]
 
 
 @dataclass

@@ -23,7 +23,7 @@ can be checked against central finite differences.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +107,6 @@ class LayerParams:
     def hidden(self) -> int:
         return self.w_rec.shape[1]
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.w_in.copy(), self.w_rec.copy(), self.bias.copy())
 
 
 @dataclass
@@ -127,38 +125,19 @@ class NetworkParameters:
         out.extend((self.dense_w, self.dense_b))
         return out
 
-    def copy(self) -> "NetworkParameters":
+    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "NetworkParameters":
+        """A parameter set of the same structure holding ``fn`` of each array."""
         return NetworkParameters(
-            [l.copy() for l in self.layers], self.dense_w.copy(), self.dense_b.copy()
+            [LayerParams(fn(l.w_in), fn(l.w_rec), fn(l.bias)) for l in self.layers],
+            fn(self.dense_w),
+            fn(self.dense_b),
         )
+
+    def copy(self) -> "NetworkParameters":
+        return self.map(np.ndarray.copy)
 
     def zeros_like(self) -> "NetworkParameters":
-        return NetworkParameters(
-            [
-                LayerParams(
-                    np.zeros_like(l.w_in),
-                    np.zeros_like(l.w_rec),
-                    np.zeros_like(l.bias),
-                )
-                for l in self.layers
-            ],
-            np.zeros_like(self.dense_w),
-            np.zeros_like(self.dense_b),
-        )
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([leaf.ravel() for leaf in self.leaves()])
-
-    def from_vector(self, vec: np.ndarray) -> "NetworkParameters":
-        out = self.zeros_like()
-        offset = 0
-        for leaf in out.leaves():
-            n = leaf.size
-            leaf[...] = vec[offset : offset + n].reshape(leaf.shape)
-            offset += n
-        if offset != vec.size:
-            raise ValueError(f"vector has {vec.size} entries, need {offset}")
-        return out
+        return self.map(np.zeros_like)
 
 
 ADAM_BETA1 = 0.9

@@ -14,11 +14,11 @@ reproduces byte-identical metric files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -353,19 +353,18 @@ class PipelineResult:
         return {m: o.report for m, o in self.outcomes.items()}
 
 
+@contextlib.contextmanager
 def _stage(timings: dict[str, float], name: str):
-    class _Timer:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            timings[name] = timings.get(name, 0.0) + time.perf_counter() - self.t0
-            if exc is not None and not isinstance(exc, (StageError, *INPUT_ERRORS)):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Timer()
+    """Time the block into ``timings``; wrap a non-input failure in StageError."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (StageError, *INPUT_ERRORS):
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
 def load_inputs(
@@ -382,11 +381,7 @@ def load_inputs(
     else:
         generation = load_csv(config.generation_csv)
         demand = load_csv(config.demand_csv)
-    if config.target_feature_j >= generation.n_features:
-        raise DataError(
-            f"target feature {config.target_feature_j} out of range for "
-            f"{generation.n_features} areas"
-        )
+    generation.column(config.target_feature_j)  # fails early on a missing target
     if demand.n != generation.n or demand.timestamps[0] != generation.timestamps[0]:
         raise DataError("demand series must align with the generation series")
     fleet = load_fleet_csv(config.fleet_csv) if config.fleet_csv else default_fleet()
@@ -412,11 +407,7 @@ def fit_models(
 
     with _stage(timings, "train_mlstm"):
         net = _network_config(config, train_ds.n_features)
-        train_norm = TimeSeriesDataset(
-            train_ds.timestamps,
-            normalize(train_ds.values, normalizer),
-            train_ds.feature_names,
-        )
+        train_norm = replace(train_ds, values=normalize(train_ds.values, normalizer))
         windows = window_arrays(train_norm, _window_spec(config))
         params, history = train(windows, net, _training_config(config))
 
@@ -444,11 +435,7 @@ def with_lead_in(
             f"the {n_train} training hours are shorter than the "
             f"{spec.lookback_p + spec.horizon_m - 1}-hour forecast lead-in"
         )
-    return TimeSeriesDataset(
-        generation.timestamps[start:],
-        generation.values[start:],
-        generation.feature_names,
-    )
+    return generation.rows(start)
 
 
 def forecast_test(
@@ -500,7 +487,6 @@ def evaluate_days(
     n_days = len(demand) // 24
     if n_days == 0:
         raise DataError("evaluation needs at least one complete 24-hour day")
-    gas = shed = spill = cost = 0.0
     daily: list[CaseMetrics] = []
     absorbed = np.empty(24 * n_days)
     for d in range(n_days):
@@ -518,21 +504,17 @@ def evaluate_days(
             raise DispatchError(f"day {d} of the span: {exc}") from None
         da = solve_da(case)
         rt = solve_rt(case, da)
-        day = case_metrics(case, da, rt)
-        gas += day.gas_mwh
-        shed += day.shed_mwh
-        spill += day.spill_mwh
-        cost += day.cost_usd
         absorbed[sl] = actual[sl] - rt.spill
-        daily.append(day)
+        daily.append(case_metrics(case, da, rt))
+    totals = dict.fromkeys(("gas_mwh", "shed_mwh", "spill_mwh", "cost_usd"), 0.0)
+    for day in daily:
+        for key in totals:
+            totals[key] += getattr(day, key)
     span = slice(0, 24 * n_days)
     report = EvaluationReport(
-        gas_mwh=gas,
-        co2_kg=emission_factor * gas,
-        shed_mwh=shed,
-        spill_mwh=spill,
-        cost_usd=cost,
-        nmae=nmae(forecast[span], actual[span]) if actual[span].any() else math.nan,
+        **totals,
+        co2_kg=emission_factor * totals["gas_mwh"],
+        nmae=nmae(forecast[span], actual[span]),
     )
     return report, daily, absorbed
 
@@ -558,7 +540,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         first_midnight = int(np.argmax(test_ds.hours() == 0))
         n_days = (test_ds.n - first_midnight) // 24
         day_slice = slice(first_midnight, first_midnight + 24 * n_days)
-        dispatch_actual = test_ds.values[day_slice, config.target_feature_j]
+        dispatch_actual = test_ds.column(config.target_feature_j)[day_slice]
         dispatch_demand = demand_ds.values[train_ds.n :, 0][day_slice]
         outcomes: dict[str, MethodOutcome] = {}
         for method in METHODS:

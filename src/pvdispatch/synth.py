@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesDataset, timestamp_hours
+from .data import DataError, TimeSeriesDataset, timestamp_hours
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,21 @@ def synth_year(
     """Generate (PV generation dataset, demand dataset).
 
     Deterministic for a given seed; defaults produce exactly one year of
-    hourly rows (8760).
+    hourly rows (8760). A bad ``areas``, ``hours`` or ``start`` is a DataError.
     """
     if areas < 1:
-        raise ValueError("areas must be >= 1")
+        raise DataError(f"areas: must be >= 1, got {areas}")
     if hours < 1:
-        raise ValueError("hours must be >= 1")
+        raise DataError(f"hours: must be >= 1, got {hours}")
+    try:
+        first = np.datetime64(start, "h")
+    except ValueError:
+        first = np.datetime64("NaT", "h")
+    if np.isnat(first):
+        raise DataError(f"start: {start!r} is not an instant YYYY-MM-DDTHH")
     sp = params or SynthParams()
     rng = np.random.Generator(np.random.PCG64(seed))
-    timestamps = np.datetime64(start, "h") + np.arange(hours, dtype=np.int64)
+    timestamps = first + np.arange(hours, dtype=np.int64)
     hour_of_day = timestamp_hours(timestamps)
     doy = _day_of_year(timestamps)
 

@@ -15,6 +15,9 @@ The reference recurrent passes keep one array per gate and state, with
 explicit step-0 and top-layer branches, so the gate-major cache of
 :func:`pvdispatch.lstm.forward_batch` and :func:`pvdispatch.lstm.backward`
 can be checked against them byte for byte.
+
+The parameter vector helpers flatten a network's arrays into one vector
+and back, so gradient checks can perturb one weight at a time.
 """
 
 from __future__ import annotations
@@ -342,6 +345,24 @@ _REFERENCE_ACTIVATIONS = {
     "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(float)),
     "tanh": (np.tanh, lambda y: 1.0 - y * y),
 }
+
+
+def to_vector(params: NetworkParameters) -> np.ndarray:
+    """Every parameter array, flattened and joined in ``leaves()`` order."""
+    return np.concatenate([leaf.ravel() for leaf in params.leaves()])
+
+
+def from_vector(params: NetworkParameters, vec: np.ndarray) -> NetworkParameters:
+    """Parameters shaped like ``params`` holding the entries of ``vec``."""
+    out = params.zeros_like()
+    offset = 0
+    for leaf in out.leaves():
+        n = leaf.size
+        leaf[...] = vec[offset : offset + n].reshape(leaf.shape)
+        offset += n
+    if offset != vec.size:
+        raise ValueError(f"vector has {vec.size} entries, need {offset}")
+    return out
 
 
 def reference_forward_batch(

@@ -12,7 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import enumerate_vertices, random_benign_case, random_box_lp
+from oracles import (
+    enumerate_vertices,
+    from_vector,
+    random_benign_case,
+    random_box_lp,
+    to_vector,
+)
 from pvdispatch.baselines import kmeans_fit
 from pvdispatch.dispatch import solve_da, solve_rt
 from pvdispatch.lp import LpStatus, check_solution, solve_lp
@@ -95,8 +101,8 @@ def test_criterion_2_gradient_suite():
         inputs = rng_master.uniform(0.0, 1.0, (b, p, f))
         labels = rng_master.uniform(0.0, 1.0, b)
         _, cache = forward_batch(params, cfg, inputs, training, dropout_seed=trial)
-        analytic = backward(params, cache, labels).to_vector()
-        vec = params.to_vector()
+        analytic = to_vector(backward(params, cache, labels))
+        vec = to_vector(params)
         step = 1e-5
         numeric = np.empty_like(vec)
         for i in range(vec.size):
@@ -104,10 +110,10 @@ def test_criterion_2_gradient_suite():
             vp[i] += step
             vm[i] -= step
             up, _ = forward_batch(
-                params.from_vector(vp), cfg, inputs, training, trial
+                from_vector(params, vp), cfg, inputs, training, trial
             )
             dn, _ = forward_batch(
-                params.from_vector(vm), cfg, inputs, training, trial
+                from_vector(params, vm), cfg, inputs, training, trial
             )
             numeric[i] = (loss_mse(up, labels) - loss_mse(dn, labels)) / (2 * step)
         err = np.abs(analytic - numeric)

@@ -252,6 +252,9 @@ class TestErrorContract:
                 "data: {synth: {hours: 48}, generation_csv: g.csv}\n",
                 "data.generation_csv",
             ),
+            ("data: {synth: {hours: 0}}\n", "hours"),
+            ("data: {synth: {areas: 0}}\n", "areas"),
+            ("data: {synth: {start: 'x'}}\n", "start"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(
@@ -261,6 +264,30 @@ class TestErrorContract:
         p.write_text(yaml_text)
         assert main(["run", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_bad_synth_setting_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "d"), "--hours", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: hours: ")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("field, value", [("cost", "nan"), ("ramp", "inf")])
+    def test_non_finite_fleet_value_exits_2(self, tmp_path, capsys, field, value):
+        fleet = tmp_path / "fleet.csv"
+        header = "name,cost,pmax,pmin,ramp,rt_available,gas_fired"
+        row = dict(name="G1", cost="20", pmax="50", pmin="0", ramp="20",
+                   rt_available="1", gas_fired="1")
+        row[field] = value
+        fleet.write_text(header + "\n" + ",".join(row.values()) + "\n")
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "24"])
+        series = str(tmp_path / "d" / "demand.csv")
+        rc = main(["dispatch", "--demand", series, "--forecast", series,
+                   "--actual", series, "--fleet", str(fleet),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {fleet}: row 1: G1: {field} must be finite"
+        )
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "out")

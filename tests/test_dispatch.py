@@ -265,9 +265,8 @@ class TestMetrics:
     def test_nmae_hand_example(self):
         assert nmae(np.array([5.0, 5.0]), np.array([0.0, 10.0])) == pytest.approx(1.0)
 
-    def test_nmae_zero_mean_rejected(self):
-        with pytest.raises(DispatchError, match="zero mean"):
-            nmae(np.array([1.0]), np.array([0.0]))
+    def test_nmae_zero_mean_is_nan(self):
+        assert np.isnan(nmae(np.array([1.0]), np.array([0.0])))
 
     @given(
         scale=st.floats(0.01, 100.0),
@@ -472,6 +471,19 @@ class TestFleetCsv:
             "G1,20,50,0,20,maybe,0\n"
         )
         with pytest.raises(DispatchError, match="row 1"):
+            load_fleet_csv(p)
+
+    @pytest.mark.parametrize("field, cell", [("cost", "nan"), ("ramp", "inf")])
+    def test_non_finite_value_names_row_unit_and_field(self, tmp_path, field, cell):
+        p = tmp_path / "fleet.csv"
+        save_fleet_csv(default_fleet(), p)
+        lines = p.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")
+        row[header.index(field)] = cell
+        lines[2] = ",".join(row)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DispatchError, match=f"row 2: G2: {field} must be finite"):
             load_fleet_csv(p)
 
     def test_validation_voll_must_beat_costs(self):

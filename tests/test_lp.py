@@ -127,6 +127,17 @@ class TestCheckSolution:
         kinds = {v.kind for v in check_solution(lp, sol)}
         assert "objective" in kinds
 
+    def test_nan_point_flagged(self):
+        lp = LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[4.0], lower=[0.0])
+        sol = LpSolution(LpStatus.OPTIMAL, np.array([np.nan]), None, 0)
+        kinds = {v.kind for v in check_solution(lp, sol)}
+        assert kinds == {"ub", "lower", "upper"}
+
+    def test_nan_objective_flagged(self):
+        lp = LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[4.0], lower=[0.0])
+        sol = LpSolution(LpStatus.OPTIMAL, np.array([2.0]), np.nan, 0)
+        assert [v.kind for v in check_solution(lp, sol)] == ["objective"]
+
     def test_dimension_mismatch(self):
         lp = LinearProgram(c=[1.0, 1.0], lower=[0.0, 0.0])
         sol = LpSolution(LpStatus.OPTIMAL, np.array([1.0]), 1.0, 0)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_backward, reference_forward_batch
+from oracles import (
+    from_vector,
+    reference_backward,
+    reference_forward_batch,
+    to_vector,
+)
 
 from pvdispatch.data import (
     DataError,
@@ -48,7 +53,7 @@ def jostled_params(cfg: NetworkConfig, seed: int):
 
 
 def numeric_gradient(params, cfg, inputs, labels, training, dropout_seed, h=1e-5):
-    vec = params.to_vector()
+    vec = to_vector(params)
     out = np.empty_like(vec)
     for i in range(vec.size):
         vp = vec.copy()
@@ -56,10 +61,10 @@ def numeric_gradient(params, cfg, inputs, labels, training, dropout_seed, h=1e-5
         vm = vec.copy()
         vm[i] -= h
         pp, _ = forward_batch(
-            params.from_vector(vp), cfg, inputs, training, dropout_seed
+            from_vector(params, vp), cfg, inputs, training, dropout_seed
         )
         pm, _ = forward_batch(
-            params.from_vector(vm), cfg, inputs, training, dropout_seed
+            from_vector(params, vm), cfg, inputs, training, dropout_seed
         )
         out[i] = (loss_mse(pp, labels) - loss_mse(pm, labels)) / (2.0 * h)
     return out
@@ -237,7 +242,7 @@ class TestBackward:
         inputs = rng.uniform(0, 1, (2, 4, 2))
         labels = rng.uniform(0, 1, 2)
         preds, cache = forward_batch(params, cfg, inputs)
-        analytic = backward(params, cache, labels).to_vector()
+        analytic = to_vector(backward(params, cache, labels))
         numeric = numeric_gradient(params, cfg, inputs, labels, False, 0)
         assert gradients_match(analytic, numeric)
 
@@ -250,7 +255,7 @@ class TestBackward:
         preds, cache = forward_batch(
             params, cfg, inputs, training_mode=True, dropout_seed=77
         )
-        analytic = backward(params, cache, labels).to_vector()
+        analytic = to_vector(backward(params, cache, labels))
         numeric = numeric_gradient(params, cfg, inputs, labels, True, 77)
         assert gradients_match(analytic, numeric)
 
@@ -264,7 +269,7 @@ class TestBackward:
         inputs = rng.uniform(0, 1, (2, 5, 2))
         labels = rng.uniform(0, 1, 2)
         _, cache = forward_batch(params, cfg, inputs)
-        analytic = backward(params, cache, labels).to_vector()
+        analytic = to_vector(backward(params, cache, labels))
         numeric = numeric_gradient(params, cfg, inputs, labels, False, 0)
         assert gradients_match(analytic, numeric)
 
