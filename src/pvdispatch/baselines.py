@@ -33,10 +33,6 @@ class KMeansModel:
     month_modal: np.ndarray = field(default_factory=lambda: np.full(12, -1))
     n_iterations: int = 0
 
-    @property
-    def k(self) -> int:
-        return int(self.centroids.shape[0])
-
 
 @dataclass(frozen=True)
 class MonthlyHourModel:

@@ -204,23 +204,27 @@ def read_csv_rows(
     """``parse_row`` of each data row of a CSV file whose stripped header
     cells (None if the file is empty) pass ``check_header``. A missing file,
     or a ValueError from either callable, raises ``error`` naming the path
-    and, for a data row, its 1-based number (header excluded)."""
+    and, for a data row, its 1-based number (header excluded), as does a
+    file that is not UTF-8 text."""
     path = Path(path)
     if not path.exists():
         raise error(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        try:
-            check_header(None if header is None else [h.strip() for h in header])
-        except ValueError as exc:
-            raise error(f"{path}: {exc}") from None
-        parsed = []
-        for i, row in enumerate(reader, start=1):
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
             try:
-                parsed.append(parse_row(row))
+                check_header(None if header is None else [h.strip() for h in header])
             except ValueError as exc:
-                raise error(f"{path}: row {i}: {exc}") from None
+                raise error(f"{path}: {exc}") from None
+            parsed = []
+            for i, row in enumerate(reader, start=1):
+                try:
+                    parsed.append(parse_row(row))
+                except ValueError as exc:
+                    raise error(f"{path}: row {i}: {exc}") from None
+    except UnicodeDecodeError as exc:  # raised reading ahead: no row number
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parsed
 
 

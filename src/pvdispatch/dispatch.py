@@ -124,12 +124,15 @@ class DispatchCase:
             raise DispatchError("fleet must not be empty")
         fleet = tuple(self.fleet)
         max_cost = max(g.cost for g in fleet)
-        if self.voll <= max_cost:
+        if not max_cost < self.voll < math.inf:
             raise DispatchError(
-                f"voll {self.voll} must exceed the dearest generator ({max_cost})"
+                f"voll {self.voll} must be finite and exceed the dearest "
+                f"generator ({max_cost})"
             )
-        if self.emission_factor <= 0:
-            raise DispatchError("emission_factor must be > 0")
+        if not 0 < self.emission_factor < math.inf:
+            raise DispatchError(
+                f"emission_factor {self.emission_factor} must be finite and > 0"
+            )
         # Day ahead, every unit runs at pmin or more and nothing can absorb
         # a surplus, so demand below the total pmin has no schedule.
         pmin_total = sum(g.pmin for g in fleet)

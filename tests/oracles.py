@@ -12,7 +12,9 @@ The reference builders assemble the day-ahead and real-time programs one
 against them byte for byte.
 
 The reference recurrent passes keep one array per gate and state, with
-explicit step-0 and top-layer branches, so the gate-major cache of
+explicit step-0 and top-layer branches, project each step's input inside
+the recurrence and apply a masked logistic to each gate on its own, so the
+gate-major cache, hoisted projection and whole-block ``sigmoid`` of
 :func:`pvdispatch.lstm.forward_batch` and :func:`pvdispatch.lstm.backward`
 can be checked against them byte for byte.
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from pvdispatch.dispatch import DaSolution, DispatchCase, GeneratorSpec
 from pvdispatch.lp import LinearProgram
-from pvdispatch.lstm import NetworkConfig, NetworkParameters, sigmoid
+from pvdispatch.lstm import NetworkConfig, NetworkParameters
 
 
 def enumerate_vertices(lp: LinearProgram, feas_tol: float = 1e-7):
@@ -341,6 +343,17 @@ def reference_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
     )
 
 
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function by boolean masks: ``1 / (1 + exp(-x))`` where
+    x >= 0 and ``exp(x) / (1 + exp(x))`` elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 _REFERENCE_ACTIVATIONS = {
     "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(float)),
     "tanh": (np.tanh, lambda y: 1.0 - y * y),
@@ -385,10 +398,10 @@ def reference_forward_batch(
         c_prev = np.zeros((b, h_dim))
         for t in range(p):
             pre = x_seq[t] @ layer.w_in.T + h_prev @ layer.w_rec.T + layer.bias
-            i_t = sigmoid(pre[:, :h_dim])
-            f_t = sigmoid(pre[:, h_dim : 2 * h_dim])
+            i_t = reference_sigmoid(pre[:, :h_dim])
+            f_t = reference_sigmoid(pre[:, h_dim : 2 * h_dim])
             g_t = act(pre[:, 2 * h_dim : 3 * h_dim])
-            o_t = sigmoid(pre[:, 3 * h_dim :])
+            o_t = reference_sigmoid(pre[:, 3 * h_dim :])
             c_t = f_t * c_prev + i_t * g_t
             r_t = act(c_t)
             h_t = o_t * r_t

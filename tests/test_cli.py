@@ -289,6 +289,32 @@ class TestErrorContract:
             f"error: {fleet}: row 1: G1: {field} must be finite"
         )
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--voll", "inf", "voll"), ("--emission-factor", "nan", "emission_factor")],
+    )
+    def test_non_finite_dispatch_setting_exits_2(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "24"])
+        series = str(tmp_path / "d" / "demand.csv")
+        capsys.readouterr()
+        rc = main(["dispatch", "--demand", series, "--forecast", series,
+                   "--actual", series, flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} {value} must be")
+
+    def test_non_utf8_csv_exits_2_naming_it(self, tmp_path, capsys):
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "24"])
+        series = tmp_path / "d" / "demand.csv"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(series.read_bytes()[:-1] + b"\xff\n")
+        capsys.readouterr()
+        rc = main(["dispatch", "--demand", str(series), "--forecast", str(series),
+                   "--actual", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "out")
         rc = main(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,18 @@ class TestLoadCsv:
             "timestamp,a\n2023-01-01T00,1\n2023-01-01T00,2\n"
         )
         with pytest.raises(DataError, match="duplicate"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("line", [0, 3000])
+    def test_not_utf8_names_file(self, tmp_path, line):
+        # Line 3000 lies past the first block the text reader decodes.
+        p = tmp_path / "gen.csv"
+        rows = [b"timestamp,a"] + [
+            f"{t},1".encode() for t in hourly_ts("2023-01-01T00", 3000)
+        ]
+        rows[line] += b"\xff"
+        p.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(DataError, match=re.escape(f"{p}: not UTF-8 text")):
             load_csv(p)
 
     def test_full_year_roundtrip(self, tmp_path):

@@ -489,3 +489,14 @@ class TestFleetCsv:
     def test_validation_voll_must_beat_costs(self):
         with pytest.raises(DispatchError, match="voll"):
             case_t1(10.0, 0.0, voll=25.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("voll", np.inf), ("voll", np.nan), ("emission_factor", np.inf),
+         ("emission_factor", np.nan), ("emission_factor", -np.inf)],
+    )
+    def test_validation_non_finite_price_or_factor_named(self, field, value):
+        kwargs = dict(demand=[10.0], forecast=[0.0], actual=[0.0],
+                      fleet=default_fleet())
+        with pytest.raises(DispatchError, match=f"^{field} .* must be finite"):
+            DispatchCase(**kwargs, **{field: value})

@@ -9,9 +9,11 @@ from oracles import (
     from_vector,
     reference_backward,
     reference_forward_batch,
+    reference_sigmoid,
     to_vector,
 )
 
+from pvdispatch import lstm
 from pvdispatch.data import (
     DataError,
     NormalizationParams,
@@ -277,6 +279,15 @@ class TestBackward:
 class TestReferenceLoops:
     """The gate-major cache gives the bytes of the per-gate reference loops."""
 
+    def test_sigmoid_byte_identical_to_masked_form(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        block = 8.0 * rng.standard_normal((32, 256))
+        edges = np.array(
+            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf]
+        )
+        for x in (block, edges):
+            assert lstm.sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+
     @pytest.mark.parametrize("batch", [1, 17])
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -472,6 +483,20 @@ class TestPredictSeries:
         params = init_params(cfg)
         with pytest.raises(DataError):
             predict_series(params, cfg, ds, spec, fit_normalizer(ds))
+
+    def test_predictions_do_not_depend_on_chunk_size(self, monkeypatch):
+        spec = WindowSpec(24, 1, 0)
+        ds = self._dataset(n=1100 + 24, f=3)
+        cfg = NetworkConfig(input_features=3, layer_sizes=(64, 32), dropout_rate=0.0)
+        params = jostled_params(cfg, 64)
+        params.dense_b[...] = 2.0  # no prediction is clipped to 0 MW
+        normalizer = fit_normalizer(ds)
+        out = []
+        for chunk in (1024, 256):
+            monkeypatch.setattr(lstm, "PREDICT_CHUNK", chunk)
+            out.append(predict_series(params, cfg, ds, spec, normalizer).values)
+        assert out[0].size == 1100 and (out[0] > 0.0).all()
+        assert out[0].tobytes() == out[1].tobytes()
 
     def test_peak_memory_is_one_chunk(self):
         # Three chunks must not hold more than one chunk's activations at a
