@@ -1,0 +1,79 @@
+"""Run every subcommand that writes files on one small fixed config, then
+print one sha256 per file written, so a refactor can show which output
+bytes it moved:
+
+    PYTHONPATH=src python scripts/output_digests.py <dir>
+
+``<dir>`` must be absent or empty. The config is the one ``tests/test_cli.py``
+uses, with 2 epochs. ``run/manifest.json`` records wall-clock timings, so its
+digest differs between runs; every other file is deterministic.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from pvdispatch.cli import main as cli
+from pvdispatch.data import TimeSeriesDataset, load_csv, write_csv
+from pvdispatch.dispatch import default_fleet, save_fleet_csv
+
+CONFIG_YAML = """\
+seed: 5
+data:
+  synth: {enabled: true, hours: 9096, start: '2022-10-01T00', areas: 3}
+window: {lookback: 24, horizon: 12, target: 0}
+split: {train_fraction: 0.963}
+network: {layers: [8, 6], dropout: 0.0}
+training: {epochs: 2, batch_size: 256}
+baselines: {kmeans_clusters: 4}
+dispatch: {voll: 1000.0, emission_factor: 202.0}
+"""
+
+
+def _run(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli(list(argv))
+    if code != 0:
+        raise SystemExit(f"pvdispatch {argv[0]} exited {code}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    config = out / "config.yaml"
+    config.write_text(CONFIG_YAML, encoding="utf-8")
+
+    _run("run", "--config", str(config), "--out", str(out / "run"))
+    _run("train", "--config", str(config), "--out", str(out / "models"))
+    _run("forecast", "--config", str(config), "--models", str(out / "models"),
+         "--out", str(out / "forecast"))
+    _run("synth", "--out", str(out / "synth"), "--seed", "5", "--hours", "48")
+
+    # One 48-hour dispatch case: synthetic demand, the first area's PV as
+    # both forecast and actual, and the built-in fleet read from a file.
+    gen = load_csv(out / "synth" / "generation.csv")
+    pv = out / "synth" / "pv.csv"
+    write_csv(TimeSeriesDataset(gen.timestamps, gen.values[:, :1], ("pv",)), pv)
+    fleet = out / "synth" / "fleet.csv"
+    save_fleet_csv(default_fleet(), fleet)
+    _run("dispatch", "--demand", str(out / "synth" / "demand.csv"),
+         "--forecast", str(pv), "--actual", str(pv), "--fleet", str(fleet),
+         "--out", str(out / "dispatch"))
+
+    for path in sorted(p for p in out.rglob("*") if p.is_file() and p != config):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

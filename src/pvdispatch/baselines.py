@@ -177,17 +177,6 @@ def kmeans_fit(
     )
 
 
-def rep_day_forecast(model: KMeansModel, month: int) -> np.ndarray:
-    """Representative 24-hour profile for a calendar month: the centroid of
-    the cluster with the most of that month's training days."""
-    if not 1 <= month <= 12:
-        raise DataError(f"month must be 1..12, got {month}")
-    idx = int(model.month_modal[month - 1])
-    if idx < 0:
-        raise DataError(f"no training days for month {month}")
-    return model.centroids[idx].copy()
-
-
 def monthly_hour_fit(train: TimeSeriesDataset, target_j: int) -> MonthlyHourModel:
     """Mean MW of the target feature per (month, hour) over the train split."""
     vals = train.column(target_j)
@@ -218,12 +207,11 @@ def monthly_forecast_values(
 
 
 def kmeans_forecast_values(model: KMeansModel, timestamps: np.ndarray) -> np.ndarray:
-    """Hourly values read off each month's representative-day profile."""
+    """Hourly values read off each month's representative-day profile: the
+    centroid of the cluster with the most of that month's training days."""
     months = timestamp_months(timestamps)
-    hours = timestamp_hours(timestamps)
-    out = np.empty(timestamps.shape[0])
-    for m in np.unique(months):
-        profile = rep_day_forecast(model, int(m))
-        sel = months == m
-        out[sel] = profile[hours[sel]]
-    return out
+    modal = model.month_modal[months - 1]
+    if (modal < 0).any():
+        month = int(months[np.argmax(modal < 0)])
+        raise DataError(f"no training days for month {month}")
+    return model.centroids[modal, timestamp_hours(timestamps)]

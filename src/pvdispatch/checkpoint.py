@@ -12,6 +12,7 @@ import json
 import zipfile
 from collections.abc import Iterator
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,14 +89,7 @@ def save_lstm(
     normalizer: NormalizationParams,
     mask: DarkHourMask | None = None,
 ) -> None:
-    meta = {
-        "kind": "lstm",
-        "input_features": config.input_features,
-        "layer_sizes": list(config.layer_sizes),
-        "dropout_rate": config.dropout_rate,
-        "cell_activation": config.cell_activation,
-        "seed": config.seed,
-    }
+    meta = {"kind": "lstm", **asdict(config)}
     arrays: dict[str, np.ndarray] = {
         "dense_w": params.dense_w,
         "dense_b": params.dense_b,

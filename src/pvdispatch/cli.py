@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .data import DataError, load_csv, save_mask_csv, split_chronological, write_csv
+from .data import (
+    DataError, load_csv, save_mask_csv, split_chronological, write_csv, write_table
+)
 from .dispatch import (
     DispatchCase,
     case_metrics,
@@ -99,13 +101,10 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     generation, _demand, _fleet = load_inputs(config)
     train_ds, test_ds = split_chronological(generation, config.train_fraction)
     forecasts = forecast_test(config, models, generation, train_ds.n)
-    columns = [test_ds.column(config.target_feature_j)]
-    columns += [forecasts[m].values for m in METHODS]
     path = out / "forecasts.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("timestamp,actual," + ",".join(METHODS) + "\n")
-        for ts, *cells in zip(test_ds.timestamps, *columns):
-            fh.write(f"{ts}," + ",".join(repr(float(c)) for c in cells) + "\n")
+    header = ["timestamp", "actual", *METHODS]
+    columns = [test_ds.timestamps, test_ds.column(config.target_feature_j)]
+    write_table(path, header, columns + [forecasts[m].values for m in METHODS])
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -143,18 +142,11 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "schedule.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        names = [g.name for g in case.fleet]
-        header = ["hour"] + [f"da_{n}" for n in names] + ["da_rnw", "da_ls"]
-        header += [f"rt_delta_{n}" for n in names] + ["rt_spill", "rt_ls"]
-        fh.write(",".join(header) + "\n")
-        for t in range(case.horizon):
-            row = [str(t)]
-            row += [repr(float(da.p[v, t])) for v in range(len(names))]
-            row += [repr(float(da.rnw[t])), repr(float(da.ls[t]))]
-            row += [repr(float(rt.delta[v, t])) for v in range(len(names))]
-            row += [repr(float(rt.spill[t])), repr(float(rt.ls_rt[t]))]
-            fh.write(",".join(row) + "\n")
+    names = [g.name for g in case.fleet]
+    header = ["hour"] + [f"da_{n}" for n in names] + ["da_rnw", "da_ls"]
+    header += [f"rt_delta_{n}" for n in names] + ["rt_spill", "rt_ls"]
+    columns = [np.arange(case.horizon), *da.p, da.rnw, da.ls]
+    write_table(path, header, columns + [*rt.delta, rt.spill, rt.ls_rt])
     metrics = case_metrics(case, da, rt)
     print(f"wrote {path}")
     print(f"da_objective_usd={da.objective!r} rt_objective_usd={rt.objective!r}")

@@ -59,11 +59,17 @@ def _series_arrays(
             f"{what} values of shape {vals.shape} are not {ndim}-d "
             f"with one row per timestamp"
         )
-    if not np.isfinite(vals).all():
-        raise DataError(f"{what} values must be finite")
-    if (vals < 0).any():
-        raise DataError(f"{what} values must be nonnegative MW")
+    check_mw(vals, f"{what} values", DataError)
     return ts, vals
+
+
+def check_mw(values: np.ndarray, what: str, error: type[ValueError]) -> None:
+    """Raise ``error`` naming ``what`` unless every value is finite,
+    nonnegative MW."""
+    if not np.isfinite(values).all():
+        raise error(f"{what} must be finite")
+    if (values < 0).any():
+        raise error(f"{what} must be nonnegative MW")
 
 
 def timestamp_months(timestamps: np.ndarray) -> np.ndarray:
@@ -282,14 +288,27 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
         raise DataError(f"{path}: {exc}") from None
 
 
+def write_table(path: str | Path, header: list[str], columns: list) -> None:
+    """Write equal-length ``columns`` under ``header`` as UTF-8 CSV with
+    ``\n`` line ends: floats in shortest round-trip form, other cells as
+    ``str`` gives them. Unequal lengths raise ValueError and create no file."""
+    columns = [np.asarray(col) for col in columns]
+    lengths = [col.shape[0] for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {lengths}")
+    cells = [
+        map(repr, col.tolist()) if col.dtype.kind == "f" else col.astype(str)
+        for col in columns
+    ]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
 def write_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
     """Write a dataset back out in the canonical hourly CSV schema."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", *ds.feature_names])
-        for ts, row in zip(ds.timestamps, ds.values):
-            writer.writerow([str(ts), *[repr(float(v)) for v in row]])
+    write_table(path, ["timestamp", *ds.feature_names], [ds.timestamps, *ds.values.T])
 
 
 def split_chronological(
@@ -450,9 +469,6 @@ def load_mask_csv(path: str | Path) -> DarkHourMask:
 
 
 def save_mask_csv(mask: DarkHourMask, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["month", "hour", "dark"])
-        for month in range(1, 13):
-            for hour in range(24):
-                writer.writerow([month, hour, int(mask.table[month - 1, hour])])
+    months, hours = np.indices(mask.table.shape)
+    columns = [months.ravel() + 1, hours.ravel(), mask.table.ravel().astype(int)]
+    write_table(path, ["month", "hour", "dark"], columns)

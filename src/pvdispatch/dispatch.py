@@ -31,14 +31,13 @@ the mean actual.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import read_csv_rows
+from .data import check_mw, read_csv_rows, write_table
 from .lp import LinearProgram, LpSolution, LpStatus, check_solution, solve_lp
 
 
@@ -116,10 +115,7 @@ class DispatchCase:
         for label, series in (
             ("demand", demand), ("forecast", forecast), ("actual", actual)
         ):
-            if not np.isfinite(series).all():
-                raise DispatchError(f"{label} must be finite")
-            if (series < 0).any():
-                raise DispatchError(f"{label} must be nonnegative")
+            check_mw(series, label, DispatchError)
         if not self.fleet:
             raise DispatchError("fleet must not be empty")
         fleet = tuple(self.fleet)
@@ -191,14 +187,10 @@ class CaseMetrics:
 
 
 @dataclass(frozen=True)
-class EvaluationReport:
-    """The headline grid metrics for one forecast method."""
+class EvaluationReport(CaseMetrics):
+    """The headline metrics for one forecast method: the grid metrics
+    totalled over its span, and the forecast's NMAE."""
 
-    gas_mwh: float
-    co2_kg: float
-    shed_mwh: float
-    spill_mwh: float
-    cost_usd: float
     nmae: float
 
 
@@ -278,6 +270,16 @@ def _market_lp(
     )
 
 
+def _market_columns(
+    x: np.ndarray, u_n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A solution of :func:`_market_lp` over ``u_n`` units cut into its
+    (U, T) unit rows, its renewable column and its shedding column."""
+    t_n = x.size // (u_n + 2)
+    units, rnw, ls = np.split(x, [u_n * t_n, (u_n + 1) * t_n])
+    return units.reshape(u_n, t_n), rnw, ls
+
+
 def build_da_lp(case: DispatchCase) -> LinearProgram:
     """Assemble the day-ahead program.
 
@@ -322,12 +324,7 @@ def _solve_audited(lp: LinearProgram, market: str) -> LpSolution:
 def solve_da(case: DispatchCase) -> DaSolution:
     """Solve the day-ahead program and unpack the schedule."""
     sol = _solve_audited(build_da_lp(case), "day-ahead")
-    t_n = case.horizon
-    v_n = len(case.fleet)
-    x = sol.x
-    p = x[: v_n * t_n].reshape(v_n, t_n).copy()
-    rnw = x[v_n * t_n : v_n * t_n + t_n].copy()
-    ls = x[v_n * t_n + t_n :].copy()
+    p, rnw, ls = _market_columns(sol.x, len(case.fleet))
     return DaSolution(p, rnw, ls, float(sol.objective), sol.iterations)
 
 
@@ -364,14 +361,10 @@ def build_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
 def solve_rt(case: DispatchCase, da: DaSolution) -> RtSolution:
     """Solve the real-time adjustment program against actual renewables."""
     sol = _solve_audited(build_rt_lp(case, da), "real-time")
-    t_n = case.horizon
     flex = [v for v, g in enumerate(case.fleet) if g.rt_available]
-    f_n = len(flex)
-    x = sol.x
-    delta = np.zeros((len(case.fleet), t_n))
-    delta[flex] = x[: f_n * t_n].reshape(f_n, t_n)
-    spill = x[f_n * t_n : f_n * t_n + t_n].copy()
-    ls_rt = x[f_n * t_n + t_n :].copy()
+    moves, spill, ls_rt = _market_columns(sol.x, len(flex))
+    delta = np.zeros((len(case.fleet), case.horizon))
+    delta[flex] = moves
     return RtSolution(delta, spill, ls_rt, float(sol.objective), sol.iterations)
 
 
@@ -421,14 +414,8 @@ def load_fleet_csv(path: str | Path) -> tuple[GeneratorSpec, ...]:
 
 
 def save_fleet_csv(fleet: tuple[GeneratorSpec, ...], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FLEET_HEADER)
-        for g in fleet:
-            writer.writerow(
-                [g.name, repr(g.cost), repr(g.pmax), repr(g.pmin), repr(g.ramp),
-                 int(g.rt_available), int(g.gas_fired)]
-            )
+    columns = [[getattr(g, key) for g in fleet] for key in _FLEET_HEADER]
+    write_table(path, _FLEET_HEADER, [*columns[:5], *np.array(columns[5:], int)])
 
 
 def _parse_flag(cell: str) -> bool:

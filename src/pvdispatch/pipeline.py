@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -50,6 +51,7 @@ from .data import (
     normalize,
     split_chronological,
     window_arrays,
+    write_table,
 )
 from .dispatch import (
     CaseMetrics,
@@ -140,7 +142,6 @@ class PipelineConfig:
     # dispatch
     voll: float = 1000.0
     emission_factor: float = 202.0
-    dispatch_horizon: int = 24
     # run
     seed: int = 0
     output_dir: str = "runs/out"
@@ -150,10 +151,11 @@ class PipelineConfig:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
-        if self.emission_factor <= 0:
-            raise ConfigError("emission_factor must be > 0")
-        if self.dispatch_horizon != 24:
-            raise ConfigError("dispatch runs per calendar day; horizon must be 24")
+        for label, value in (
+            ("voll", self.voll), ("emission_factor", self.emission_factor)
+        ):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{label}: {value} must be finite and > 0")
         if self.kmeans_clusters < 1:
             raise ConfigError("kmeans_clusters must be >= 1")
         if not self.synth_enabled:
@@ -234,7 +236,6 @@ _YAML_FIELDS = (
     ("baselines", "kmeans_seed", "kmeans_seed", int),
     ("dispatch", "voll", "voll", float),
     ("dispatch", "emission_factor", "emission_factor", float),
-    ("dispatch", "horizon", "dispatch_horizon", int),
     ("", "seed", "seed", int),
     ("", "output_dir", "output_dir", str),
 )
@@ -566,10 +567,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -582,48 +579,43 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    outcomes = [result.outcomes[m] for m in METHODS]
+    # Every forecast covers the test span; dispatch starts `offset` hours
+    # into it.
+    hours = result.dispatch_timestamps
+    offset = int((hours[0] - outcomes[0].forecast.timestamps[0]).astype(np.int64))
+    daily_rows = METRIC_ROWS[:5]
+    days = [day for o in outcomes for day in o.daily]
+    tables = {
+        "metrics.csv": (
+            ["metric", *METHODS],
+            [list(REPORT_FIELDS)]
+            + [[getattr(o.report, f) for f in REPORT_FIELDS.values()]
+               for o in outcomes],
+        ),
+        "metrics_daily.csv": (
+            ["date", "method", *daily_rows],
+            [
+                np.tile(hours[::24].astype("datetime64[D]"), len(METHODS)),
+                np.repeat(METHODS, [len(o.daily) for o in outcomes]),
+            ]
+            + [[getattr(day, REPORT_FIELDS[r]) for day in days] for r in daily_rows],
+        ),
+        "discrepancy.csv": (
+            ["timestamp", "demand", "actual"]
+            + [f"forecast_{m}" for m in METHODS]
+            + [f"absorbed_{m}" for m in METHODS],
+            [hours, result.demand, result.actual]
+            + [o.forecast.values[offset : offset + hours.size] for o in outcomes]
+            + [o.absorbed for o in outcomes],
+        ),
+    }
     written: list[Path] = []
     try:
-        metrics_path = out / "metrics.csv"
-        with metrics_path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write("metric," + ",".join(METHODS) + "\n")
-            for row, field in REPORT_FIELDS.items():
-                cells = [
-                    _fmt(getattr(result.outcomes[m].report, field)) for m in METHODS
-                ]
-                fh.write(row + "," + ",".join(cells) + "\n")
-        written.append(metrics_path)
-
-        daily_path = out / "metrics_daily.csv"
-        daily_rows = METRIC_ROWS[:5]
-        with daily_path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write("date,method," + ",".join(daily_rows) + "\n")
-            for method in METHODS:
-                for d, day in enumerate(result.outcomes[method].daily):
-                    date = result.dispatch_timestamps[24 * d].astype("datetime64[D]")
-                    cells = [_fmt(getattr(day, REPORT_FIELDS[r])) for r in daily_rows]
-                    fh.write(",".join([str(date), method, *cells]) + "\n")
-        written.append(daily_path)
-
-        disc_path = out / "discrepancy.csv"
-        # Every forecast covers the test span; dispatch starts `offset`
-        # hours into it.
-        forecast_start = result.outcomes[METHODS[0]].forecast.timestamps[0]
-        offset = int((result.dispatch_timestamps[0] - forecast_start).astype(np.int64))
-        with disc_path.open("w", newline="", encoding="utf-8") as fh:
-            header = ["timestamp", "demand", "actual"]
-            header += [f"forecast_{m}" for m in METHODS]
-            header += [f"absorbed_{m}" for m in METHODS]
-            fh.write(",".join(header) + "\n")
-            for i, ts in enumerate(result.dispatch_timestamps):
-                row = [str(ts), _fmt(result.demand[i]), _fmt(result.actual[i])]
-                row += [
-                    _fmt(result.outcomes[m].forecast.values[offset + i])
-                    for m in METHODS
-                ]
-                row += [_fmt(result.outcomes[m].absorbed[i]) for m in METHODS]
-                fh.write(",".join(row) + "\n")
-        written.append(disc_path)
+        for name, (header, columns) in tables.items():
+            # Registered before writing, so a failure mid-file removes it too.
+            written.append(out / name)
+            write_table(out / name, header, columns)
 
         manifest = {
             "format_version": 1,
@@ -640,10 +632,10 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
             "outputs": {p.name: _sha256(p) for p in written},
         }
         manifest_path = out / "manifest.json"
+        written.append(manifest_path)
         manifest_path.write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        written.append(manifest_path)
         return manifest
     except Exception:
         for p in written:

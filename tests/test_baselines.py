@@ -7,7 +7,6 @@ from pvdispatch.baselines import (
     kmeans_forecast_values,
     monthly_forecast_values,
     monthly_hour_fit,
-    rep_day_forecast,
 )
 from pvdispatch.data import DataError, TimeSeriesDataset
 
@@ -83,6 +82,12 @@ class TestKMeans:
         assert set(np.unique(model.assignments)) <= {0, 1, 2}
 
 
+def rep_day(model, month):
+    """The k-means forecast over the 24 hours of one day in ``month``."""
+    day = np.datetime64(f"2023-{month:02d}-01T00", "h") + np.arange(24)
+    return kmeans_forecast_values(model, day)
+
+
 class TestRepDay:
     def test_modal_cluster_selected(self):
         # June days near profile B, May days near profile A.
@@ -92,8 +97,8 @@ class TestRepDay:
         ds = dataset("2023-05-01T00", 61, fn)
         profiles, months = daily_profiles(ds, 0)
         model = kmeans_fit(profiles, 2, seed=0, months=months)
-        june = rep_day_forecast(model, 6)
-        may = rep_day_forecast(model, 5)
+        june = rep_day(model, 6)
+        may = rep_day(model, 5)
         assert june.mean() == pytest.approx(40.0, abs=1e-9)
         assert may.mean() == pytest.approx(5.0, abs=1e-9)
 
@@ -102,7 +107,7 @@ class TestRepDay:
         profiles, months = daily_profiles(ds, 0)
         model = kmeans_fit(profiles, 4, seed=1, months=months)
         for month in (1, 2, 3):
-            profile = rep_day_forecast(model, month)
+            profile = rep_day(model, month)
             assert any(
                 np.array_equal(profile, c) for c in model.centroids
             )
@@ -112,7 +117,7 @@ class TestRepDay:
         profiles, months = daily_profiles(ds, 0)
         model = kmeans_fit(profiles, 2, seed=0, months=months)
         with pytest.raises(DataError, match="month 12"):
-            rep_day_forecast(model, 12)
+            rep_day(model, 12)
 
     def test_tie_breaks_to_lowest_cluster_index(self):
         profiles = np.vstack([np.zeros((2, 24)), np.full((2, 24), 10.0)])
@@ -120,7 +125,7 @@ class TestRepDay:
         model = kmeans_fit(profiles, 2, seed=0, months=months, max_iters=50)
         counts = np.bincount(model.assignments, minlength=2)
         assert counts[0] == counts[1] == 2
-        chosen = rep_day_forecast(model, 6)
+        chosen = rep_day(model, 6)
         np.testing.assert_array_equal(chosen, model.centroids[0])
 
     def test_k1_every_month_gets_mean_profile(self):
@@ -129,7 +134,7 @@ class TestRepDay:
         model = kmeans_fit(profiles, 1, seed=0, months=months)
         for month in range(1, 13):
             np.testing.assert_allclose(
-                rep_day_forecast(model, month), profiles.mean(axis=0), atol=1e-9
+                rep_day(model, month), profiles.mean(axis=0), atol=1e-9
             )
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,31 @@ class TestDispatchCommand:
         assert rc == 2
         assert "hour 5" in capsys.readouterr().err
 
+    def test_comma_in_unit_name_keeps_schedule_rectangular(self, tmp_path):
+        save_fleet_csv(
+            (GeneratorSpec("G,1", cost=20.0, pmax=100.0, ramp=100.0),),
+            tmp_path / "fleet.csv",
+        )
+        self._series_csv(tmp_path / "demand.csv", "demand", [80.0] * 24)
+        self._series_csv(tmp_path / "pv.csv", "pv", [0.0] * 24)
+        rc = main(
+            [
+                "dispatch",
+                "--demand", str(tmp_path / "demand.csv"),
+                "--forecast", str(tmp_path / "pv.csv"),
+                "--actual", str(tmp_path / "pv.csv"),
+                "--fleet", str(tmp_path / "fleet.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 0
+        with (tmp_path / "out" / "schedule.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:2] == ["hour", "da_G,1"]
+        assert rows[0][4] == "rt_delta_G,1"
+        assert len(rows) == 25 and all(len(row) == 7 for row in rows)
+        assert [float(row[1]) for row in rows[1:]] == [80.0] * 24
+
     def test_mismatched_lengths_config_error(self, tmp_path):
         self._series_csv(tmp_path / "demand.csv", "demand", [80.0] * 24)
         self._series_csv(tmp_path / "forecast.csv", "pv", [0.0] * 12)
@@ -255,6 +282,11 @@ class TestErrorContract:
             ("data: {synth: {hours: 0}}\n", "hours"),
             ("data: {synth: {areas: 0}}\n", "areas"),
             ("data: {synth: {start: 'x'}}\n", "start"),
+            ("dispatch: {voll: inf}\n", "voll"),
+            ("dispatch: {voll: -5}\n", "voll"),
+            ("dispatch: {emission_factor: nan}\n", "emission_factor"),
+            ("dispatch: {emission_factor: 0}\n", "emission_factor"),
+            ("dispatch: {horizon: 24}\n", "dispatch.horizon"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -22,6 +23,7 @@ from pvdispatch.data import (
     split_chronological,
     window_arrays,
     write_csv,
+    write_table,
 )
 
 
@@ -112,6 +114,42 @@ class TestLoadCsv:
         assert back.n == 8760 and back.n_features == 3
         np.testing.assert_array_equal(back.values, ds.values)
         np.testing.assert_array_equal(back.timestamps, ds.timestamps)
+
+
+class TestWriteTable:
+    def test_float_bits_survive_load_csv(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2])
+        ds = TimeSeriesDataset(hourly_ts("2023-01-01T00", 4), values[:, None], ("a",))
+        p = tmp_path / "bits.csv"
+        write_csv(ds, p)
+        # Compared as bytes, so -0.0 must keep its sign bit.
+        assert load_csv(p).values[:, 0].tobytes() == values.tobytes()
+
+    def test_every_line_ends_in_lf(self, tmp_path):
+        p = tmp_path / "table.csv"
+        names = ["G,1", 'say "hi"', "plain"]
+        write_table(p, ["hour", "name", "mw"], [np.arange(3), names, np.ones(3)])
+        raw = p.read_bytes()
+        assert b"\r" not in raw
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 4
+        with p.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["hour", "name", "mw"]
+        assert [row[1] for row in rows[1:]] == names
+        assert all(len(row) == 3 for row in rows)
+
+    def test_dataset_and_mask_files_have_no_cr(self, tmp_path):
+        write_csv(make_ds(30, f=2), tmp_path / "gen.csv")
+        save_mask_csv(derive_dark_mask(make_ds(24 * 365), 0), tmp_path / "mask.csv")
+        for name in ("gen.csv", "mask.csv"):
+            raw = (tmp_path / name).read_bytes()
+            assert b"\r" not in raw and raw.endswith(b"\n")
+
+    def test_unequal_columns_raise_and_create_no_file(self, tmp_path):
+        p = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="unequal lengths"):
+            write_table(p, ["a", "b"], [np.zeros(3), np.zeros(2)])
+        assert not p.exists()
 
 
 class TestSplit:

@@ -458,6 +458,14 @@ class TestFleetCsv:
         back = load_fleet_csv(p)
         assert back == default_fleet()
 
+    def test_numpy_float_fields_roundtrip(self, tmp_path):
+        # A cost computed with numpy is an np.float64, whose repr under
+        # numpy 2 is "np.float64(20.0)"; the file must still hold 20.0.
+        fleet = (GeneratorSpec("G1", cost=np.float64(20.0), pmax=50.0, ramp=20.0),)
+        p = tmp_path / "fleet.csv"
+        save_fleet_csv(fleet, p)
+        assert load_fleet_csv(p) == fleet
+
     def test_header_enforced(self, tmp_path):
         p = tmp_path / "fleet.csv"
         p.write_text("nom,cost\nG1,5\n")

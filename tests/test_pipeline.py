@@ -4,11 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pvdispatch.data import DarkHourMask, ForecastSeries
+from pvdispatch.dispatch import CaseMetrics, EvaluationReport
 from pvdispatch.pipeline import (
     METHODS,
     METRIC_ROWS,
     ConfigError,
+    MethodOutcome,
     PipelineConfig,
+    PipelineResult,
     StageError,
     config_from_dict,
     emit_report,
@@ -158,6 +162,29 @@ class TestEmitReport:
             if mask.table[month - 1, hour]:
                 for col in f_cols:
                     assert float(cells[col]) == 0.0
+
+
+    def test_failure_leaves_no_file(self, tmp_path):
+        # A 48-hour result whose last method absorbed only 30 hours: the
+        # third table cannot be written, and the two before it are removed.
+        hours = np.datetime64("2023-06-01T00", "h") + np.arange(48)
+        day = CaseMetrics(1.0, 202.0, 0.0, 0.0, 10.0)
+        outcomes = {
+            m: MethodOutcome(
+                ForecastSeries(hours, np.ones(48), "pv"),
+                EvaluationReport(2.0, 404.0, 0.0, 0.0, 20.0, nmae=0.5),
+                [day, day],
+                np.ones(30 if m == METHODS[-1] else 48),
+            )
+            for m in METHODS
+        }
+        result = PipelineResult(
+            PipelineConfig(), outcomes, hours, np.full(48, 80.0), np.ones(48),
+            {}, DarkHourMask(np.zeros((12, 24))),
+        )
+        with pytest.raises(ValueError, match="unequal lengths"):
+            emit_report(result, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:
