@@ -138,8 +138,9 @@ class NetworkParameters:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Windows per forward pass in predict_series: 256 windows of 24 steps through
-# 64/32 layers peak near 39 MiB, and 128 to 1024 give the same bytes.
+# Windows per inference pass in predict_series. Predictions depend on the GEMM
+# batch size through BLAS: 64- or 128-window chunks move some by 1 ulp against
+# 256, which is why the chunk stays at 256.
 PREDICT_CHUNK = 256
 
 
@@ -214,6 +215,26 @@ def _check_window_shapes(
         raise ValueError("parameters do not match the network config")
 
 
+def _cell_step(
+    pre: np.ndarray, gates: np.ndarray, c_prev: np.ndarray, act: Callable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell equations for one step: fill the gate-major (4, B, H) block
+    ``gates`` from the (B, 4H) pre-activation; return c, act(c) and h."""
+    b, h_dim = c_prev.shape
+    gates[...] = sigmoid(pre).reshape(b, 4, h_dim).transpose(1, 0, 2)
+    gates[2] = act(pre[:, 2 * h_dim : 3 * h_dim])
+    c = gates[1] * c_prev + gates[0] * gates[2]
+    c_act = act(c)
+    return c, c_act, gates[3] * c_act
+
+
+def _dense_head(params: NetworkParameters, h_top: np.ndarray) -> np.ndarray:
+    predictions = h_top @ params.dense_w + params.dense_b[0]
+    if not np.isfinite(predictions).all():
+        raise DivergenceError("non-finite prediction in forward pass")
+    return predictions
+
+
 def forward_batch(
     params: NetworkParameters,
     config: NetworkConfig,
@@ -248,11 +269,9 @@ def forward_batch(
         w_rec_t = layer.w_rec.T
         for t in range(p):
             pre = x_proj[t] + hidden[t] @ w_rec_t + layer.bias
-            gates[:, t] = sigmoid(pre).reshape(b, 4, h_dim).transpose(1, 0, 2)
-            gates[2, t] = act(pre[:, 2 * h_dim : 3 * h_dim])
-            cells[t + 1] = gates[1, t] * cells[t] + gates[0, t] * gates[2, t]
-            cells_act[t] = act(cells[t + 1])
-            hidden[t + 1] = gates[3, t] * cells_act[t]
+            cells[t + 1], cells_act[t], hidden[t + 1] = _cell_step(
+                pre, gates[:, t], cells[t], act
+            )
         del x_proj  # free it before the next layer's projection
         layer_caches.append((x_seq, gates, cells_act, cells, hidden))
         x_seq = hidden[1:]
@@ -266,10 +285,7 @@ def forward_batch(
     else:
         keep = None
         h_drop = h_top
-    predictions = h_drop @ params.dense_w + params.dense_b[0]
-    if not np.isfinite(predictions).all():
-        raise DivergenceError("non-finite prediction in forward pass")
-
+    predictions = _dense_head(params, h_drop)
     cache = {
         "layers": layer_caches,
         "h_drop": h_drop,
@@ -279,6 +295,27 @@ def forward_batch(
         "activation": config.cell_activation,
     }
     return predictions, cache
+
+
+def _predict_windows(
+    params: NetworkParameters, config: NetworkConfig, inputs: np.ndarray
+) -> np.ndarray:
+    """Inference-mode :func:`forward_batch` predictions, byte for byte, with
+    no cache: a layer keeps its (B, H) state and its (p, B, H) outputs."""
+    _check_window_shapes(params, config, inputs)
+    b, p, _ = inputs.shape
+    act, _ = _ACTIVATIONS[config.cell_activation]
+    x_seq = inputs.transpose(1, 0, 2)  # (p, B, D)
+    for layer in params.layers:
+        gates = np.empty((4, b, layer.hidden))
+        c = np.zeros((b, layer.hidden))
+        out = np.zeros((p + 1, b, layer.hidden))  # row 0: the initial state
+        for t in range(p):
+            # x_seq[t] @ W_in.T is the GEMM the stacked projection runs for t.
+            pre = x_seq[t] @ layer.w_in.T + out[t] @ layer.w_rec.T + layer.bias
+            c, _, out[t + 1] = _cell_step(pre, gates, c, act)
+        x_seq = out[1:]
+    return _dense_head(params, x_seq[-1])
 
 
 def loss_mse(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -448,10 +485,7 @@ def predict_series(
     preds = np.empty(n_samples)
     for start in range(0, n_samples, PREDICT_CHUNK):
         block = np.ascontiguousarray(inputs[start : start + PREDICT_CHUNK])
-        # Index at once: holding the cache would keep this chunk's
-        # activations alive through the next chunk's pass.
-        out = forward_batch(params, config, block)[0]
-        preds[start : start + out.shape[0]] = out
+        preds[start : start + PREDICT_CHUNK] = _predict_windows(params, config, block)
     mw = denormalize_feature(preds, normalizer, spec.target_feature_j)
     mw = np.maximum(mw, 0.0)
     series = ForecastSeries(

@@ -518,4 +518,43 @@ class TestPredictSeries:
         finally:
             tracemalloc.stop()
         assert series.n == 3 * PREDICT_CHUNK
-        assert peak < 1.5 * one_chunk
+        # The inference pass keeps no cache: well under one training chunk.
+        assert peak < 0.5 * one_chunk
+
+    @pytest.mark.parametrize("batch", [1, 17, 181, PREDICT_CHUNK])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("layers", [(5,), (6, 4), (7, 5, 3)])
+    def test_matches_forward_batch_bytes(self, layers, activation, dropout, batch):
+        # One full chunk and one of `batch` windows. The identity normalizer
+        # and a positive head bias keep the raw predictions unscaled and
+        # unclipped, so they can be compared with forward_batch's directly.
+        spec = WindowSpec(6, 1, 0)
+        n_samples = PREDICT_CHUNK + batch
+        ds = self._dataset(n=n_samples + spec.lookback_p, f=3, seed=batch)
+        ds = TimeSeriesDataset(ds.timestamps, ds.values / 8.0, ds.feature_names)
+        cfg = NetworkConfig(
+            input_features=3, layer_sizes=layers, dropout_rate=dropout,
+            cell_activation=activation,
+        )
+        params = jostled_params(cfg, len(layers))
+        params.dense_b[...] = 10.0
+        identity = NormalizationParams(np.zeros(3), np.ones(3))
+        series = predict_series(params, cfg, ds, spec, identity)
+        p = spec.lookback_p
+        windows = np.stack([ds.values[k : k + p] for k in range(n_samples)])
+        expected = np.concatenate([
+            forward_batch(params, cfg, windows[:PREDICT_CHUNK])[0],
+            forward_batch(params, cfg, windows[PREDICT_CHUNK:])[0],
+        ])
+        assert (expected > 0.0).all()
+        assert series.values.tobytes() == expected.tobytes()
+
+    def test_nonfinite_reported_as_divergence(self):
+        ds = self._dataset(f=1)
+        cfg = NetworkConfig(input_features=1, layer_sizes=(2,), dropout_rate=0.0)
+        params = init_params(cfg)
+        params.dense_w[...] = np.inf
+        # A zero hidden state meets the inf weight: inf * 0 warns as invalid.
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            predict_series(params, cfg, ds, WindowSpec(4, 1, 0), fit_normalizer(ds))
