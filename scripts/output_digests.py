@@ -7,17 +7,28 @@ bytes it moved:
 ``<dir>`` must be absent or empty. The config is the one ``tests/test_cli.py``
 uses, with 2 epochs. ``run/manifest.json`` records wall-clock timings, so its
 digest differs between runs; every other file is deterministic.
+
+Besides one 48-hour case, ``dispatch`` solves each method's forecast of the
+first ``DAYS`` whole days in ``run/discrepancy.csv`` one day at a time, under
+``days/<method>/<day>/``. There forecast and actual differ, so real-time
+dispatch moves units and a change to the real-time columns shows.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from pvdispatch.cli import main as cli
 from pvdispatch.data import TimeSeriesDataset, load_csv, write_csv
 from pvdispatch.dispatch import default_fleet, save_fleet_csv
+from pvdispatch.pipeline import METHODS
+
+DAYS = 3
 
 CONFIG_YAML = """\
 seed: 5
@@ -68,6 +79,24 @@ def main(argv: list[str] | None = None) -> int:
     _run("dispatch", "--demand", str(out / "synth" / "demand.csv"),
          "--forecast", str(pv), "--actual", str(pv), "--fleet", str(fleet),
          "--out", str(out / "dispatch"))
+
+    with (out / "run" / "discrepancy.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    if len(rows) < 24 * DAYS:
+        raise SystemExit(f"run/discrepancy.csv has fewer than {DAYS} days")
+    for method in METHODS:
+        for day in range(DAYS):
+            hours = rows[24 * day : 24 * (day + 1)]
+            stamps = np.array([r["timestamp"] for r in hours], dtype="datetime64[h]")
+            where = out / "days" / method / str(day)
+            where.mkdir(parents=True)
+            series = []
+            for column in ("demand", f"forecast_{method}", "actual"):
+                values = np.array([[float(r[column])] for r in hours])
+                series.append(where / f"{column}.csv")
+                write_csv(TimeSeriesDataset(stamps, values, (column,)), series[-1])
+            _run("dispatch", "--demand", str(series[0]), "--forecast", str(series[1]),
+                 "--actual", str(series[2]), "--fleet", str(fleet), "--out", str(where))
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p != config):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()

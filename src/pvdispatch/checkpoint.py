@@ -12,7 +12,7 @@ import json
 import zipfile
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,13 +108,7 @@ def load_lstm(
     path: str | Path,
 ) -> tuple[NetworkConfig, NetworkParameters, NormalizationParams, DarkHourMask | None]:
     with _read(path, "lstm") as (meta, arrays):
-        config = NetworkConfig(
-            input_features=int(meta["input_features"]),
-            layer_sizes=tuple(int(h) for h in meta["layer_sizes"]),
-            dropout_rate=float(meta["dropout_rate"]),
-            cell_activation=str(meta["cell_activation"]),
-            seed=int(meta["seed"]),
-        )
+        config = NetworkConfig(**{f.name: meta[f.name] for f in fields(NetworkConfig)})
         layers = []
         for i in range(len(config.layer_sizes)):
             layers.append(

@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .data import (
-    DataError, load_csv, save_mask_csv, split_chronological, write_csv, write_table
-)
+from .data import save_mask_csv, split_chronological, write_csv, write_table
 from .dispatch import (
     DispatchCase,
     case_metrics,
@@ -35,6 +33,7 @@ from .pipeline import (
     REPORT_FIELDS,
     FittedModels,
     StageError,
+    _read_single_column,
     emit_report,
     evaluate_days,
     fit_models,
@@ -109,21 +108,12 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_single_column(path: str, expect_hours: int | None = None) -> np.ndarray:
-    ds = load_csv(path)
-    if ds.n_features != 1:
-        raise DataError(f"{path}: expected a single value column")
-    if expect_hours is not None and ds.n != expect_hours:
-        raise DataError(f"{path}: expected {expect_hours} rows, got {ds.n}")
-    return ds.values[:, 0]
-
-
 def _read_series_and_fleet(args: argparse.Namespace):
     """Demand, forecast and actual series of equal length, and the fleet."""
     fleet = load_fleet_csv(args.fleet) if args.fleet else default_fleet()
-    demand = _read_single_column(args.demand)
-    forecast = _read_single_column(args.forecast, demand.shape[0])
-    actual = _read_single_column(args.actual, demand.shape[0])
+    demand = _read_single_column(args.demand).column(0)
+    forecast = _read_single_column(args.forecast, demand.size).column(0)
+    actual = _read_single_column(args.actual, demand.size).column(0)
     return demand, forecast, actual, fleet
 
 

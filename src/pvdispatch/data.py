@@ -447,9 +447,11 @@ def load_mask_csv(path: str | Path) -> DarkHourMask:
             raise ValueError("header must be 'month,hour,dark'")
 
     def parse_row(row: list[str]) -> None:
+        if len(row) != 3:
+            raise ValueError(f"expected 3 fields, got {len(row)}")
         try:
             month, hour, dark = int(row[0]), int(row[1]), int(row[2])
-        except (ValueError, IndexError):
+        except ValueError:
             raise ValueError(f"malformed mask row {row}") from None
         if not (1 <= month <= 12 and 0 <= hour <= 23 and dark in (0, 1)):
             raise ValueError(f"out-of-range mask row {row}")

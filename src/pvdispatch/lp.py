@@ -5,22 +5,21 @@ Problem form:
     minimize    c . x
     subject to  A_eq x  = b_eq
                 A_ub x <= b_ub
-                lower <= x <= upper   (entries may be -inf / +inf)
+                lower <= x <= upper
 
-The solver converts to standard form (finite lower bounds shifted to zero,
-variables bounded only above mirrored, doubly-unbounded variables split
-into positive parts, finite upper bounds and inequality rows given slacks),
-runs phase 1 with artificial variables, then phase 2 with Dantzig pricing.
-The way back is three arrays: ``src`` (the original variable of each
-structural column), ``sign`` (+1, or -1 for a mirrored column or the
-negative part of a split) and ``offset`` (the lower bound, the upper bound
-or 0, per original variable), so ``x = offset + sum of sign * y`` over each
-variable's columns. After 50 consecutive degenerate pivots the solver
-switches permanently to Bland's rule, which guarantees termination. Basic
-values are re-solved against the original standard-form matrix at the end
-so feasibility residuals do not inherit tableau roundoff. A program with
-no constraint row at all takes the same path: its empty tableau is
-optimal or unbounded at the first pricing.
+Every lower bound is finite and defaults to 0, as in
+``scipy.optimize.linprog``; an upper bound is finite or +inf. The
+dispatch programs bound every variable on both sides. The standard form
+shifts each variable by its lower bound, ``y = x - lower >= 0``, adds a
+row ``y <= upper - lower`` for each finite upper bound and gives every
+inequality row a slack; the way back is ``x = lower + y``. The solver
+runs phase 1 with artificial variables, then phase 2 with Dantzig
+pricing. After 50 consecutive degenerate pivots it switches permanently
+to Bland's rule, which guarantees termination. Basic values are re-solved
+against the original standard-form matrix at the end so feasibility
+residuals do not inherit tableau roundoff. A program with no constraint
+row at all takes the same path: its empty tableau is optimal or
+unbounded at the first pricing.
 
 Dispatch instances here are a few hundred rows, so a dense tableau is
 adequate and easy to audit. A pivot updates only the rows with a nonzero
@@ -87,22 +86,19 @@ class LinearProgram:
                 raise LpError(f"{label} coefficients must be finite")
             return a, b
 
+        def bound(v, default):
+            return np.full(n, default) if v is None else np.array(v, dtype=float)
+
         a_eq, b_eq = mat(self.A_eq, self.b_eq, "A_eq")
         a_ub, b_ub = mat(self.A_ub, self.b_ub, "A_ub")
-        lower = (
-            np.full(n, -np.inf)
-            if self.lower is None
-            else np.asarray(self.lower, dtype=float).copy()
-        )
-        upper = (
-            np.full(n, np.inf)
-            if self.upper is None
-            else np.asarray(self.upper, dtype=float).copy()
-        )
+        lower, upper = bound(self.lower, 0.0), bound(self.upper, np.inf)
         if lower.shape != (n,) or upper.shape != (n,):
             raise LpError("bounds must have one entry per variable")
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise LpError("bounds must not be NaN")
+        if not np.isfinite(lower).all():
+            j = int(np.argmax(~np.isfinite(lower)))
+            raise LpError(f"variable {j}: lower bound must be finite")
         if (lower > upper).any():
             j = int(np.argmax(lower > upper))
             raise LpError(f"variable {j}: lower bound {lower[j]} > upper {upper[j]}")
@@ -181,63 +177,46 @@ def check_solution(
 
 @dataclass
 class _StandardForm:
-    """min c.y, A y = b, y >= 0, with a map back to the original variables:
-    ``x = offset + bincount(src, sign * y[:n_struct])``."""
+    """min c.y, A y = b, y >= 0, where the first ``n_vars`` columns are
+    ``y = x - lower`` and the rest are slacks."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    n_struct: int  # structural columns (before slacks)
-    src: np.ndarray  # original variable of each structural column
-    sign: np.ndarray  # +1, or -1 for a mirrored column or a split's negative part
-    offset: np.ndarray  # per original variable: lower bound, upper bound or 0
     n_eq: int  # leading rows that are equalities (no slack of their own)
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     n = lp.n_vars
-    has_lo = np.isfinite(lp.lower)
-    has_up = np.isfinite(lp.upper)
-    free = ~has_lo & ~has_up
-    # A free variable gets a positive and a negative column, in that order.
-    width = np.where(free, 2, 1)
-    src = np.repeat(np.arange(n), width)
-    first = np.cumsum(width) - width  # first column of each variable
-    n_struct = src.size
-    sign = np.ones(n_struct)
-    sign[first[~has_lo & has_up]] = -1.0
-    sign[first[free] + 1] = -1.0
-    offset = np.where(has_lo, lp.lower, np.where(has_up, lp.upper, 0.0))
-    shifted = np.nonzero(offset)[0]
+    shifted = np.nonzero(lp.lower)[0]
 
-    def build_block(a_orig: np.ndarray, b_orig: np.ndarray):
+    def shift_rhs(a_orig: np.ndarray, b_orig: np.ndarray) -> np.ndarray:
         b_new = b_orig.copy()
         # Shifted one column at a time, in column order, as the rounding of
         # b depends on the order of the subtractions.
         for j in shifted:
-            b_new -= a_orig[:, j] * offset[j]
-        return a_orig[:, src] * sign, b_new
+            b_new -= a_orig[:, j] * lp.lower[j]
+        return b_new
 
-    a_eq, b_eq = build_block(lp.A_eq, lp.b_eq)
-    a_ub, b_ub = build_block(lp.A_ub, lp.b_ub)
-    # A variable with both bounds finite keeps y <= upper - lower as a row.
-    boxed = np.nonzero(has_lo & has_up)[0]
-    bound_a = np.zeros((boxed.size, n_struct))
-    bound_a[np.arange(boxed.size), first[boxed]] = 1.0
-    a_ub = np.vstack([a_ub, bound_a])
-    b_ub = np.concatenate([b_ub, lp.upper[boxed] - lp.lower[boxed]])
+    b_eq = shift_rhs(lp.A_eq, lp.b_eq)
+    # A variable with a finite upper bound keeps y <= upper - lower as a row.
+    boxed = np.nonzero(np.isfinite(lp.upper))[0]
+    a_ub = np.vstack([lp.A_ub, np.eye(n)[boxed]])
+    b_ub = np.concatenate(
+        [shift_rhs(lp.A_ub, lp.b_ub), lp.upper[boxed] - lp.lower[boxed]]
+    )
 
     n_ub = a_ub.shape[0]
-    n_eq = a_eq.shape[0]
-    a = np.zeros((n_eq + n_ub, n_struct + n_ub))
-    a[:n_eq, :n_struct] = a_eq
-    a[n_eq:, :n_struct] = a_ub
-    a[n_eq:, n_struct:] = np.eye(n_ub)
+    n_eq = lp.A_eq.shape[0]
+    a = np.zeros((n_eq + n_ub, n + n_ub))
+    a[:n_eq, :n] = lp.A_eq
+    a[n_eq:, :n] = a_ub
+    a[n_eq:, n:] = np.eye(n_ub)
     b = np.concatenate([b_eq, b_ub])
 
-    c_new = np.zeros(n_struct + n_ub)
-    c_new[:n_struct] = lp.c[src] * sign
-    return _StandardForm(a, b, c_new, n_struct, src, sign, offset, n_eq)
+    c_new = np.zeros(n + n_ub)
+    c_new[:n] = lp.c
+    return _StandardForm(a, b, c_new, n_eq)
 
 
 class _Simplex:
@@ -321,10 +300,9 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
     # that slack basic; equality rows and sign-flipped rows get artificials.
     basis: list[int] = []
     art_rows: list[int] = []
-    slack_start = sf.n_struct
     for i in range(m):
         if i >= sf.n_eq and not engine.negated[i]:
-            basis.append(slack_start + (i - sf.n_eq))
+            basis.append(lp.n_vars + (i - sf.n_eq))
         else:
             basis.append(-1)  # placeholder, artificial assigned below
             art_rows.append(i)
@@ -401,9 +379,10 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
         except np.linalg.LinAlgError:
             pass
 
-    x = sf.offset + np.bincount(
-        sf.src, weights=sf.sign * y[: sf.n_struct], minlength=lp.n_vars
-    )
+    # A zero rhs divided by a negative drive-out pivot leaves a basic -0.0
+    # when refinement is skipped, and a lower bound can be -0.0 (the real-time
+    # shedding bound is -da.ls); y + 0.0 keeps such an x at +0.0.
+    x = lp.lower + (y[: lp.n_vars] + 0.0)
     return LpSolution(
         LpStatus.OPTIMAL, x, float(lp.c @ x), engine.iterations
     )

@@ -368,6 +368,19 @@ def _stage(timings: dict[str, float], name: str):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
+def _read_single_column(
+    path: str | Path, expect_hours: int | None = None
+) -> TimeSeriesDataset:
+    """A CSV series with one value column and, if given, ``expect_hours``
+    rows."""
+    ds = load_csv(path)
+    if ds.n_features != 1:
+        raise DataError(f"{path}: expected a single value column")
+    if expect_hours is not None and ds.n != expect_hours:
+        raise DataError(f"{path}: expected {expect_hours} rows, got {ds.n}")
+    return ds
+
+
 def load_inputs(
     config: PipelineConfig,
 ) -> tuple[TimeSeriesDataset, TimeSeriesDataset, tuple[GeneratorSpec, ...]]:
@@ -381,7 +394,7 @@ def load_inputs(
         )
     else:
         generation = load_csv(config.generation_csv)
-        demand = load_csv(config.demand_csv)
+        demand = _read_single_column(config.demand_csv)
     generation.column(config.target_feature_j)  # fails early on a missing target
     if demand.n != generation.n or demand.timestamps[0] != generation.timestamps[0]:
         raise DataError("demand series must align with the generation series")

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -286,6 +287,8 @@ class TestErrorContract:
             ("dispatch: {voll: -5}\n", "voll"),
             ("dispatch: {emission_factor: nan}\n", "emission_factor"),
             ("dispatch: {emission_factor: 0}\n", "emission_factor"),
+            ("training: {learning_rate: nan}\n", "learning_rate"),
+            ("training: {learning_rate: .inf}\n", "learning_rate"),
             ("dispatch: {horizon: 24}\n", "dispatch.horizon"),
         ],
     )
@@ -356,7 +359,14 @@ class TestErrorContract:
         assert "no such file" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "garbage_meta", "missing_array", "wrong_shape"]
+        "damage",
+        [
+            "truncated",
+            "garbage_meta",
+            "wrong_type_meta",
+            "missing_array",
+            "wrong_shape",
+        ],
     )
     def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys, damage):
         models = tmp_path / "models"
@@ -372,6 +382,10 @@ class TestErrorContract:
                 arrays = dict(archive)
             if damage == "garbage_meta":
                 arrays["__meta__"] = np.frombuffer(b"{not json", dtype=np.uint8)
+            elif damage == "wrong_type_meta":
+                meta = json.loads(bytes(arrays["__meta__"]))
+                meta["input_features"] = "3"
+                arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
             elif damage == "missing_array":
                 del arrays["layer0_w_in"]
             else:
@@ -394,3 +408,19 @@ class TestErrorContract:
         capsys.readouterr()
         assert main(["run", "--config", str(p)]) == 2
         assert "demand series must align" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_multi_column_demand_exits_2_naming_it(self, tmp_path, capsys, command):
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "48"])
+        generation = tmp_path / "d" / "generation.csv"
+        assert load_csv(generation).n_features > 1
+        p = tmp_path / "cfg.yaml"
+        p.write_text(
+            f"data: {{generation_csv: '{generation}', demand_csv: '{generation}'}}\n"
+        )
+        capsys.readouterr()
+        rc = main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {generation}: expected a single value column"
+        )

@@ -358,6 +358,17 @@ class TestDarkMask:
         with pytest.raises(DataError, match="incomplete"):
             load_mask_csv(p)
 
+    @pytest.mark.parametrize("row, n", [("1,0,1,junk", 4), ("1,0", 2)])
+    def test_mask_csv_row_needs_three_fields(self, tmp_path, row, n):
+        mask = derive_dark_mask(self._ds_with_zero_hours([1, 2, 22]), 0)
+        p = tmp_path / "mask.csv"
+        save_mask_csv(mask, p)
+        lines = p.read_text().splitlines()
+        lines[1] = row
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"row 1: expected 3 fields, got {n}$"):
+            load_mask_csv(p)
+
 
 class TestDatasetValidation:
     def test_rejects_gap(self):

@@ -32,49 +32,56 @@ class TestBasics:
         sol = solve_lp(LinearProgram(c=[-1.0], lower=[0.0]))
         assert sol.status is LpStatus.UNBOUNDED
 
-    def test_equality_with_free_variable(self):
-        # x2 is free (split into positive parts); x1 drives the objective.
-        lp = LinearProgram(
-            c=[1.0, 0.0],
-            A_eq=[[1.0, 1.0]],
-            b_eq=[5.0],
-            lower=[0.0, -np.inf],
-        )
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
-        assert sol.x.sum() == pytest.approx(5.0, abs=1e-9)
-
-    def test_free_variable_negative_optimum(self):
-        # min x with x free and x >= -4 expressed as a row.
-        lp = LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[4.0])
+    def test_negative_optimum_set_by_row(self):
+        # min x with x >= -10 as a bound and x >= -4 expressed as a row.
+        lp = LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[4.0], lower=[-10.0])
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(-4.0, abs=1e-9)
 
-    def test_mirror_variable(self):
-        # Only an upper bound: minimum of -x sits at the bound.
+    def test_optimum_at_upper_bound(self):
+        # The default lower bound is 0; the minimum of -x sits at the upper.
         lp = LinearProgram(c=[-1.0], upper=[7.0])
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(7.0)
 
-    # No constraint rows at all; test_mirror_variable and
-    # test_unbounded_below cover the other two bound shapes.
+    def test_omitted_lower_bound_is_zero(self):
+        lp = LinearProgram(c=[1.0, -1.0], upper=[np.inf, 3.0])
+        assert lp.lower.tobytes() == np.zeros(2).tobytes()
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x.tolist() == [0.0, 3.0]
+
+    @pytest.mark.parametrize("lower", [-np.inf, np.inf])
+    def test_infinite_lower_bound_rejected(self, lower):
+        with pytest.raises(LpError, match="^variable 1: lower bound must be finite$"):
+            LinearProgram(c=[1.0, 1.0], lower=[0.0, lower])
+
+    def test_negative_zero_lower_bound_gives_positive_zero(self):
+        # The drive-out pivot on row 0 is -1, so x0 ends basic at 0 / -1 =
+        # -0.0; row 1 is then dropped as redundant, which skips refinement.
+        lp = LinearProgram(
+            c=[1.0, 1.0],
+            A_eq=[[-1.0, -1.0], [-2.0, -2.0]],
+            b_eq=[0.0, 0.0],
+            lower=[-0.0, -0.0],
+            upper=[4.0, 4.0],
+        )
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x.tobytes() == np.zeros(2).tobytes()
+
+    # No constraint rows at all; test_optimum_at_upper_bound covers a
+    # finite upper bound, which adds a bound row.
     @pytest.mark.parametrize(
         "c, lower, upper, status, x",
         [
             pytest.param(
-                1.0, -np.inf, 7.0, LpStatus.UNBOUNDED, None, id="mirrored-cost-up"
+                2.0, -3.0, np.inf, LpStatus.OPTIMAL, -3.0, id="shifted-cost-up"
             ),
             pytest.param(
-                2.0, -np.inf, np.inf, LpStatus.UNBOUNDED, None, id="free-cost-up"
-            ),
-            pytest.param(
-                -2.0, -np.inf, np.inf, LpStatus.UNBOUNDED, None, id="free-cost-down"
-            ),
-            pytest.param(
-                0.0, -np.inf, np.inf, LpStatus.OPTIMAL, 0.0, id="free-no-cost"
+                -2.0, -1.0, np.inf, LpStatus.UNBOUNDED, None, id="cost-down"
             ),
             # A cost inside the pricing tolerance counts as zero.
             pytest.param(
