@@ -8,6 +8,9 @@ bytes it moved:
 uses, with 2 epochs. ``run/manifest.json`` records wall-clock timings, so its
 digest differs between runs; every other file is deterministic.
 
+Each command's stdout goes to ``stdout.txt`` in the directory it writes, with
+``<dir>`` in place of the output directory, so printed output is digested too.
+
 Besides one 48-hour case, ``dispatch`` solves each method's forecast of the
 first ``DAYS`` whole days in ``run/discrepancy.csv`` one day at a time, under
 ``days/<method>/<day>/``. There forecast and actual differ, so real-time
@@ -43,11 +46,15 @@ dispatch: {voll: 1000.0, emission_factor: 202.0}
 """
 
 
-def _run(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(out: Path, where: Path, *argv: str) -> None:
+    """Run one command that writes ``where``, and keep its stdout there."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = cli(list(argv))
     if code != 0:
         raise SystemExit(f"pvdispatch {argv[0]} exited {code}")
+    text = stdout.getvalue().replace(str(out), "<dir>")
+    (where / "stdout.txt").write_text(text, encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,11 +70,13 @@ def main(argv: list[str] | None = None) -> int:
     config = out / "config.yaml"
     config.write_text(CONFIG_YAML, encoding="utf-8")
 
-    _run("run", "--config", str(config), "--out", str(out / "run"))
-    _run("train", "--config", str(config), "--out", str(out / "models"))
-    _run("forecast", "--config", str(config), "--models", str(out / "models"),
-         "--out", str(out / "forecast"))
-    _run("synth", "--out", str(out / "synth"), "--seed", "5", "--hours", "48")
+    _run(out, out / "run", "run", "--config", str(config), "--out", str(out / "run"))
+    _run(out, out / "models", "train", "--config", str(config),
+         "--out", str(out / "models"))
+    _run(out, out / "forecast", "forecast", "--config", str(config),
+         "--models", str(out / "models"), "--out", str(out / "forecast"))
+    _run(out, out / "synth", "synth", "--out", str(out / "synth"), "--seed", "5",
+         "--hours", "48")
 
     # One 48-hour dispatch case: synthetic demand, the first area's PV as
     # both forecast and actual, and the built-in fleet read from a file.
@@ -76,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     write_csv(TimeSeriesDataset(gen.timestamps, gen.values[:, :1], ("pv",)), pv)
     fleet = out / "synth" / "fleet.csv"
     save_fleet_csv(default_fleet(), fleet)
-    _run("dispatch", "--demand", str(out / "synth" / "demand.csv"),
+    _run(out, out / "dispatch", "dispatch",
+         "--demand", str(out / "synth" / "demand.csv"),
          "--forecast", str(pv), "--actual", str(pv), "--fleet", str(fleet),
          "--out", str(out / "dispatch"))
 
@@ -95,7 +105,8 @@ def main(argv: list[str] | None = None) -> int:
                 values = np.array([[float(r[column])] for r in hours])
                 series.append(where / f"{column}.csv")
                 write_csv(TimeSeriesDataset(stamps, values, (column,)), series[-1])
-            _run("dispatch", "--demand", str(series[0]), "--forecast", str(series[1]),
+            _run(out, where, "dispatch", "--demand", str(series[0]),
+                 "--forecast", str(series[1]),
                  "--actual", str(series[2]), "--fleet", str(fleet), "--out", str(where))
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p != config):

@@ -3,7 +3,8 @@
 One ``.npz`` container per model. Arrays round-trip bit-exactly; scalar
 configuration travels as a JSON sidecar string inside the archive. The
 ``kind`` field distinguishes the recurrent forecaster from the two
-baseline families so a single loader can dispatch on file content.
+baseline families so a single loader can dispatch on file content. Every
+file carries the dark mask its model's forecasts are masked with.
 """
 
 from __future__ import annotations
@@ -65,18 +66,14 @@ def _read(path: str | Path, kind: str) -> Iterator[tuple[dict, np.lib.npyio.NpzF
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from None
 
 
-def _mask_arrays(mask: DarkHourMask | None) -> dict[str, np.ndarray]:
-    if mask is None:
-        return {}
+def _mask_arrays(mask: DarkHourMask) -> dict[str, np.ndarray]:
     return {
         "mask_table": mask.table.astype(np.uint8),
         "mask_defined": mask.month_defined.astype(np.uint8),
     }
 
 
-def _mask_from(arrays: dict[str, np.ndarray]) -> DarkHourMask | None:
-    if "mask_table" not in arrays:
-        return None
+def _mask_from(arrays: dict[str, np.ndarray]) -> DarkHourMask:
     return DarkHourMask(
         arrays["mask_table"].astype(bool), arrays["mask_defined"].astype(bool)
     )
@@ -87,7 +84,7 @@ def save_lstm(
     config: NetworkConfig,
     params: NetworkParameters,
     normalizer: NormalizationParams,
-    mask: DarkHourMask | None = None,
+    mask: DarkHourMask,
 ) -> None:
     meta = {"kind": "lstm", **asdict(config)}
     arrays: dict[str, np.ndarray] = {
@@ -106,7 +103,7 @@ def save_lstm(
 
 def load_lstm(
     path: str | Path,
-) -> tuple[NetworkConfig, NetworkParameters, NormalizationParams, DarkHourMask | None]:
+) -> tuple[NetworkConfig, NetworkParameters, NormalizationParams, DarkHourMask]:
     with _read(path, "lstm") as (meta, arrays):
         config = NetworkConfig(**{f.name: meta[f.name] for f in fields(NetworkConfig)})
         layers = []
@@ -128,9 +125,7 @@ def load_lstm(
         return config, params, normalizer, _mask_from(arrays)
 
 
-def save_kmeans(
-    path: str | Path, model: KMeansModel, mask: DarkHourMask | None = None
-) -> None:
+def save_kmeans(path: str | Path, model: KMeansModel, mask: DarkHourMask) -> None:
     meta = {"kind": "kmeans", "n_iterations": model.n_iterations}
     arrays = {
         "centroids": model.centroids,
@@ -142,7 +137,7 @@ def save_kmeans(
     _write(path, meta, arrays)
 
 
-def load_kmeans(path: str | Path) -> tuple[KMeansModel, DarkHourMask | None]:
+def load_kmeans(path: str | Path) -> tuple[KMeansModel, DarkHourMask]:
     with _read(path, "kmeans") as (meta, arrays):
         model = KMeansModel(
             centroids=arrays["centroids"],
@@ -154,14 +149,12 @@ def load_kmeans(path: str | Path) -> tuple[KMeansModel, DarkHourMask | None]:
         return model, _mask_from(arrays)
 
 
-def save_monthly(
-    path: str | Path, model: MonthlyHourModel, mask: DarkHourMask | None = None
-) -> None:
+def save_monthly(path: str | Path, model: MonthlyHourModel, mask: DarkHourMask) -> None:
     arrays = {"table": model.table}
     arrays.update(_mask_arrays(mask))
     _write(path, {"kind": "monthly"}, arrays)
 
 
-def load_monthly(path: str | Path) -> tuple[MonthlyHourModel, DarkHourMask | None]:
+def load_monthly(path: str | Path) -> tuple[MonthlyHourModel, DarkHourMask]:
     with _read(path, "monthly") as (_meta, arrays):
         return MonthlyHourModel(arrays["table"]), _mask_from(arrays)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from . import checkpoint
 from .data import save_mask_csv, split_chronological, write_csv, write_table
 from .dispatch import (
     DispatchCase,
+    EvaluationReport,
     case_metrics,
     default_fleet,
     load_fleet_csv,
@@ -30,7 +31,6 @@ from .pipeline import (
     INPUT_ERRORS,
     METHODS,
     METRIC_ROWS,
-    REPORT_FIELDS,
     FittedModels,
     StageError,
     _read_single_column,
@@ -109,12 +109,14 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _read_series_and_fleet(args: argparse.Namespace):
-    """Demand, forecast and actual series of equal length, and the fleet."""
+    """Demand, forecast and actual series over the same hours, and the fleet."""
     fleet = load_fleet_csv(args.fleet) if args.fleet else default_fleet()
-    demand = _read_single_column(args.demand).column(0)
-    forecast = _read_single_column(args.forecast, demand.size).column(0)
-    actual = _read_single_column(args.actual, demand.size).column(0)
-    return demand, forecast, actual, fleet
+    demand = _read_single_column(args.demand)
+    forecast, actual = (
+        _read_single_column(path, demand, f"{name} must align with the demand series")
+        for name, path in (("forecast", args.forecast), ("actual", args.actual))
+    )
+    return demand.column(0), forecast.column(0), actual.column(0), fleet
 
 
 def _cmd_dispatch(args: argparse.Namespace) -> int:
@@ -137,22 +139,22 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     header += [f"rt_delta_{n}" for n in names] + ["rt_spill", "rt_ls"]
     columns = [np.arange(case.horizon), *da.p, da.rnw, da.ls]
     write_table(path, header, columns + [*rt.delta, rt.spill, rt.ls_rt])
-    metrics = case_metrics(case, da, rt)
+    metrics = asdict(case_metrics(case, da, rt))
     print(f"wrote {path}")
     print(f"da_objective_usd={da.objective!r} rt_objective_usd={rt.objective!r}")
-    print(
-        f"gas_mwh={metrics.gas_mwh!r} co2_kg={metrics.co2_kg!r} "
-        f"shed_mwh={metrics.shed_mwh!r} spill_mwh={metrics.spill_mwh!r}"
-    )
-    _print_nmae(nmae_metric(forecast, actual))
+    _print_report(EvaluationReport(**metrics, nmae=nmae_metric(forecast, actual)))
     return EXIT_OK
 
 
-def _print_nmae(value: float) -> None:
-    if math.isnan(value):
-        print("nmae=undefined (actual series has zero mean)")
-    else:
-        print(f"nmae={value!r}")
+def _print_report(report: EvaluationReport, prefix: str = "") -> None:
+    """One ``name=value`` line per metrics.csv row, each value as its cell;
+    an undefined (NaN) NMAE is said to be undefined."""
+    for row in METRIC_ROWS:
+        value = getattr(report, row)
+        if row == "nmae" and math.isnan(value):
+            print(f"{prefix}nmae=undefined (actual series has zero mean)")
+        else:
+            print(f"{prefix}{row}={value!r}")
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -160,9 +162,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report, _daily, _absorbed = evaluate_days(
         demand, forecast, actual, fleet, args.voll, args.emission_factor
     )
-    for row in METRIC_ROWS[:5]:  # the last row, nmae, may be undefined
-        print(f"{row}={getattr(report, REPORT_FIELDS[row])!r}")
-    _print_nmae(report.nmae)
+    _print_report(report)
     return EXIT_OK
 
 
@@ -176,12 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     manifest = emit_report(result, config.output_dir)
     print(f"outputs in {config.output_dir}")
     for method in METHODS:
-        r = result.reports[method]
-        print(
-            f"{method}: gas_mwh={r.gas_mwh:.2f} co2_kg={r.co2_kg:.1f} "
-            f"shed_mwh={r.shed_mwh:.2f} spill_mwh={r.spill_mwh:.2f} "
-            f"cost_usd={r.cost_usd:.2f} nmae={r.nmae:.4f}"
-        )
+        _print_report(result.reports[method], prefix=f"{method}.")
     print(f"manifest digests cover {len(manifest['outputs'])} files")
     return EXIT_OK
 
@@ -212,26 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: output_dir)")
     p.set_defaults(func=_cmd_forecast)
 
-    p = sub.add_parser("dispatch", help="solve one DA+RT case from CSV series")
-    p.add_argument("--demand", required=True)
-    p.add_argument("--forecast", required=True)
-    p.add_argument("--actual", required=True)
-    p.add_argument("--fleet", help="fleet CSV (default: built-in three units)")
-    p.add_argument("--voll", type=float, default=1000.0)
-    p.add_argument("--emission-factor", type=float, default=202.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dispatch)
+    dispatch = sub.add_parser("dispatch", help="solve one DA+RT case from CSV series")
+    dispatch.add_argument("--out", required=True)
+    dispatch.set_defaults(func=_cmd_dispatch)
 
-    p = sub.add_parser(
+    evaluate = sub.add_parser(
         "evaluate", help="per-day DA+RT over a span, print the metric bundle"
     )
-    p.add_argument("--demand", required=True)
-    p.add_argument("--forecast", required=True)
-    p.add_argument("--actual", required=True)
-    p.add_argument("--fleet")
-    p.add_argument("--voll", type=float, default=1000.0)
-    p.add_argument("--emission-factor", type=float, default=202.0)
-    p.set_defaults(func=_cmd_evaluate)
+    evaluate.set_defaults(func=_cmd_evaluate)
+    for p in (dispatch, evaluate):  # the series and fleet arguments both take
+        p.add_argument("--demand", required=True)
+        p.add_argument("--forecast", required=True)
+        p.add_argument("--actual", required=True)
+        p.add_argument("--fleet", help="fleet CSV (default: built-in three units)")
+        p.add_argument("--voll", type=float, default=1000.0)
+        p.add_argument("--emission-factor", type=float, default=202.0)
 
     p = sub.add_parser("run", help="full pipeline: data, train, dispatch, reports")
     p.add_argument("--config", required=True)

@@ -181,9 +181,9 @@ class CaseMetrics:
 
     gas_mwh: float
     co2_kg: float
-    shed_mwh: float
-    spill_mwh: float
-    cost_usd: float
+    load_shedding_mwh: float
+    spillage_mwh: float
+    da_rt_cost_usd: float
 
 
 @dataclass(frozen=True)
@@ -376,9 +376,9 @@ def case_metrics(case: DispatchCase, da: DaSolution, rt: RtSolution) -> CaseMetr
     return CaseMetrics(
         gas_mwh=gas_mwh,
         co2_kg=case.emission_factor * gas_mwh,
-        shed_mwh=float((da.ls + rt.ls_rt).sum()),
-        spill_mwh=float(rt.spill.sum()),
-        cost_usd=float(da.objective + rt.objective),
+        load_shedding_mwh=float((da.ls + rt.ls_rt).sum()),
+        spillage_mwh=float(rt.spill.sum()),
+        da_rt_cost_usd=float(da.objective + rt.objective),
     )
 
 

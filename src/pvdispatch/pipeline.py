@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +76,9 @@ from .lstm import (
 from .synth import synth_year
 
 METHODS = ("kmeans", "monthly", "mlstm")
-# metrics.csv row -> EvaluationReport attribute; the first five rows are
-# also CaseMetrics attributes and the columns of metrics_daily.csv.
-REPORT_FIELDS = {
-    "gas_mwh": "gas_mwh",
-    "co2_kg": "co2_kg",
-    "load_shedding_mwh": "shed_mwh",
-    "spillage_mwh": "spill_mwh",
-    "da_rt_cost_usd": "cost_usd",
-    "nmae": "nmae",
-}
-METRIC_ROWS = tuple(REPORT_FIELDS)
+# The metrics.csv rows; all but nmae are the CaseMetrics fields, which are
+# also the columns of metrics_daily.csv.
+METRIC_ROWS = tuple(f.name for f in fields(EvaluationReport))
 
 
 class ConfigError(ValueError):
@@ -369,15 +361,20 @@ def _stage(timings: dict[str, float], name: str):
 
 
 def _read_single_column(
-    path: str | Path, expect_hours: int | None = None
+    path: str | Path, align_with: TimeSeriesDataset | None = None, what: str = ""
 ) -> TimeSeriesDataset:
-    """A CSV series with one value column and, if given, ``expect_hours``
-    rows."""
+    """A CSV series with one value column. Given ``align_with``, it must cover
+    the same hours (row count and first timestamp), or the DataError names
+    the file and says ``what``."""
     ds = load_csv(path)
     if ds.n_features != 1:
         raise DataError(f"{path}: expected a single value column")
-    if expect_hours is not None and ds.n != expect_hours:
-        raise DataError(f"{path}: expected {expect_hours} rows, got {ds.n}")
+    ref = align_with
+    if ref is not None and (ds.n, ds.timestamps[0]) != (ref.n, ref.timestamps[0]):
+        raise DataError(
+            f"{path}: {what}: {ds.n} hours from {ds.timestamps[0]}, "
+            f"expected {ref.n} from {ref.timestamps[0]}"
+        )
     return ds
 
 
@@ -394,10 +391,9 @@ def load_inputs(
         )
     else:
         generation = load_csv(config.generation_csv)
-        demand = _read_single_column(config.demand_csv)
+        what = "demand series must align with the generation series"
+        demand = _read_single_column(config.demand_csv, generation, what)
     generation.column(config.target_feature_j)  # fails early on a missing target
-    if demand.n != generation.n or demand.timestamps[0] != generation.timestamps[0]:
-        raise DataError("demand series must align with the generation series")
     fleet = load_fleet_csv(config.fleet_csv) if config.fleet_csv else default_fleet()
     return generation, demand, fleet
 
@@ -520,7 +516,7 @@ def evaluate_days(
         rt = solve_rt(case, da)
         absorbed[sl] = actual[sl] - rt.spill
         daily.append(case_metrics(case, da, rt))
-    totals = dict.fromkeys(("gas_mwh", "shed_mwh", "spill_mwh", "cost_usd"), 0.0)
+    totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
     for day in daily:
         for key in totals:
             totals[key] += getattr(day, key)
@@ -597,14 +593,13 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
     # into it.
     hours = result.dispatch_timestamps
     offset = int((hours[0] - outcomes[0].forecast.timestamps[0]).astype(np.int64))
-    daily_rows = METRIC_ROWS[:5]
+    daily_rows = [f.name for f in fields(CaseMetrics)]
     days = [day for o in outcomes for day in o.daily]
     tables = {
         "metrics.csv": (
             ["metric", *METHODS],
-            [list(REPORT_FIELDS)]
-            + [[getattr(o.report, f) for f in REPORT_FIELDS.values()]
-               for o in outcomes],
+            [list(METRIC_ROWS)]
+            + [[getattr(o.report, row) for row in METRIC_ROWS] for o in outcomes],
         ),
         "metrics_daily.csv": (
             ["date", "method", *daily_rows],
@@ -612,7 +607,7 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
                 np.tile(hours[::24].astype("datetime64[D]"), len(METHODS)),
                 np.repeat(METHODS, [len(o.daily) for o in outcomes]),
             ]
-            + [[getattr(day, REPORT_FIELDS[r]) for day in days] for r in daily_rows],
+            + [[getattr(day, row) for day in days] for row in daily_rows],
         ),
         "discrepancy.csv": (
             ["timestamp", "demand", "actual"]

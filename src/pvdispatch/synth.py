@@ -47,6 +47,15 @@ def _day_of_year(timestamps: np.ndarray) -> np.ndarray:
     return (days - years).astype(np.int64)
 
 
+def _ar1(phi: float, first: float, shocks: np.ndarray) -> np.ndarray:
+    """``x[0] = first`` and ``x[t] = phi * x[t - 1] + shocks[t]``."""
+    x = np.empty(shocks.size)
+    x[0] = first
+    for t in range(1, shocks.size):
+        x[t] = phi * x[t - 1] + shocks[t]
+    return x
+
+
 def synth_year(
     seed: int,
     areas: int = 3,
@@ -91,20 +100,14 @@ def synth_year(
     # Shared weather state: AR(1) latent squashed into (0, 1).
     phi = sp.cloud_persistence
     innov = rng.standard_normal(hours) * math.sqrt(max(1.0 - phi * phi, 1e-12))
-    z = np.empty(hours)
-    z[0] = rng.standard_normal()
-    for t in range(1, hours):
-        z[t] = phi * z[t - 1] + innov[t]
+    z = _ar1(phi, rng.standard_normal(), innov)
     shared_cloud = 1.0 / (1.0 + np.exp(-sp.cloud_sharpness * z))
 
     capacities = np.resize(np.asarray(sp.area_capacity_mw, dtype=float), areas)
     values = np.empty((hours, areas))
     for a in range(areas):
         wobble = rng.standard_normal(hours)
-        smooth = np.empty(hours)
-        smooth[0] = wobble[0]
-        for t in range(1, hours):
-            smooth[t] = 0.9 * smooth[t - 1] + math.sqrt(1 - 0.81) * wobble[t]
+        smooth = _ar1(0.9, wobble[0], math.sqrt(1 - 0.81) * wobble)
         area_cloud = np.clip(
             shared_cloud * (1.0 + sp.area_noise_scale * smooth), 0.03, 1.0
         )
@@ -119,10 +122,7 @@ def synth_year(
     dow = (timestamps.astype("datetime64[D]").astype(np.int64) + 3) % 7
     weekday = (dow < 5).astype(float)
     noise_in = rng.standard_normal(hours)
-    noise = np.empty(hours)
-    noise[0] = noise_in[0]
-    for t in range(1, hours):
-        noise[t] = 0.85 * noise[t - 1] + math.sqrt(1 - 0.7225) * noise_in[t]
+    noise = _ar1(0.85, noise_in[0], math.sqrt(1 - 0.7225) * noise_in)
     demand_vals = (
         sp.demand_base_mw
         + sp.demand_diurnal_mw * diurnal

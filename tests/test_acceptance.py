@@ -192,15 +192,15 @@ def test_criterion_6_qualitative_ordering(pipeline_result):
     assert lstm.nmae < monthly.nmae
     assert lstm.nmae < kmeans.nmae
     assert lstm.nmae <= 0.9 * monthly.nmae
-    assert lstm.cost_usd <= monthly.cost_usd
-    assert lstm.cost_usd <= kmeans.cost_usd
+    assert lstm.da_rt_cost_usd <= monthly.da_rt_cost_usd
+    assert lstm.da_rt_cost_usd <= kmeans.da_rt_cost_usd
     assert lstm.co2_kg <= monthly.co2_kg
     assert lstm.co2_kg <= kmeans.co2_kg
     _ok(
         6,
         "network forecaster beats both baselines: NMAE "
         f"{lstm.nmae:.3f} vs monthly {monthly.nmae:.3f} / kmeans {kmeans.nmae:.3f}; "
-        f"cost {lstm.cost_usd:,.0f} and CO2 {lstm.co2_kg:,.0f} kg are lowest",
+        f"cost {lstm.da_rt_cost_usd:,.0f} and CO2 {lstm.co2_kg:,.0f} kg are lowest",
     )
 
 

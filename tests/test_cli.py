@@ -1,13 +1,14 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pvdispatch import checkpoint
 from pvdispatch.cli import main
-from pvdispatch.data import load_csv, split_chronological
-from pvdispatch.data import NormalizationParams
+from pvdispatch.data import load_csv, split_chronological, write_csv
+from pvdispatch.data import DarkHourMask, NormalizationParams, TimeSeriesDataset
 from pvdispatch.dispatch import GeneratorSpec, save_fleet_csv
 from pvdispatch.lstm import NetworkConfig, init_params
 from pvdispatch.pipeline import (
@@ -44,6 +45,14 @@ def write_config(tmp_path, out_dir):
     return p
 
 
+def write_series(path, values, start="2023-01-01T00"):
+    """An hourly single-column CSV from ``start``; returns its path as a str."""
+    values = np.asarray(values, dtype=float).reshape(-1, 1)
+    stamps = np.datetime64(start, "h") + np.arange(len(values))
+    write_csv(TimeSeriesDataset(stamps, values, ("mw",)), path)
+    return str(path)
+
+
 class TestSynthCommand:
     def test_writes_csvs(self, tmp_path, capsys):
         rc = main(
@@ -68,10 +77,16 @@ class TestRunCommand:
         cfg = write_config(tmp_path, out)
         rc = main(["run", "--config", str(cfg)])
         assert rc == 0
-        assert (out / "metrics.csv").exists()
         assert (out / "manifest.json").exists()
-        captured = capsys.readouterr()
-        assert "mlstm" in captured.out
+        # One line per metrics.csv cell, named by its method and row.
+        lines = (out / "metrics.csv").read_text().splitlines()
+        header, *rows = [line.split(",") for line in lines]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1:-1] == [
+            f"{method}.{row[0]}={row[k]}"
+            for k, method in enumerate(header[1:], start=1)
+            for row in rows
+        ]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
@@ -263,6 +278,66 @@ class TestEvaluateMatchesRun:
             assert printed == [f"{row}={table[row][method]}" for row in METRIC_ROWS]
 
 
+class TestOneVocabulary:
+    """dispatch, evaluate and run print the metrics.csv rows through one
+    printer, under the metrics.csv row names."""
+
+    UNDEFINED = "nmae=undefined (actual series has zero mean)"
+
+    def test_dispatch_prints_what_evaluate_prints(self, tmp_path, capsys):
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "24"])
+        gen = load_csv(tmp_path / "d" / "generation.csv")
+        series = [
+            "--demand", str(tmp_path / "d" / "demand.csv"),
+            "--forecast", write_series(tmp_path / "f.csv", gen.values[:, 0]),
+            "--actual", write_series(tmp_path / "a.csv", gen.values[:, 1]),
+        ]
+        capsys.readouterr()
+        assert main(["evaluate", *series]) == 0
+        evaluated = capsys.readouterr().out.splitlines()
+        assert main(["dispatch", *series, "--out", str(tmp_path / "out")]) == 0
+        dispatched = capsys.readouterr().out.splitlines()
+        assert [line.split("=")[0] for line in evaluated] == list(METRIC_ROWS)
+        assert dispatched[1].startswith("da_objective_usd=")
+        assert dispatched[2:] == evaluated
+
+    @pytest.mark.parametrize("command", ["dispatch", "evaluate", "run"])
+    def test_zero_mean_actual_prints_nmae_undefined(self, tmp_path, capsys, command):
+        if command == "run":
+            # A year and two weeks whose target area never produces.
+            main(["synth", "--out", str(tmp_path / "d"), "--hours", "9096",
+                  "--start", "2022-10-01T00"])
+            gen = load_csv(tmp_path / "d" / "generation.csv")
+            values = gen.values.copy()
+            values[:, 0] = 0.0
+            generation = tmp_path / "generation.csv"
+            write_csv(replace(gen, values=values), generation)
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(
+                f"data: {{generation_csv: '{generation}', "
+                f"demand_csv: '{tmp_path / 'd' / 'demand.csv'}'}}\n"
+                "split: {train_fraction: 0.963}\n"
+                "network: {layers: [8, 6], dropout: 0.0}\n"
+                "training: {epochs: 1, batch_size: 256}\n"
+                "baselines: {kmeans_clusters: 4}\n"
+            )
+            argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+            expected = [f"{method}.{self.UNDEFINED}" for method in METHODS]
+        else:
+            argv = [
+                command,
+                "--demand", write_series(tmp_path / "d.csv", [80.0] * 24),
+                "--forecast", write_series(tmp_path / "f.csv", [10.0] * 24),
+                "--actual", write_series(tmp_path / "a.csv", [0.0] * 24),
+            ]
+            argv += ["--out", str(tmp_path / "out")] if command == "dispatch" else []
+            expected = [self.UNDEFINED]
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line for line in printed if "nmae" in line] == expected
+
+
 class TestErrorContract:
     @pytest.mark.parametrize(
         "yaml_text, field",
@@ -350,6 +425,26 @@ class TestErrorContract:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
 
+    @pytest.mark.parametrize("command", ["dispatch", "evaluate"])
+    @pytest.mark.parametrize("shifted", ["forecast", "actual"])
+    def test_series_over_other_hours_exit_2_naming_the_file(
+        self, tmp_path, capsys, command, shifted
+    ):
+        """Equal lengths are not enough: every series starts at demand's hour."""
+        day = [10.0] * 48
+        series = {
+            name: write_series(tmp_path / f"{name}.csv", day)
+            for name in ("demand", "forecast", "actual")
+        }
+        series[shifted] = write_series(tmp_path / "shifted.csv", day, "2024-07-01T00")
+        argv = [command] + [f"--{name}={path}" for name, path in series.items()]
+        argv += ["--out", str(tmp_path / "out")] if command == "dispatch" else []
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {series[shifted]}: {shifted} must align with the demand series"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "out")
         rc = main(
@@ -365,6 +460,7 @@ class TestErrorContract:
             "garbage_meta",
             "wrong_type_meta",
             "missing_array",
+            "missing_mask",
             "wrong_shape",
         ],
     )
@@ -374,7 +470,8 @@ class TestErrorContract:
         path = models / "mlstm.npz"
         net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
         normalizer = NormalizationParams(np.zeros(3), np.ones(3))
-        checkpoint.save_lstm(path, net, init_params(net), normalizer)
+        mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
+        checkpoint.save_lstm(path, net, init_params(net), normalizer, mask)
         if damage == "truncated":
             path.write_bytes(path.read_bytes()[:200])
         else:
@@ -388,6 +485,8 @@ class TestErrorContract:
                 arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
             elif damage == "missing_array":
                 del arrays["layer0_w_in"]
+            elif damage == "missing_mask":
+                del arrays["mask_table"], arrays["mask_defined"]
             else:
                 arrays["layer0_w_rec"] = np.zeros((32, 5))
             with path.open("wb") as fh:

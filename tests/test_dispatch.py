@@ -287,7 +287,7 @@ class TestMetrics:
         da = solve_da(case)
         rt = solve_rt(case, da)
         metrics = case_metrics(case, da, rt)
-        assert metrics.cost_usd == pytest.approx(da.objective + rt.objective)
+        assert metrics.da_rt_cost_usd == pytest.approx(da.objective + rt.objective)
 
 
 class TestProperties:

@@ -1,6 +1,7 @@
 """Every script under ``scripts/`` imports cleanly, so a script that names a
 removed function fails here instead of on its next manual run; every
-committed config under ``configs/`` loads."""
+committed config under ``configs/`` loads; ``output_digests.py`` digests what
+each command prints."""
 
 import importlib.util
 from pathlib import Path
@@ -13,12 +14,28 @@ ROOT = Path(__file__).parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
-def test_script_imports_without_running(path):
+def import_script(path):
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports_without_running(path):
+    assert callable(import_script(path).main)
+
+
+def test_output_digests_keeps_stdout_without_the_output_path(tmp_path):
+    """A command's stdout lands in the directory it writes, with ``<dir>`` for
+    the output directory, so the digest of printed output does not depend on
+    where the script ran."""
+    digests = import_script(ROOT / "scripts" / "output_digests.py")
+    where = tmp_path / "synth"
+    digests._run(tmp_path, where, "synth", "--out", str(where), "--hours", "24")
+    assert (where / "stdout.txt").read_text(encoding="utf-8") == (
+        "wrote <dir>/synth/generation.csv and <dir>/synth/demand.csv\n"
+    )
 
 
 def test_synthetic_experiment_config():
