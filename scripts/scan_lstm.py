@@ -56,7 +56,7 @@ def main():
     for epoch, (params, train_mse) in enumerate(train_epochs(samples, net, tc)):
         if (epoch + 1) % 5 == 0 or epoch == 0:
             series = predict_series(params, net, test_rows, spec, normalizer, mask)
-            tn_val = nmae(series.values, actual)
+            tn_val = nmae(series.column(0), actual)
             print(
                 f"epoch {epoch + 1:3d} train_mse {train_mse:.5f} "
                 f"test_nmae {tn_val:.4f} ratio {tn_val / m_nmae:.3f} "

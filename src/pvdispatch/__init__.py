@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .data import (  # noqa: F401
     DarkHourMask,
     DataError,
-    ForecastSeries,
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,

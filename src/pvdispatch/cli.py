@@ -92,8 +92,15 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     config.validate()
     models_dir = Path(args.models)
     net, params, normalizer, mask = checkpoint.load_lstm(models_dir / "mlstm.npz")
-    km, _ = checkpoint.load_kmeans(models_dir / "kmeans.npz")
-    monthly, _ = checkpoint.load_monthly(models_dir / "monthly.npz")
+    km, km_mask = checkpoint.load_kmeans(models_dir / "kmeans.npz")
+    monthly, monthly_mask = checkpoint.load_monthly(models_dir / "monthly.npz")
+    for name, other in (("kmeans.npz", km_mask), ("monthly.npz", monthly_mask)):
+        # Every forecast is masked with mlstm.npz's mask, so all must agree.
+        differs = (other.table != mask.table).any()
+        if differs or (other.month_defined != mask.month_defined).any():
+            raise checkpoint.CheckpointError(
+                f"{models_dir / name}: dark mask differs from mlstm.npz's"
+            )
     models = FittedModels(net, params, normalizer, mask, km, monthly)
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,7 +110,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     path = out / "forecasts.csv"
     header = ["timestamp", "actual", *METHODS]
     columns = [test_ds.timestamps, test_ds.column(config.target_feature_j)]
-    write_table(path, header, columns + [forecasts[m].values for m in METHODS])
+    write_table(path, header, columns + [forecasts[m].column(0) for m in METHODS])
     print(f"wrote {path}")
     return EXIT_OK
 

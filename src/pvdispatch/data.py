@@ -35,34 +35,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _series_arrays(
-    timestamps: np.ndarray, values: np.ndarray, what: str, ndim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps as datetime64[h] and values as float, after the checks a
-    dataset and a forecast share: exact 1-hour steps, an ``ndim``-d value
-    array with one row per timestamp, and finite, nonnegative MW."""
-    ts = np.asarray(timestamps, dtype="datetime64[h]")
-    vals = np.asarray(values, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise DataError(f"{what}: need at least one timestamp")
-    steps = np.diff(ts)
-    bad = np.nonzero(steps != HOUR)[0]
-    if bad.size:
-        i = int(bad[0])
-        kind = "duplicate or backward" if steps[i] <= np.timedelta64(0, "h") else "gap"
-        raise DataError(
-            f"{what}: row {i + 2}: {kind} in hourly sequence "
-            f"({ts[i]} -> {ts[i + 1]})"
-        )
-    if vals.ndim != ndim or vals.shape[0] != ts.shape[0]:
-        raise DataError(
-            f"{what} values of shape {vals.shape} are not {ndim}-d "
-            f"with one row per timestamp"
-        )
-    check_mw(vals, f"{what} values", DataError)
-    return ts, vals
-
-
 def check_mw(values: np.ndarray, what: str, error: type[ValueError]) -> None:
     """Raise ``error`` naming ``what`` unless every value is finite,
     nonnegative MW."""
@@ -84,7 +56,8 @@ def timestamp_hours(timestamps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeriesDataset:
-    """Hourly generation history for one or more areas.
+    """Hourly MW series for one or more areas: generation history, demand,
+    or a forecast (one column, named after the target feature).
 
     ``timestamps`` is a datetime64[h] vector, strictly increasing in exact
     1-hour steps. ``values`` is an (N, F) matrix of MW, finite and
@@ -96,7 +69,25 @@ class TimeSeriesDataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        ts, vals = _series_arrays(self.timestamps, self.values, "dataset", 2)
+        ts = np.asarray(self.timestamps, dtype="datetime64[h]")
+        vals = np.asarray(self.values, dtype=float)
+        if ts.ndim != 1 or ts.size == 0:
+            raise DataError("dataset: need at least one timestamp")
+        steps = np.diff(ts)
+        bad = np.nonzero(steps != HOUR)[0]
+        if bad.size:
+            i = int(bad[0])
+            kind = "duplicate or backward" if ts[i + 1] <= ts[i] else "gap"
+            raise DataError(
+                f"dataset: row {i + 2}: {kind} in hourly sequence "
+                f"({ts[i]} -> {ts[i + 1]})"
+            )
+        if vals.ndim != 2 or vals.shape[0] != ts.shape[0]:
+            raise DataError(
+                f"dataset values of shape {vals.shape} are not 2-d "
+                f"with one row per timestamp"
+            )
+        check_mw(vals, "dataset values", DataError)
         names = tuple(str(n) for n in self.feature_names)
         if len(names) != vals.shape[1] or not names:
             raise DataError(
@@ -133,28 +124,6 @@ class TimeSeriesDataset:
         return TimeSeriesDataset(
             self.timestamps[start:stop], self.values[start:stop], self.feature_names
         )
-
-
-@dataclass(frozen=True)
-class ForecastSeries:
-    """Hourly MW forecast for a single target feature.
-
-    Same calendar contract as :class:`TimeSeriesDataset`; values are
-    finite and nonnegative.
-    """
-
-    timestamps: np.ndarray
-    values: np.ndarray
-    target_feature: str
-
-    def __post_init__(self) -> None:
-        ts, vals = _series_arrays(self.timestamps, self.values, "forecast", 1)
-        object.__setattr__(self, "timestamps", _readonly(ts))
-        object.__setattr__(self, "values", _readonly(vals))
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass(frozen=True)
@@ -363,7 +332,8 @@ def window_arrays(
 
     Window k covers rows k..k+p-1 (all features) with its label at row
     k+p+m-1 of the target feature: inputs (B, p, F) and labels (B,) with
-    B = N - p - m + 1.
+    B = N - p - m + 1. Both are read-only views of ``ds.values``, not
+    copies: a training batch is gathered by indexing, which copies anyway.
     """
     p, m = spec.lookback_p, spec.horizon_m
     target = ds.column(spec.target_feature_j)
@@ -373,9 +343,7 @@ def window_arrays(
         )
     n_samples = ds.n - p - m + 1
     view = np.lib.stride_tricks.sliding_window_view(ds.values, p, axis=0)
-    inputs = view[:n_samples].transpose(0, 2, 1).copy()
-    labels = target[p + m - 1 :].copy()
-    return inputs, labels
+    return view[:n_samples].transpose(0, 2, 1), target[p + m - 1 :]
 
 
 @dataclass(frozen=True)
@@ -422,17 +390,17 @@ def derive_dark_mask(train: TimeSeriesDataset, target_j: int) -> DarkHourMask:
     return DarkHourMask(table, defined)
 
 
-def apply_dark_mask(forecast: ForecastSeries, mask: DarkHourMask) -> ForecastSeries:
-    """Zero the forecast at every masked (month, hour) slot."""
-    months = timestamp_months(forecast.timestamps)
-    hours = timestamp_hours(forecast.timestamps)
+def apply_dark_mask(series: TimeSeriesDataset, mask: DarkHourMask) -> TimeSeriesDataset:
+    """Zero every column of the series at every masked (month, hour) slot."""
+    months = series.months()
+    hours = series.hours()
     undefined = ~mask.month_defined[months - 1]
     if undefined.any():
         bad = int(months[undefined][0])
         raise DataError(f"dark mask undefined for month {bad}")
     dark = mask.table[months - 1, hours]
-    values = np.where(dark, 0.0, forecast.values)
-    return ForecastSeries(forecast.timestamps, values, forecast.target_feature)
+    values = np.where(dark[:, None], 0.0, series.values)
+    return TimeSeriesDataset(series.timestamps, values, series.feature_names)
 
 
 def load_mask_csv(path: str | Path) -> DarkHourMask:

@@ -31,7 +31,6 @@ import numpy as np
 from .data import (
     DarkHourMask,
     DataError,
-    ForecastSeries,
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
@@ -481,7 +480,7 @@ def predict_series(
     spec: WindowSpec,
     normalizer: NormalizationParams,
     mask: DarkHourMask | None = None,
-) -> ForecastSeries:
+) -> TimeSeriesDataset:
     """Backtest-style forecast over every target hour the dataset covers.
 
     Each prediction uses the window ending ``horizon_m`` hours earlier, is
@@ -501,10 +500,10 @@ def predict_series(
         preds[start : start + PREDICT_CHUNK] = _predict_windows(params, config, block)
     mw = denormalize_feature(preds, normalizer, spec.target_feature_j)
     mw = np.maximum(mw, 0.0)
-    series = ForecastSeries(
+    series = TimeSeriesDataset(
         ds.timestamps[spec.lookback_p + spec.horizon_m - 1 :],
-        mw,
-        ds.feature_names[spec.target_feature_j],
+        mw[:, None],
+        (ds.feature_names[spec.target_feature_j],),
     )
     if mask is not None:
         series = apply_dark_mask(series, mask)

@@ -39,7 +39,6 @@ from .checkpoint import CheckpointError
 from .data import (
     DarkHourMask,
     DataError,
-    ForecastSeries,
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
@@ -325,7 +324,7 @@ class FittedModels:
 class MethodOutcome:
     """Everything the pipeline produced for one forecast method."""
 
-    forecast: ForecastSeries  # the whole test span
+    forecast: TimeSeriesDataset  # the whole test span, one column
     report: EvaluationReport
     daily: list[CaseMetrics]  # one per dispatched day
     absorbed: np.ndarray  # actual minus spill, per dispatched hour
@@ -453,9 +452,10 @@ def forecast_test(
     models: FittedModels,
     generation: TimeSeriesDataset,
     n_train: int,
-) -> dict[str, ForecastSeries]:
+) -> dict[str, TimeSeriesDataset]:
     """Forecast the test span (rows ``n_train`` onward) with each method,
-    dark slots forced to 0 MW."""
+    dark slots forced to 0 MW, as one-column datasets named after the
+    target feature."""
     spec = _window_spec(config)
     mlstm = predict_series(
         models.params,
@@ -466,14 +466,14 @@ def forecast_test(
         models.mask,
     )
     test_ts = generation.timestamps[n_train:]
-    name = generation.feature_names[config.target_feature_j]
+    names = (generation.feature_names[config.target_feature_j],)
     baselines = {
         "kmeans": kmeans_forecast_values(models.kmeans, test_ts),
         "monthly": monthly_forecast_values(models.monthly, test_ts),
     }
     forecasts = {
-        m: apply_dark_mask(ForecastSeries(test_ts, values, name), models.mask)
-        for m, values in baselines.items()
+        m: apply_dark_mask(TimeSeriesDataset(test_ts, mw[:, None], names), models.mask)
+        for m, mw in baselines.items()
     }
     forecasts["mlstm"] = mlstm
     return forecasts
@@ -557,7 +557,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             series = forecasts[method]
             report, daily, absorbed = evaluate_days(
                 dispatch_demand,
-                series.values[day_slice],
+                series.column(0)[day_slice],
                 dispatch_actual,
                 fleet,
                 config.voll,
@@ -614,7 +614,7 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
             + [f"forecast_{m}" for m in METHODS]
             + [f"absorbed_{m}" for m in METHODS],
             [hours, result.demand, result.actual]
-            + [o.forecast.values[offset : offset + hours.size] for o in outcomes]
+            + [o.forecast.column(0)[offset : offset + hours.size] for o in outcomes]
             + [o.absorbed for o in outcomes],
         ),
     }

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pvdispatch import checkpoint
+from pvdispatch.baselines import KMeansModel, MonthlyHourModel
 from pvdispatch.cli import main
 from pvdispatch.data import load_csv, split_chronological, write_csv
 from pvdispatch.data import DarkHourMask, NormalizationParams, TimeSeriesDataset
@@ -242,7 +243,7 @@ class TestTrainForecastCommands:
         )
         for k, method in enumerate(METHODS, start=1):
             np.testing.assert_array_equal(
-                written.values[:, k], forecasts[method].values
+                written.values[:, k], forecasts[method].column(0)
             )
 
 
@@ -495,6 +496,36 @@ class TestErrorContract:
         rc = main(["forecast", "--config", str(cfg), "--models", str(models)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("field", ["table", "month_defined"])
+    @pytest.mark.parametrize("name", ["kmeans.npz", "monthly.npz"])
+    def test_baseline_mask_other_than_mlstm_exits_2(
+        self, tmp_path, capsys, name, field
+    ):
+        """Every forecast is masked with mlstm.npz's mask, so a baseline
+        checkpoint from a training with another mask is rejected."""
+        models = tmp_path / "models"
+        models.mkdir()
+        net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
+        normalizer = NormalizationParams(np.zeros(3), np.ones(3))
+        mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
+        changed = getattr(mask, field).copy()
+        changed[0] = ~changed[0]
+        masks = {"kmeans.npz": mask, "monthly.npz": mask}
+        masks[name] = replace(mask, **{field: changed})
+        params = init_params(net)
+        checkpoint.save_lstm(models / "mlstm.npz", net, params, normalizer, mask)
+        kmeans = KMeansModel(np.ones((2, 24)), np.zeros(3, dtype=int), 0.0)
+        checkpoint.save_kmeans(models / "kmeans.npz", kmeans, masks["kmeans.npz"])
+        monthly = MonthlyHourModel(np.ones((12, 24)))
+        checkpoint.save_monthly(models / "monthly.npz", monthly, masks["monthly.npz"])
+        cfg = write_config(tmp_path, tmp_path / "out")
+        rc = main(["forecast", "--config", str(cfg), "--models", str(models)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {models / name}: dark mask differs from mlstm.npz's\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_input_error_inside_a_run_stage_exits_2(self, tmp_path, capsys):
         main(["synth", "--out", str(tmp_path / "long"), "--hours", "48"])

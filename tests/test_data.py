@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pvdispatch.data import (
     DataError,
-    ForecastSeries,
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
@@ -242,6 +241,15 @@ class TestWindows:
         np.testing.assert_array_equal(inputs[1].ravel(), [2.0, 3.0])
         assert labels[1] == 4.0
 
+    def test_windows_are_read_only_views_of_the_dataset(self):
+        ds = make_ds(100, f=3)
+        inputs, labels = window_arrays(ds, WindowSpec(24, 2, 1))
+        assert np.shares_memory(inputs, ds.values)
+        assert np.shares_memory(labels, ds.values)
+        assert not inputs.flags.writeable and not labels.flags.writeable
+        np.testing.assert_array_equal(inputs[3], ds.values[3:27])
+        np.testing.assert_array_equal(labels, ds.values[25:, 1])
+
     def test_too_short_names_minimum(self):
         ds = make_ds(24)
         with pytest.raises(DataError, match="25"):
@@ -304,15 +312,17 @@ class TestDarkMask:
         ds = self._ds_with_zero_hours([2], n=24 * 10, start="2023-06-01T00")
         mask = derive_dark_mask(ds, 0)
         assert not mask.month_defined[1]
-        fc = ForecastSeries(hourly_ts("2023-02-01T00", 24), np.ones(24), "pv")
+        fc = TimeSeriesDataset(
+            hourly_ts("2023-02-01T00", 24), np.ones((24, 1)), ("pv",)
+        )
         with pytest.raises(DataError, match="month 2"):
             apply_dark_mask(fc, mask)
 
     def test_apply_zeroes_masked_slots(self):
         ds = self._ds_with_zero_hours([5])
         mask = derive_dark_mask(ds, 0)
-        fc = ForecastSeries(
-            hourly_ts("2023-01-03T00", 24), np.full(24, 7.3), "pv"
+        fc = TimeSeriesDataset(
+            hourly_ts("2023-01-03T00", 24), np.full((24, 1), 7.3), ("pv",)
         )
         out = apply_dark_mask(fc, mask)
         assert out.values[5] == 0.0
@@ -321,9 +331,22 @@ class TestDarkMask:
     def test_apply_undefined_month_errors(self):
         ds = self._ds_with_zero_hours([5], n=24 * 20)  # January only
         mask = derive_dark_mask(ds, 0)
-        fc = ForecastSeries(hourly_ts("2023-07-01T00", 24), np.ones(24), "pv")
+        fc = TimeSeriesDataset(
+            hourly_ts("2023-07-01T00", 24), np.ones((24, 1)), ("pv",)
+        )
         with pytest.raises(DataError, match="month 7"):
             apply_dark_mask(fc, mask)
+
+    def test_apply_zeroes_every_column_at_dark_slots_only(self):
+        mask = derive_dark_mask(self._ds_with_zero_hours([0, 5]), 0)
+        ts = hourly_ts("2023-01-03T00", 48)
+        values = np.column_stack([np.full(48, 7.3), np.arange(1.0, 49.0)])
+        out = apply_dark_mask(TimeSeriesDataset(ts, values, ("a", "b")), mask)
+        dark = np.isin(np.arange(48) % 24, [0, 5])
+        assert out.feature_names == ("a", "b")
+        np.testing.assert_array_equal(out.timestamps, ts)
+        assert (out.values[dark] == 0.0).all()
+        np.testing.assert_array_equal(out.values[~dark], values[~dark])
 
     def test_mask_soundness_property(self):
         ds = make_ds(24 * 200, seed=13)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvdispatch.data import DarkHourMask, ForecastSeries
+from pvdispatch.data import DarkHourMask, TimeSeriesDataset, split_chronological
 from pvdispatch.dispatch import CaseMetrics, EvaluationReport
 from pvdispatch.pipeline import (
     METHODS,
@@ -16,7 +16,10 @@ from pvdispatch.pipeline import (
     StageError,
     config_from_dict,
     emit_report,
+    fit_models,
+    forecast_test,
     load_config,
+    load_inputs,
     run_pipeline,
 )
 
@@ -117,6 +120,25 @@ class TestRunPipeline:
             assert fast_result.outcomes[method].forecast.values.min() >= 0.0
 
 
+class TestForecastTest:
+    def test_one_column_dataset_per_method_on_the_test_span(self):
+        config = PipelineConfig(**{**FAST, "epochs": 1})
+        generation, _demand, _fleet = load_inputs(config)
+        train_ds, _test_ds = split_chronological(generation, config.train_fraction)
+        models, _history = fit_models(config, train_ds)
+        forecasts = forecast_test(config, models, generation, train_ds.n)
+        assert set(forecasts) == set(METHODS)
+        for series in forecasts.values():
+            assert isinstance(series, TimeSeriesDataset)
+            assert series.feature_names == (
+                generation.feature_names[config.target_feature_j],
+            )
+            assert series.values.shape == (generation.n - train_ds.n, 1)
+            np.testing.assert_array_equal(
+                series.timestamps, generation.timestamps[train_ds.n :]
+            )
+
+
 class TestEmitReport:
     def test_files_and_manifest(self, fast_result, tmp_path):
         manifest = emit_report(fast_result, tmp_path)
@@ -171,7 +193,7 @@ class TestEmitReport:
         day = CaseMetrics(1.0, 202.0, 0.0, 0.0, 10.0)
         outcomes = {
             m: MethodOutcome(
-                ForecastSeries(hours, np.ones(48), "pv"),
+                TimeSeriesDataset(hours, np.ones((48, 1)), ("pv",)),
                 EvaluationReport(2.0, 404.0, 0.0, 0.0, 20.0, nmae=0.5),
                 [day, day],
                 np.ones(30 if m == METHODS[-1] else 48),

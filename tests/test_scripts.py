@@ -1,7 +1,7 @@
 """Every script under ``scripts/`` imports cleanly, so a script that names a
-removed function fails here instead of on its next manual run; every
-committed config under ``configs/`` loads; ``output_digests.py`` digests what
-each command prints."""
+removed function fails here instead of on its next manual run, and
+``scan_lstm.py`` runs one epoch; every committed config under ``configs/``
+loads; ``output_digests.py`` digests what each command prints."""
 
 import importlib.util
 from pathlib import Path
@@ -24,6 +24,16 @@ def import_script(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports_without_running(path):
     assert callable(import_script(path).main)
+
+
+def test_scan_lstm_runs_one_epoch(monkeypatch, capsys):
+    """Importing is not enough: the scan must also run against today's API."""
+    scan = import_script(ROOT / "scripts" / "scan_lstm.py")
+    monkeypatch.setattr("sys.argv", ["scan_lstm.py", "11", "1"])
+    scan.main()
+    out = capsys.readouterr().out
+    assert out.startswith("monthly NMAE ")
+    assert "\nepoch   1 train_mse " in out
 
 
 def test_output_digests_keeps_stdout_without_the_output_path(tmp_path):
