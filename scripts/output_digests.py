@@ -11,7 +11,9 @@ digest differs between runs; every other file is deterministic.
 Each command's stdout goes to ``stdout.txt`` in the directory it writes, with
 ``<dir>`` in place of the output directory, so printed output is digested too.
 
-Besides one 48-hour case, ``dispatch`` solves each method's forecast of the
+Besides one 48-hour case with the built-in fleet, and the same 48 hours
+with a fleet whose units have ``pmin > 0`` (so the day-ahead program shifts
+lower bounds), ``dispatch`` solves each method's forecast of the
 first ``DAYS`` whole days in ``run/discrepancy.csv`` one day at a time, under
 ``days/<method>/<day>/``. There forecast and actual differ, so real-time
 dispatch moves units and a change to the real-time columns shows.
@@ -28,10 +30,19 @@ import numpy as np
 
 from pvdispatch.cli import main as cli
 from pvdispatch.data import TimeSeriesDataset, load_csv, write_csv
-from pvdispatch.dispatch import default_fleet, save_fleet_csv
+from pvdispatch.dispatch import GeneratorSpec, default_fleet, save_fleet_csv
 from pvdispatch.pipeline import METHODS
 
 DAYS = 3
+
+PMIN_FLEET = (
+    GeneratorSpec("G1", cost=20.0, pmax=50.0, pmin=15.0, ramp=20.0),
+    GeneratorSpec("G2", cost=25.0, pmax=50.0, pmin=0.0, ramp=20.0, rt_available=True),
+    GeneratorSpec(
+        "G3", cost=30.0, pmax=30.0, pmin=5.0, ramp=30.0,
+        rt_available=True, gas_fired=True,
+    ),
+)
 
 CONFIG_YAML = """\
 seed: 5
@@ -89,6 +100,19 @@ def main(argv: list[str] | None = None) -> int:
          "--demand", str(out / "synth" / "demand.csv"),
          "--forecast", str(pv), "--actual", str(pv), "--fleet", str(fleet),
          "--out", str(out / "dispatch"))
+
+    # The same 48 hours with a fleet like the benchmark's dispatch year: G1
+    # and G3 have pmin > 0, so the day-ahead program shifts their lower
+    # bounds, and G2 and G3 both move in real time. The second area's PV is
+    # the actual, so real-time dispatch has a forecast error to correct.
+    actual = out / "synth" / "pv_actual.csv"
+    write_csv(TimeSeriesDataset(gen.timestamps, gen.values[:, 1:2], ("pv",)), actual)
+    pmin_fleet = out / "synth" / "fleet_pmin.csv"
+    save_fleet_csv(PMIN_FLEET, pmin_fleet)
+    _run(out, out / "dispatch_pmin", "dispatch",
+         "--demand", str(out / "synth" / "demand.csv"),
+         "--forecast", str(pv), "--actual", str(actual), "--fleet", str(pmin_fleet),
+         "--out", str(out / "dispatch_pmin"))
 
     with (out / "run" / "discrepancy.csv").open(newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))

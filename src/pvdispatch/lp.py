@@ -24,7 +24,11 @@ unbounded at the first pricing.
 Dispatch instances here are a few hundred rows, so a dense tableau is
 adequate and easy to audit. A pivot updates only the rows with a nonzero
 entry in the entering column; that is exact, since every other row would
-have had zero times the pivot row subtracted from it.
+have had zero times the pivot row subtracted from it. The ratio test
+divides only the eligible rows, those whose entering-column entry exceeds
+the pivot tolerance. The artificial columns stay in the tableau after
+phase 1 but are not priced in phase 2; pivots still update them, which
+touches no other column.
 """
 
 from __future__ import annotations
@@ -198,21 +202,23 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
             b_new -= a_orig[:, j] * lp.lower[j]
         return b_new
 
-    b_eq = shift_rhs(lp.A_eq, lp.b_eq)
-    # A variable with a finite upper bound keeps y <= upper - lower as a row.
+    # A variable with a finite upper bound keeps y <= upper - lower as a row,
+    # after the A_ub rows; every inequality row gets its own slack column.
     boxed = np.nonzero(np.isfinite(lp.upper))[0]
-    a_ub = np.vstack([lp.A_ub, np.eye(n)[boxed]])
-    b_ub = np.concatenate(
-        [shift_rhs(lp.A_ub, lp.b_ub), lp.upper[boxed] - lp.lower[boxed]]
-    )
-
-    n_ub = a_ub.shape[0]
-    n_eq = lp.A_eq.shape[0]
+    n_eq, k = lp.A_eq.shape[0], lp.A_ub.shape[0]
+    n_ub = k + boxed.size
     a = np.zeros((n_eq + n_ub, n + n_ub))
     a[:n_eq, :n] = lp.A_eq
-    a[n_eq:, :n] = a_ub
-    a[n_eq:, n:] = np.eye(n_ub)
-    b = np.concatenate([b_eq, b_ub])
+    a[n_eq : n_eq + k, :n] = lp.A_ub
+    a[n_eq + k + np.arange(boxed.size), boxed] = 1.0
+    a[n_eq + np.arange(n_ub), n + np.arange(n_ub)] = 1.0
+    b = np.concatenate(
+        [
+            shift_rhs(lp.A_eq, lp.b_eq),
+            shift_rhs(lp.A_ub, lp.b_ub),
+            lp.upper[boxed] - lp.lower[boxed],
+        ]
+    )
 
     c_new = np.zeros(n + n_ub)
     c_new[:n] = lp.c
@@ -220,44 +226,38 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
 
 
 class _Simplex:
-    """Tableau state shared by the two phases."""
+    """Iteration count and pricing state shared by the two phases."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, max_iters: int):
-        # Rows are sign-fixed so every rhs is nonnegative.
-        self.a = a.copy()
-        self.b = b.copy()
-        self.negated = self.b < 0
-        self.a[self.negated] *= -1.0
-        self.b[self.negated] *= -1.0
+    def __init__(self, max_iters: int):
         self.max_iters = max_iters
         self.iterations = 0
         self.bland = False
         self._stall = 0
 
-    def run(self, tableau: np.ndarray, basis: list[int]) -> str:
-        """Pivot until optimal or unbounded. Returns "optimal"/"unbounded"."""
+    def run(self, tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> str:
+        """Pivot until optimal or unbounded, pricing the first ``n_cols``
+        columns only. Returns "optimal"/"unbounded"."""
         while True:
-            reduced = tableau[-1, :-1]
+            reduced = tableau[-1, :n_cols]
             if self.bland:
-                negs = np.nonzero(reduced < -_TOL)[0]
+                negs = (reduced < -_TOL).nonzero()[0]
                 if negs.size == 0:
                     return "optimal"
                 enter = int(negs[0])
             else:
-                enter = int(np.argmin(reduced))
+                enter = int(reduced.argmin())
                 if reduced[enter] >= -_TOL:
                     return "optimal"
             col = tableau[:-1, enter]
-            rhs = tableau[:-1, -1]
-            eligible = col > _PIVOT_TOL
-            if not eligible.any():
+            rows = (col > _PIVOT_TOL).nonzero()[0]
+            if rows.size == 0:
                 return "unbounded"
-            ratios = np.where(eligible, rhs / np.where(eligible, col, 1.0), np.inf)
+            ratios = tableau[rows, -1] / col[rows]
             best = ratios.min()
             # Tie-break on the smallest basis index (Bland-style) so the
             # pivot sequence is deterministic.
-            tied = np.nonzero(ratios <= best + _TOL * (1.0 + best))[0]
-            leave = int(min(tied, key=lambda r: basis[r]))
+            tied = rows[ratios <= best + _TOL * (1.0 + best)]
+            leave = int(tied[basis[tied].argmin()])
             if best <= _TOL:
                 self._stall += 1
                 if self._stall >= _BLAND_STALL:
@@ -277,7 +277,7 @@ class _Simplex:
         tableau[row] /= tableau[row, col]
         factors = tableau[:, col].copy()
         factors[row] = 0.0
-        rows = np.nonzero(factors)[0]
+        rows = factors.nonzero()[0]
         tableau[rows] -= np.outer(factors[rows], tableau[row])
         tableau[:, col] = 0.0
         tableau[row, col] = 1.0
@@ -293,34 +293,31 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
     """
     sf = _to_standard_form(lp)
     m, n_total = sf.a.shape
-    engine = _Simplex(sf.a, sf.b, max_iters)
-    a, b = engine.a, engine.b
+    engine = _Simplex(max_iters)
 
     # Phase 1: an inequality row whose slack kept its +1 sign starts with
     # that slack basic; equality rows and sign-flipped rows get artificials.
-    basis: list[int] = []
-    art_rows: list[int] = []
-    for i in range(m):
-        if i >= sf.n_eq and not engine.negated[i]:
-            basis.append(lp.n_vars + (i - sf.n_eq))
-        else:
-            basis.append(-1)  # placeholder, artificial assigned below
-            art_rows.append(i)
-    n_art = len(art_rows)
+    negated = sf.b < 0
+    art_rows = (negated | (np.arange(m) < sf.n_eq)).nonzero()[0]
+    n_art = art_rows.size
+    basis = np.arange(m) + (lp.n_vars - sf.n_eq)
+    basis[art_rows] = n_total + np.arange(n_art)
     tableau = np.zeros((m + 1, n_total + n_art + 1))
-    tableau[:m, :n_total] = a
-    tableau[:m, -1] = b
-    for k, i in enumerate(art_rows):
-        tableau[i, n_total + k] = 1.0
-        basis[i] = n_total + k
+    tableau[:m, :n_total] = sf.a
+    tableau[:m, -1] = sf.b
+    # Rows are sign-fixed so every rhs is nonnegative; the artificial 1s go
+    # in afterwards, so every other artificial entry stays +0.0.
+    tableau[:m, :n_total][negated] *= -1.0
+    tableau[:m, -1][negated] *= -1.0
+    tableau[art_rows, n_total + np.arange(n_art)] = 1.0
 
+    # An axis-0 subtract.reduce takes the rows from the first one in order,
+    # so each cost row below has the bits of a loop of `cost -= row`.
     if n_art:
         cost = np.zeros(n_total + n_art + 1)
         cost[n_total : n_total + n_art] = 1.0
-        for i in art_rows:
-            cost -= tableau[i]
-        tableau[-1] = cost
-        outcome = engine.run(tableau, basis)
+        tableau[-1] = np.subtract.reduce(np.vstack([cost, tableau[art_rows]]))
+        outcome = engine.run(tableau, basis, n_total + n_art)
         if outcome != "optimal":
             raise LpError("phase 1 reported unbounded; this cannot happen")
         phase1_obj = -tableau[-1, -1]
@@ -328,34 +325,31 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
             return LpSolution(LpStatus.INFEASIBLE, None, None, engine.iterations)
         # Drive surviving artificials out of the basis or drop their rows.
         keep_rows = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] < n_total:
-                continue
+        for i in (basis >= n_total).nonzero()[0]:
             # Pivot on the largest entry: a tiny one would scale the row
             # by its inverse and amplify roundoff across the tableau.
             magnitude = np.abs(tableau[i, :n_total])
-            pivot_col = int(np.argmax(magnitude))
+            pivot_col = int(magnitude.argmax())
             if magnitude[pivot_col] > 1e-9:
                 engine._pivot(tableau, i, pivot_col)
                 basis[i] = pivot_col
             else:
                 keep_rows[i] = False
         if not keep_rows.all():
-            rows = np.concatenate([np.nonzero(keep_rows)[0], [m]])
-            tableau = tableau[rows]
-            basis = [basis[i] for i in np.nonzero(keep_rows)[0]]
-            m = len(basis)
-    tableau = np.hstack([tableau[:, :n_total], tableau[:, -1:]])
+            tableau = tableau[np.append(keep_rows, True)]
+            basis = basis[keep_rows]
+            m = basis.size
 
-    # Phase 2 objective, reduced against the current basis.
-    cost = np.zeros(n_total + 1)
+    # Phase 2 objective, reduced against the current basis. The artificial
+    # columns stay in the tableau but are no longer priced.
+    cost = np.zeros(tableau.shape[1])
     cost[:n_total] = sf.c
-    for i in range(m):
-        cj = sf.c[basis[i]]
-        if cj != 0.0:
-            cost -= cj * tableau[i]
-    tableau[-1] = cost
-    outcome = engine.run(tableau, basis)
+    c_basic = sf.c[basis]
+    priced = c_basic.nonzero()[0]
+    tableau[-1] = np.subtract.reduce(
+        np.vstack([cost, c_basic[priced, None] * tableau[priced]])
+    )
+    outcome = engine.run(tableau, basis, n_total)
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, engine.iterations)
 

@@ -46,7 +46,8 @@ class DivergenceError(RuntimeError):
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))  # never overflows: 1/(1+e) at x >= 0, e/(1+e) below
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # e <= 1, so min(e + 1, 1) is exactly 1 at x >= 0; no branch per element.
+    return np.minimum(e + (x >= 0), 1.0) / (1.0 + e)
 
 
 # The inference pass calls the gate sigmoid through this name, bound once at

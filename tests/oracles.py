@@ -18,6 +18,10 @@ gate-major cache, hoisted projection and whole-block ``sigmoid`` of
 :func:`pvdispatch.lstm.forward_batch` and :func:`pvdispatch.lstm.backward`
 can be checked against them byte for byte.
 
+The reference simplex is :func:`pvdispatch.lp.solve_lp` before its
+set-up copies and per-pivot overhead were cut, kept verbatim, so the tuned
+solver can be checked against it byte for byte.
+
 The parameter vector helpers flatten a network's arrays into one vector
 and back, so gradient checks can perturb one weight at a time.
 """
@@ -29,7 +33,14 @@ import itertools
 import numpy as np
 
 from pvdispatch.dispatch import DaSolution, DispatchCase, GeneratorSpec
-from pvdispatch.lp import LinearProgram
+from pvdispatch.lp import (
+    IterationLimitError,
+    LinearProgram,
+    LpError,
+    LpSolution,
+    LpStatus,
+    _StandardForm,
+)
 from pvdispatch.lstm import NetworkConfig, NetworkParameters
 
 
@@ -474,3 +485,219 @@ def reference_backward(
             dc_carry = dc * f_t
         dh_seq = dx_seq
     return grads
+
+
+# The two-phase simplex of :func:`pvdispatch.lp.solve_lp` as it stood before
+# its per-solve copies and per-pivot overhead were cut: three dense copies
+# of the standard form, full-length ratio arrays, an ``np.hstack`` between
+# the phases and Python set-up loops. Kept verbatim, so the tuned solver can
+# be checked against it byte for byte: same pivots, same iteration count,
+# same ``x``.
+
+_PIVOT_TOL = 1e-11
+_TOL = 1e-9  # pricing, ratio-tie and degeneracy tolerance
+_BLAND_STALL = 50
+
+
+def _reference_standard_form(lp: LinearProgram) -> _StandardForm:
+    n = lp.n_vars
+    shifted = np.nonzero(lp.lower)[0]
+
+    def shift_rhs(a_orig: np.ndarray, b_orig: np.ndarray) -> np.ndarray:
+        b_new = b_orig.copy()
+        # Shifted one column at a time, in column order, as the rounding of
+        # b depends on the order of the subtractions.
+        for j in shifted:
+            b_new -= a_orig[:, j] * lp.lower[j]
+        return b_new
+
+    b_eq = shift_rhs(lp.A_eq, lp.b_eq)
+    # A variable with a finite upper bound keeps y <= upper - lower as a row.
+    boxed = np.nonzero(np.isfinite(lp.upper))[0]
+    a_ub = np.vstack([lp.A_ub, np.eye(n)[boxed]])
+    b_ub = np.concatenate(
+        [shift_rhs(lp.A_ub, lp.b_ub), lp.upper[boxed] - lp.lower[boxed]]
+    )
+
+    n_ub = a_ub.shape[0]
+    n_eq = lp.A_eq.shape[0]
+    a = np.zeros((n_eq + n_ub, n + n_ub))
+    a[:n_eq, :n] = lp.A_eq
+    a[n_eq:, :n] = a_ub
+    a[n_eq:, n:] = np.eye(n_ub)
+    b = np.concatenate([b_eq, b_ub])
+
+    c_new = np.zeros(n + n_ub)
+    c_new[:n] = lp.c
+    return _StandardForm(a, b, c_new, n_eq)
+
+
+class _ReferenceSimplex:
+    """Tableau state shared by the two phases."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, max_iters: int):
+        # Rows are sign-fixed so every rhs is nonnegative.
+        self.a = a.copy()
+        self.b = b.copy()
+        self.negated = self.b < 0
+        self.a[self.negated] *= -1.0
+        self.b[self.negated] *= -1.0
+        self.max_iters = max_iters
+        self.iterations = 0
+        self.bland = False
+        self._stall = 0
+
+    def run(self, tableau: np.ndarray, basis: list[int]) -> str:
+        """Pivot until optimal or unbounded. Returns "optimal"/"unbounded"."""
+        while True:
+            reduced = tableau[-1, :-1]
+            if self.bland:
+                negs = np.nonzero(reduced < -_TOL)[0]
+                if negs.size == 0:
+                    return "optimal"
+                enter = int(negs[0])
+            else:
+                enter = int(np.argmin(reduced))
+                if reduced[enter] >= -_TOL:
+                    return "optimal"
+            col = tableau[:-1, enter]
+            rhs = tableau[:-1, -1]
+            eligible = col > _PIVOT_TOL
+            if not eligible.any():
+                return "unbounded"
+            ratios = np.where(eligible, rhs / np.where(eligible, col, 1.0), np.inf)
+            best = ratios.min()
+            # Tie-break on the smallest basis index (Bland-style) so the
+            # pivot sequence is deterministic.
+            tied = np.nonzero(ratios <= best + _TOL * (1.0 + best))[0]
+            leave = int(min(tied, key=lambda r: basis[r]))
+            if best <= _TOL:
+                self._stall += 1
+                if self._stall >= _BLAND_STALL:
+                    self.bland = True
+            else:
+                self._stall = 0
+            self._pivot(tableau, leave, enter)
+            basis[leave] = enter
+            self.iterations += 1
+            if self.iterations > self.max_iters:
+                raise IterationLimitError(
+                    f"simplex exceeded {self.max_iters} iterations"
+                )
+
+    @staticmethod
+    def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        rows = np.nonzero(factors)[0]
+        tableau[rows] -= np.outer(factors[rows], tableau[row])
+        tableau[:, col] = 0.0
+        tableau[row, col] = 1.0
+
+
+def reference_solve_lp(
+    lp: LinearProgram, max_iters: int = 20000
+) -> LpSolution:
+    """Two-phase primal simplex.
+
+    Optimal solutions satisfy the equality rows within ``_TOL``-scale
+    residuals and the inequality rows and bounds up to the same order;
+    exceeding ``max_iters`` raises :class:`IterationLimitError` instead of
+    mislabeling the program.
+    """
+    sf = _reference_standard_form(lp)
+    m, n_total = sf.a.shape
+    engine = _ReferenceSimplex(sf.a, sf.b, max_iters)
+    a, b = engine.a, engine.b
+
+    # Phase 1: an inequality row whose slack kept its +1 sign starts with
+    # that slack basic; equality rows and sign-flipped rows get artificials.
+    basis: list[int] = []
+    art_rows: list[int] = []
+    for i in range(m):
+        if i >= sf.n_eq and not engine.negated[i]:
+            basis.append(lp.n_vars + (i - sf.n_eq))
+        else:
+            basis.append(-1)  # placeholder, artificial assigned below
+            art_rows.append(i)
+    n_art = len(art_rows)
+    tableau = np.zeros((m + 1, n_total + n_art + 1))
+    tableau[:m, :n_total] = a
+    tableau[:m, -1] = b
+    for k, i in enumerate(art_rows):
+        tableau[i, n_total + k] = 1.0
+        basis[i] = n_total + k
+
+    if n_art:
+        cost = np.zeros(n_total + n_art + 1)
+        cost[n_total : n_total + n_art] = 1.0
+        for i in art_rows:
+            cost -= tableau[i]
+        tableau[-1] = cost
+        outcome = engine.run(tableau, basis)
+        if outcome != "optimal":
+            raise LpError("phase 1 reported unbounded; this cannot happen")
+        phase1_obj = -tableau[-1, -1]
+        if phase1_obj > max(1e-7, _TOL * 100.0):
+            return LpSolution(LpStatus.INFEASIBLE, None, None, engine.iterations)
+        # Drive surviving artificials out of the basis or drop their rows.
+        keep_rows = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] < n_total:
+                continue
+            # Pivot on the largest entry: a tiny one would scale the row
+            # by its inverse and amplify roundoff across the tableau.
+            magnitude = np.abs(tableau[i, :n_total])
+            pivot_col = int(np.argmax(magnitude))
+            if magnitude[pivot_col] > 1e-9:
+                engine._pivot(tableau, i, pivot_col)
+                basis[i] = pivot_col
+            else:
+                keep_rows[i] = False
+        if not keep_rows.all():
+            rows = np.concatenate([np.nonzero(keep_rows)[0], [m]])
+            tableau = tableau[rows]
+            basis = [basis[i] for i in np.nonzero(keep_rows)[0]]
+            m = len(basis)
+    tableau = np.hstack([tableau[:, :n_total], tableau[:, -1:]])
+
+    # Phase 2 objective, reduced against the current basis.
+    cost = np.zeros(n_total + 1)
+    cost[:n_total] = sf.c
+    for i in range(m):
+        cj = sf.c[basis[i]]
+        if cj != 0.0:
+            cost -= cj * tableau[i]
+    tableau[-1] = cost
+    outcome = engine.run(tableau, basis)
+    if outcome == "unbounded":
+        return LpSolution(LpStatus.UNBOUNDED, None, None, engine.iterations)
+
+    y = np.zeros(n_total)
+    y[basis] = tableau[:m, -1]
+    # Refine basic values against the untouched standard-form system to
+    # shed accumulated pivot roundoff.
+    if m == sf.a.shape[0]:
+        try:
+            basis_mat = sf.a[:, basis]
+            refined = np.linalg.solve(basis_mat, sf.b)
+            scale = 1.0 + np.abs(sf.b).max(initial=0.0)
+            residual = np.abs(basis_mat @ refined - sf.b).max(initial=0.0)
+            if (
+                np.isfinite(refined).all()
+                and refined.min(initial=0.0) > -1e-7
+                and residual <= 1e-8 * scale
+            ):
+                y[:] = 0.0
+                y[basis] = np.maximum(refined, 0.0)
+        except np.linalg.LinAlgError:
+            pass
+
+    # A zero rhs divided by a negative drive-out pivot leaves a basic -0.0
+    # when refinement is skipped, and a lower bound can be -0.0 (the real-time
+    # shedding bound is -da.ls); y + 0.0 keeps such an x at +0.0.
+    x = lp.lower + (y[: lp.n_vars] + 0.0)
+    return LpSolution(
+        LpStatus.OPTIMAL, x, float(lp.c @ x), engine.iterations
+    )

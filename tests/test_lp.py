@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_vertices, random_box_lp, random_dispatch_case
+from oracles import (
+    enumerate_vertices,
+    random_box_lp,
+    random_dispatch_case,
+    reference_solve_lp,
+)
+from pvdispatch import dispatch
 from pvdispatch.dispatch import solve_da, solve_rt
 from pvdispatch.lp import (
     IterationLimitError,
@@ -331,3 +337,111 @@ class TestPivot:
         assert rt.objective == rt_ref.objective
         assert np.array_equal(da.p, da_ref.p)
         assert np.array_equal(rt.delta, rt_ref.delta)
+
+
+def _solution_bytes(sol: LpSolution) -> tuple:
+    x = None if sol.x is None else sol.x.tobytes()
+    return sol.status, sol.iterations, sol.objective, x
+
+
+# The LPs of TestBasics and TestDegenerateAndStress that reach a sign-flipped
+# row, a redundant equality row and a drive-out pivot.
+NAMED_LPS = {
+    "negative-rhs": LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[-4.0]),
+    "redundant-equality": LinearProgram(
+        c=[1.0, 1.0], A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0]
+    ),
+    "drive-out": LinearProgram(
+        c=[2.0, -1.0, 1.0],
+        A_eq=[[-1e-6, -5.0, 0.0], [1.0, 1.0, 1.0]],
+        b_eq=[0.0, 3.0],
+        upper=[4.0, 4.0, 4.0],
+    ),
+    "drive-out-negative-zero": LinearProgram(
+        c=[1.0, 1.0],
+        A_eq=[[-1.0, -1.0], [-2.0, -2.0]],
+        b_eq=[0.0, 0.0],
+        lower=[-0.0, -0.0],
+        upper=[4.0, 4.0],
+    ),
+}
+
+# Beale's (1955) cycling example: at the degenerate origin, Dantzig pricing
+# with ratio ties broken on the smallest basis index returns to its first
+# basis every six pivots, so only the switch to Bland's rule ends the solve.
+# Beale's x6 <= 1 row is the third variable's upper bound here; the bounds of
+# 10 on the others never bind and let the vertex oracle enumerate the program.
+_BEALE_C = [-0.75, 20.0, -0.5, 6.0]
+_BEALE_A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0]]
+BEALE_LPS = {
+    "beale": LinearProgram(
+        c=_BEALE_C, A_ub=_BEALE_A, b_ub=[0.0, 0.0], upper=[10.0, 10.0, 1.0, 10.0]
+    ),
+    # A fifth variable fixed by an equality row needs phase 1, so the
+    # artificial column is still in the tableau when phase 2 stalls. Its
+    # cost of 1 gives that column a negative reduced cost there, which
+    # Bland's scan must not price.
+    "beale-after-phase-1": LinearProgram(
+        c=_BEALE_C + [1.0],
+        A_eq=[[0.0, 0.0, 0.0, 0.0, 1.0]],
+        b_eq=[1.0],
+        A_ub=[row + [0.0] for row in _BEALE_A],
+        b_ub=[0.0, 0.0],
+        upper=[10.0, 10.0, 1.0, 10.0, 10.0],
+    ),
+}
+
+
+class TestReferenceSimplex:
+    """The tuned simplex takes the pivots and gives the bytes of the one kept
+    verbatim in ``oracles.reference_solve_lp``."""
+
+    def test_random_box_lps_byte_identical(self):
+        rng = np.random.Generator(np.random.PCG64(123))
+        lps = [random_box_lp(rng) for _ in range(2000)] + list(NAMED_LPS.values())
+        statuses = set()
+        for lp in lps:
+            sol = solve_lp(lp)
+            assert _solution_bytes(sol) == _solution_bytes(reference_solve_lp(lp))
+            statuses.add(sol.status)
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+    def test_dispatch_days_byte_identical(self, monkeypatch):
+        solved = []
+
+        def record(lp):
+            solved.append((lp, solve_lp(lp)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(dispatch, "solve_lp", record)
+        rng = np.random.Generator(np.random.PCG64(7))
+        for _ in range(200):
+            case = random_dispatch_case(rng)
+            solve_rt(case, solve_da(case))
+        assert len(solved) == 400
+        for lp, sol in solved:
+            assert sol.iterations > 0
+            assert _solution_bytes(sol) == _solution_bytes(reference_solve_lp(lp))
+
+    @pytest.mark.parametrize("name", BEALE_LPS)
+    def test_bland_rule_ends_a_cycle(self, monkeypatch, name):
+        # Random box LPs and dispatch days never stall for _BLAND_STALL
+        # pivots, so this cycling program is the one that reaches Bland's
+        # rule, in phase 2.
+        bland = []
+        run = _Simplex.run
+
+        def spy(self, *args):
+            outcome = run(self, *args)
+            bland.append(self.bland)
+            return outcome
+
+        monkeypatch.setattr(_Simplex, "run", spy)
+        lp = BEALE_LPS[name]
+        sol = solve_lp(lp)
+        assert bland[-1] and not any(bland[:-1])
+        assert sol.status is LpStatus.OPTIMAL
+        status, best, _ = enumerate_vertices(lp)
+        assert status == "optimal"
+        assert sol.objective == pytest.approx(best, abs=1e-9)
+        assert _solution_bytes(sol) == _solution_bytes(reference_solve_lp(lp))

@@ -283,10 +283,14 @@ class TestReferenceLoops:
         rng = np.random.Generator(np.random.PCG64(8))
         block = 8.0 * rng.standard_normal((32, 256))
         edges = np.array(
-            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf]
+            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf,
+             745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324]
         )
         for x in (block, edges):
             assert lstm.sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+        # A NaN stays NaN; its sign bit carries no meaning, and exp(-|x|)
+        # sets it where the masked form's exp(x) does not.
+        assert np.isnan(lstm.sigmoid(np.array([np.nan]))).all()
 
     @pytest.mark.parametrize("batch", [1, 17])
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
