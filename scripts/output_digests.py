@@ -5,8 +5,9 @@ bytes it moved:
     PYTHONPATH=src python scripts/output_digests.py <dir>
 
 ``<dir>`` must be absent or empty. The config is the one ``tests/test_cli.py``
-uses, with 2 epochs. ``run/manifest.json`` records wall-clock timings, so its
-digest differs between runs; every other file is deterministic.
+uses, with 2 epochs. Every digest is deterministic, so two runs compare with
+a plain ``diff``: ``run/manifest.json`` is digested without its wall-clock
+``timings_s`` and with ``<dir>`` in place of the output directory.
 
 Each command's stdout goes to ``stdout.txt`` in the directory it writes, with
 ``<dir>`` in place of the output directory, so printed output is digested too.
@@ -23,6 +24,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -66,6 +68,17 @@ def _run(out: Path, where: Path, *argv: str) -> None:
         raise SystemExit(f"pvdispatch {argv[0]} exited {code}")
     text = stdout.getvalue().replace(str(out), "<dir>")
     (where / "stdout.txt").write_text(text, encoding="utf-8")
+
+
+def _digested_bytes(out: Path, path: Path) -> bytes:
+    """What is digested for ``path``: its bytes, but for ``run/manifest.json``
+    the manifest without ``timings_s`` and with ``<dir>`` for ``out``."""
+    if path != out / "run" / "manifest.json":
+        return path.read_bytes()
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["timings_s"]
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return text.replace(str(out), "<dir>").encode("utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                  "--actual", str(series[2]), "--fleet", str(fleet), "--out", str(where))
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p != config):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256(_digested_bytes(out, path)).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
     return 0
 

@@ -29,19 +29,26 @@ class CheckpointError(ValueError):
     """Unreadable or incompatible checkpoint file."""
 
 
-def _write(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+def _write(
+    path: str | Path, meta: dict, arrays: dict[str, np.ndarray], mask: DarkHourMask
+) -> None:
+    """Save the model's ``arrays``, then its dark ``mask``."""
     meta = {"format_version": FORMAT_VERSION, **meta}
     payload = {"__meta__": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
     payload.update(arrays)
+    payload["mask_table"] = mask.table.astype(np.uint8)
+    payload["mask_defined"] = mask.month_defined.astype(np.uint8)
     with Path(path).open("wb") as fh:
         np.savez(fh, **payload)
 
 
 @contextmanager
-def _read(path: str | Path, kind: str) -> Iterator[tuple[dict, np.lib.npyio.NpzFile]]:
-    """Open a checkpoint that holds a ``kind`` model; yields its metadata and
-    arrays. A missing, unreadable or malformed record inside the ``with``
-    block raises :class:`CheckpointError` naming the file."""
+def _read(
+    path: str | Path, kind: str
+) -> Iterator[tuple[dict, np.lib.npyio.NpzFile, DarkHourMask]]:
+    """Open a checkpoint that holds a ``kind`` model; yields its metadata,
+    arrays and dark mask. A missing, unreadable or malformed record inside
+    the ``with`` block raises :class:`CheckpointError` naming the file."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no such file: {path}")
@@ -57,26 +64,16 @@ def _read(path: str | Path, kind: str) -> Iterator[tuple[dict, np.lib.npyio.NpzF
                 raise CheckpointError(
                     f"{path}: kind {meta.get('kind')!r}, expected {kind!r}"
                 )
-            yield meta, archive
+            mask = DarkHourMask(
+                archive["mask_table"].astype(bool), archive["mask_defined"].astype(bool)
+            )
+            yield meta, archive, mask
     except CheckpointError:
         raise
     except (
         KeyError, OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile
     ) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from None
-
-
-def _mask_arrays(mask: DarkHourMask) -> dict[str, np.ndarray]:
-    return {
-        "mask_table": mask.table.astype(np.uint8),
-        "mask_defined": mask.month_defined.astype(np.uint8),
-    }
-
-
-def _mask_from(arrays: dict[str, np.ndarray]) -> DarkHourMask:
-    return DarkHourMask(
-        arrays["mask_table"].astype(bool), arrays["mask_defined"].astype(bool)
-    )
 
 
 def save_lstm(
@@ -97,14 +94,13 @@ def save_lstm(
         arrays[f"layer{i}_w_in"] = layer.w_in
         arrays[f"layer{i}_w_rec"] = layer.w_rec
         arrays[f"layer{i}_bias"] = layer.bias
-    arrays.update(_mask_arrays(mask))
-    _write(path, meta, arrays)
+    _write(path, meta, arrays, mask)
 
 
 def load_lstm(
     path: str | Path,
 ) -> tuple[NetworkConfig, NetworkParameters, NormalizationParams, DarkHourMask]:
-    with _read(path, "lstm") as (meta, arrays):
+    with _read(path, "lstm") as (meta, arrays, mask):
         config = NetworkConfig(**{f.name: meta[f.name] for f in fields(NetworkConfig)})
         layers = []
         for i in range(len(config.layer_sizes)):
@@ -122,7 +118,7 @@ def load_lstm(
         widths_match = normalizer.n_features == config.input_features
         if [leaf.shape for leaf in params.leaves()] != expected or not widths_match:
             raise CheckpointError(f"{path}: array shapes do not match the metadata")
-        return config, params, normalizer, _mask_from(arrays)
+        return config, params, normalizer, mask
 
 
 def save_kmeans(path: str | Path, model: KMeansModel, mask: DarkHourMask) -> None:
@@ -133,12 +129,11 @@ def save_kmeans(path: str | Path, model: KMeansModel, mask: DarkHourMask) -> Non
         "inertia": np.array([model.inertia]),
         "month_modal": model.month_modal.astype(np.int64),
     }
-    arrays.update(_mask_arrays(mask))
-    _write(path, meta, arrays)
+    _write(path, meta, arrays, mask)
 
 
 def load_kmeans(path: str | Path) -> tuple[KMeansModel, DarkHourMask]:
-    with _read(path, "kmeans") as (meta, arrays):
+    with _read(path, "kmeans") as (meta, arrays, mask):
         model = KMeansModel(
             centroids=arrays["centroids"],
             assignments=arrays["assignments"],
@@ -146,15 +141,13 @@ def load_kmeans(path: str | Path) -> tuple[KMeansModel, DarkHourMask]:
             month_modal=arrays["month_modal"],
             n_iterations=int(meta["n_iterations"]),
         )
-        return model, _mask_from(arrays)
+        return model, mask
 
 
 def save_monthly(path: str | Path, model: MonthlyHourModel, mask: DarkHourMask) -> None:
-    arrays = {"table": model.table}
-    arrays.update(_mask_arrays(mask))
-    _write(path, {"kind": "monthly"}, arrays)
+    _write(path, {"kind": "monthly"}, {"table": model.table}, mask)
 
 
 def load_monthly(path: str | Path) -> tuple[MonthlyHourModel, DarkHourMask]:
-    with _read(path, "monthly") as (_meta, arrays):
-        return MonthlyHourModel(arrays["table"]), _mask_from(arrays)
+    with _read(path, "monthly") as (_meta, arrays, mask):
+        return MonthlyHourModel(arrays["table"]), mask

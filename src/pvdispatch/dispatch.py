@@ -23,6 +23,10 @@ in either direction (negative revisions earn VOLL credits):
          0 <= spill[t] <= actual[t]
          0 <= ls*[t] + ls_rt[t] <= demand[t]
 
+One builder makes both programs: the real-time one is the market of the
+flexible units around their day-ahead schedule, and the day-ahead one is
+the market of every unit around a zero commitment.
+
 Metric accounting: gas-fired energy is the combined output of gas-flagged
 units, CO2 is the emission factor times that energy, cost is the sum of
 both objectives, and NMAE is the mean absolute forecast error divided by
@@ -207,17 +211,9 @@ def nmae(forecast: np.ndarray, actual: np.ndarray) -> float:
     return float(np.abs(forecast - actual).mean()) / mean_actual
 
 
-def _per_unit(values) -> np.ndarray:
-    """A per-unit figure as a (U, 1) column, broadcast over the hours."""
-    return np.array(list(values), dtype=float).reshape(-1, 1)
-
-
 def _market_lp(
-    cost: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    ramp_up: np.ndarray,
-    ramp_down: np.ndarray,
+    units: tuple[GeneratorSpec, ...],
+    committed: np.ndarray,
     rnw_sign: float,
     rnw_upper: np.ndarray,
     ls_lower: np.ndarray,
@@ -225,25 +221,29 @@ def _market_lp(
     voll: float,
     b_eq: np.ndarray,
 ) -> LinearProgram:
-    """The program both markets share, over U units and T hours.
+    """The program both markets share: U ``units`` over T hours, moving
+    around a ``committed`` (U, T) schedule.
 
-    Variable layout: unit outputs u[k,t] grouped by unit, then a renewable
-    column r[t] in [0, rnw_upper[t]], then shedding ls[t] in [ls_lower[t],
-    ls_upper[t]]. Balance rows: sum_k u[k,t] + rnw_sign * r[t] + ls[t] =
-    b_eq[t]. Each unit-hour has an up row u[k,t] - u[k,t-1] <= ramp_up[k,t]
-    followed by a down row u[k,t-1] - u[k,t] <= ramp_down[k,t], with hour 0
-    wrapping to the last hour. The per-unit arrays are (U, 1) or (U, T).
+    Variable layout: unit moves u[k,t] in [pmin - committed, pmax -
+    committed] grouped by unit, then a renewable column r[t] in [0,
+    rnw_upper[t]], then shedding ls[t] in [ls_lower[t], ls_upper[t]].
+    Balance rows: sum_k u[k,t] + rnw_sign * r[t] + ls[t] = b_eq[t]. Each
+    unit-hour has an up row u[k,t] - u[k,t-1] <= ramp - base[k,t], then a
+    down row u[k,t-1] - u[k,t] <= ramp + base[k,t], where base[k,t] is the
+    committed move into hour t and hour 0 wraps to the last hour.
     """
-    u_n, t_n = cost.size, b_eq.size
+    u_n, t_n = committed.shape
     n_u = u_n * t_n
     n = n_u + 2 * t_n
+    cost, pmin, pmax, ramp = np.array(
+        [[getattr(g, key) for g in units] for key in ("cost", "pmin", "pmax", "ramp")],
+        dtype=float,
+    )[..., None]
+    base = committed - np.roll(committed, 1, axis=1)
 
-    def unit_hours(a: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(a, (u_n, t_n)).ravel()
-
-    c = np.concatenate([unit_hours(cost), np.zeros(t_n), np.full(t_n, voll)])
-    lo = np.concatenate([unit_hours(lower), np.zeros(t_n), ls_lower])
-    up = np.concatenate([unit_hours(upper), rnw_upper, ls_upper])
+    c = np.concatenate([np.repeat(cost, t_n), np.zeros(t_n), np.full(t_n, voll)])
+    lo = np.concatenate([(pmin - committed).ravel(), np.zeros(t_n), ls_lower])
+    up = np.concatenate([(pmax - committed).ravel(), rnw_upper, ls_upper])
 
     # Entries are assigned into zeros, so every untouched one stays +0.0.
     hours = np.arange(t_n)
@@ -262,8 +262,8 @@ def _market_lp(
     a_ub[2 * col + 1, col] -= 1.0
     a_ub[2 * col + 1, prev] += 1.0
     b_ub = np.empty(2 * n_u)
-    b_ub[0::2] = unit_hours(ramp_up)
-    b_ub[1::2] = unit_hours(ramp_down)
+    b_ub[0::2] = (ramp - base).ravel()
+    b_ub[1::2] = (ramp + base).ravel()
 
     return LinearProgram(
         c=c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub, lower=lo, upper=up
@@ -281,19 +281,11 @@ def _market_columns(
 
 
 def build_da_lp(case: DispatchCase) -> LinearProgram:
-    """Assemble the day-ahead program.
-
-    Variable layout: p[v,t] grouped by generator, then rnw[t], then ls[t].
-    Ramp rows cover every hour, with hour 0 wrapping to the final hour.
-    """
-    fleet = case.fleet
-    ramp = _per_unit(g.ramp for g in fleet)
+    """Assemble the day-ahead program: the market of every unit around a
+    zero commitment, so the unit columns are p[v,t] grouped by generator."""
     return _market_lp(
-        cost=_per_unit(g.cost for g in fleet),
-        lower=_per_unit(g.pmin for g in fleet),
-        upper=_per_unit(g.pmax for g in fleet),
-        ramp_up=ramp,
-        ramp_down=ramp,
+        units=case.fleet,
+        committed=np.zeros((len(case.fleet), case.horizon)),
         rnw_sign=1.0,
         rnw_upper=case.forecast,
         ls_lower=np.zeros(case.horizon),
@@ -336,25 +328,16 @@ def build_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
     bounds; combined-schedule ramp limits are inequality rows.
     """
     flex = [v for v, g in enumerate(case.fleet) if g.rt_available]
-    gens = [case.fleet[v] for v in flex]
-    p = da.p[flex]
-    ramp = _per_unit(g.ramp for g in gens)
-    # The day-ahead move into each hour, hour 0 coming from the last.
-    base = p - np.roll(p, 1, axis=1)
-    # Balance: committed DA terms are constants, so the rhs carries them.
-    committed = da.p.sum(axis=0)
     return _market_lp(
-        cost=_per_unit(g.cost for g in gens),
-        lower=_per_unit(g.pmin for g in gens) - p,
-        upper=_per_unit(g.pmax for g in gens) - p,
-        ramp_up=ramp - base,
-        ramp_down=ramp + base,
+        units=tuple(case.fleet[v] for v in flex),
+        committed=da.p[flex],
         rnw_sign=-1.0,
         rnw_upper=case.actual,
         ls_lower=-da.ls,
         ls_upper=case.demand - da.ls,
         voll=case.voll,
-        b_eq=case.demand - committed - case.actual - da.ls,
+        # The balance rhs carries the committed day-ahead terms.
+        b_eq=case.demand - da.p.sum(axis=0) - case.actual - da.ls,
     )
 
 
@@ -389,6 +372,7 @@ def load_fleet_csv(path: str | Path) -> tuple[GeneratorSpec, ...]:
     """Fleet file: header ``name,cost,pmax,pmin,ramp,rt_available,gas_fired``
     with 0/1 flags."""
     path = Path(path)
+    seen: set[str] = set()
 
     def check_header(header: list[str] | None) -> None:
         if header != _FLEET_HEADER:
@@ -397,8 +381,12 @@ def load_fleet_csv(path: str | Path) -> tuple[GeneratorSpec, ...]:
     def parse_row(row: list[str]) -> GeneratorSpec:
         if len(row) != len(_FLEET_HEADER):
             raise ValueError("expected 7 fields")
+        name = row[0].strip()
+        if name in seen:
+            raise ValueError(f"unit {name!r} is named twice")
+        seen.add(name)
         return GeneratorSpec(
-            name=row[0].strip(),
+            name=name,
             cost=float(row[1]),
             pmax=float(row[2]),
             pmin=float(row[3]),

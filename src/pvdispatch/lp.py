@@ -10,16 +10,17 @@ Problem form:
 Every lower bound is finite and defaults to 0, as in
 ``scipy.optimize.linprog``; an upper bound is finite or +inf. The
 dispatch programs bound every variable on both sides. The standard form
-shifts each variable by its lower bound, ``y = x - lower >= 0``, adds a
-row ``y <= upper - lower`` for each finite upper bound and gives every
-inequality row a slack; the way back is ``x = lower + y``. The solver
-runs phase 1 with artificial variables, then phase 2 with Dantzig
-pricing. After 50 consecutive degenerate pivots it switches permanently
-to Bland's rule, which guarantees termination. Basic values are re-solved
-against the original standard-form matrix at the end so feasibility
-residuals do not inherit tableau roundoff. A program with no constraint
-row at all takes the same path: its empty tableau is optimal or
-unbounded at the first pricing.
+is a pair ``(a, b)`` of ``a y = b, y >= 0``: each variable is shifted by
+its lower bound, ``y = x - lower >= 0``, each finite upper bound adds a
+row ``y <= upper - lower`` and every inequality row gets a slack; the way
+back is ``x = lower + y``. The solver always runs phase 1 with artificial
+variables (with none, its first pricing finds it optimal, with no pivot),
+then phase 2 with Dantzig pricing. After 50 consecutive degenerate pivots
+it switches permanently to Bland's rule, which guarantees termination.
+Basic values are re-solved against the original standard-form matrix at
+the end so feasibility residuals do not inherit tableau roundoff. A
+program with no constraint row at all takes the same path: its empty
+tableau is optimal or unbounded at the first pricing.
 
 Dispatch instances here are a few hundred rows, so a dense tableau is
 adequate and easy to audit. A pivot updates only the rows with a nonzero
@@ -179,28 +180,18 @@ def check_solution(
     ]
 
 
-@dataclass
-class _StandardForm:
-    """min c.y, A y = b, y >= 0, where the first ``n_vars`` columns are
-    ``y = x - lower`` and the rest are slacks."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    n_eq: int  # leading rows that are equalities (no slack of their own)
-
-
-def _to_standard_form(lp: LinearProgram) -> _StandardForm:
+def _to_standard_form(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """``a y = b, y >= 0``; ``y = x - lower`` comes first, then the slacks."""
     n = lp.n_vars
     shifted = np.nonzero(lp.lower)[0]
 
     def shift_rhs(a_orig: np.ndarray, b_orig: np.ndarray) -> np.ndarray:
-        b_new = b_orig.copy()
-        # Shifted one column at a time, in column order, as the rounding of
+        # An axis-0 subtract.reduce takes the rows from the first one in
+        # order: one column at a time, in column order, as the rounding of
         # b depends on the order of the subtractions.
-        for j in shifted:
-            b_new -= a_orig[:, j] * lp.lower[j]
-        return b_new
+        return np.subtract.reduce(
+            np.vstack([b_orig, (a_orig[:, shifted] * lp.lower[shifted]).T])
+        )
 
     # A variable with a finite upper bound keeps y <= upper - lower as a row,
     # after the A_ub rows; every inequality row gets its own slack column.
@@ -219,10 +210,7 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
             lp.upper[boxed] - lp.lower[boxed],
         ]
     )
-
-    c_new = np.zeros(n + n_ub)
-    c_new[:n] = lp.c
-    return _StandardForm(a, b, c_new, n_eq)
+    return a, b
 
 
 class _Simplex:
@@ -291,20 +279,21 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
     exceeding ``max_iters`` raises :class:`IterationLimitError` instead of
     mislabeling the program.
     """
-    sf = _to_standard_form(lp)
-    m, n_total = sf.a.shape
+    a, b = _to_standard_form(lp)
+    m, n_total = a.shape
+    n_eq = lp.A_eq.shape[0]
     engine = _Simplex(max_iters)
 
     # Phase 1: an inequality row whose slack kept its +1 sign starts with
     # that slack basic; equality rows and sign-flipped rows get artificials.
-    negated = sf.b < 0
-    art_rows = (negated | (np.arange(m) < sf.n_eq)).nonzero()[0]
+    negated = b < 0
+    art_rows = (negated | (np.arange(m) < n_eq)).nonzero()[0]
     n_art = art_rows.size
-    basis = np.arange(m) + (lp.n_vars - sf.n_eq)
+    basis = np.arange(m) + (lp.n_vars - n_eq)
     basis[art_rows] = n_total + np.arange(n_art)
     tableau = np.zeros((m + 1, n_total + n_art + 1))
-    tableau[:m, :n_total] = sf.a
-    tableau[:m, -1] = sf.b
+    tableau[:m, :n_total] = a
+    tableau[:m, -1] = b
     # Rows are sign-fixed so every rhs is nonnegative; the artificial 1s go
     # in afterwards, so every other artificial entry stays +0.0.
     tableau[:m, :n_total][negated] *= -1.0
@@ -313,38 +302,37 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
 
     # An axis-0 subtract.reduce takes the rows from the first one in order,
     # so each cost row below has the bits of a loop of `cost -= row`.
-    if n_art:
-        cost = np.zeros(n_total + n_art + 1)
-        cost[n_total : n_total + n_art] = 1.0
-        tableau[-1] = np.subtract.reduce(np.vstack([cost, tableau[art_rows]]))
-        outcome = engine.run(tableau, basis, n_total + n_art)
-        if outcome != "optimal":
-            raise LpError("phase 1 reported unbounded; this cannot happen")
-        phase1_obj = -tableau[-1, -1]
-        if phase1_obj > max(1e-7, _TOL * 100.0):
-            return LpSolution(LpStatus.INFEASIBLE, None, None, engine.iterations)
-        # Drive surviving artificials out of the basis or drop their rows.
-        keep_rows = np.ones(m, dtype=bool)
-        for i in (basis >= n_total).nonzero()[0]:
-            # Pivot on the largest entry: a tiny one would scale the row
-            # by its inverse and amplify roundoff across the tableau.
-            magnitude = np.abs(tableau[i, :n_total])
-            pivot_col = int(magnitude.argmax())
-            if magnitude[pivot_col] > 1e-9:
-                engine._pivot(tableau, i, pivot_col)
-                basis[i] = pivot_col
-            else:
-                keep_rows[i] = False
-        if not keep_rows.all():
-            tableau = tableau[np.append(keep_rows, True)]
-            basis = basis[keep_rows]
-            m = basis.size
+    cost = np.zeros(n_total + n_art + 1)
+    cost[n_total : n_total + n_art] = 1.0
+    tableau[-1] = np.subtract.reduce(np.vstack([cost, tableau[art_rows]]))
+    outcome = engine.run(tableau, basis, n_total + n_art)
+    if outcome != "optimal":
+        raise LpError("phase 1 reported unbounded; this cannot happen")
+    phase1_obj = -tableau[-1, -1]
+    if phase1_obj > max(1e-7, _TOL * 100.0):
+        return LpSolution(LpStatus.INFEASIBLE, None, None, engine.iterations)
+    # Drive surviving artificials out of the basis or drop their rows.
+    keep_rows = np.ones(m, dtype=bool)
+    for i in (basis >= n_total).nonzero()[0]:
+        # Pivot on the largest entry: a tiny one would scale the row by its
+        # inverse and amplify roundoff across the tableau.
+        magnitude = np.abs(tableau[i, :n_total])
+        pivot_col = int(magnitude.argmax())
+        if magnitude[pivot_col] > 1e-9:
+            engine._pivot(tableau, i, pivot_col)
+            basis[i] = pivot_col
+        else:
+            keep_rows[i] = False
+    if not keep_rows.all():
+        tableau = tableau[np.append(keep_rows, True)]
+        basis = basis[keep_rows]
+        m = basis.size
 
-    # Phase 2 objective, reduced against the current basis. The artificial
-    # columns stay in the tableau but are no longer priced.
+    # Phase 2 objective, reduced against the current basis, which holds no
+    # artificial column; those stay in the tableau but are not priced.
     cost = np.zeros(tableau.shape[1])
-    cost[:n_total] = sf.c
-    c_basic = sf.c[basis]
+    cost[: lp.n_vars] = lp.c
+    c_basic = cost[basis]
     priced = c_basic.nonzero()[0]
     tableau[-1] = np.subtract.reduce(
         np.vstack([cost, c_basic[priced, None] * tableau[priced]])
@@ -357,12 +345,12 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
     y[basis] = tableau[:m, -1]
     # Refine basic values against the untouched standard-form system to
     # shed accumulated pivot roundoff.
-    if m == sf.a.shape[0]:
+    if m == a.shape[0]:
         try:
-            basis_mat = sf.a[:, basis]
-            refined = np.linalg.solve(basis_mat, sf.b)
-            scale = 1.0 + np.abs(sf.b).max(initial=0.0)
-            residual = np.abs(basis_mat @ refined - sf.b).max(initial=0.0)
+            basis_mat = a[:, basis]
+            refined = np.linalg.solve(basis_mat, b)
+            scale = 1.0 + np.abs(b).max(initial=0.0)
+            residual = np.abs(basis_mat @ refined - b).max(initial=0.0)
             if (
                 np.isfinite(refined).all()
                 and refined.min(initial=0.0) > -1e-7

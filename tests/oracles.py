@@ -29,6 +29,7 @@ and back, so gradient checks can perturb one weight at a time.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from pvdispatch.lp import (
     LpError,
     LpSolution,
     LpStatus,
-    _StandardForm,
 )
 from pvdispatch.lstm import NetworkConfig, NetworkParameters
 
@@ -497,6 +497,17 @@ def reference_backward(
 _PIVOT_TOL = 1e-11
 _TOL = 1e-9  # pricing, ratio-tie and degeneracy tolerance
 _BLAND_STALL = 50
+
+
+@dataclass
+class _StandardForm:
+    """min c.y, A y = b, y >= 0, where the first ``n_vars`` columns are
+    ``y = x - lower`` and the rest are slacks."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    n_eq: int  # leading rows that are equalities (no slack of their own)
 
 
 def _reference_standard_form(lp: LinearProgram) -> _StandardForm:

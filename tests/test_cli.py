@@ -400,6 +400,27 @@ class TestErrorContract:
             f"error: {fleet}: row 1: G1: {field} must be finite"
         )
 
+    def test_fleet_naming_a_unit_twice_exits_2(self, tmp_path, capsys):
+        """Two units of one name would give ``schedule.csv`` two ``da_G1``
+        columns that no reader can tell apart."""
+        fleet = tmp_path / "fleet.csv"
+        fleet.write_text(
+            "name,cost,pmax,pmin,ramp,rt_available,gas_fired\n"
+            "G1,20,50,0,20,1,0\n"
+            "G1,30,30,0,30,1,1\n"
+        )
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "24"])
+        series = str(tmp_path / "d" / "demand.csv")
+        capsys.readouterr()
+        rc = main(["dispatch", "--demand", series, "--forecast", series,
+                   "--actual", series, "--fleet", str(fleet),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fleet}: row 2: ")
+        assert "'G1'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--voll", "inf", "voll"), ("--emission-factor", "nan", "emission_factor")],

@@ -224,6 +224,48 @@ class TestVertexOracle:
                 np.testing.assert_array_equal(s1.x, s2.x)
 
 
+class TestSmallCoefficientRows:
+    def test_match_highs_where_the_vertex_oracle_cannot(self):
+        """An equality row with a 1e-6 entry is below the vertex oracle's
+        feasibility tolerance (see :func:`oracles.enumerate_vertices`), so
+        these programs are checked against HiGHS instead."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.Generator(np.random.PCG64(1906))
+        outcomes = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+        for _ in range(300):
+            base = random_box_lp(rng)
+            n = base.n_vars
+            row = rng.uniform(-1.0, 1.0, n)
+            tiny = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * 1e-6
+            row[rng.integers(n)] = tiny
+            # The new row passes through a point inside the box.
+            rhs = row @ rng.uniform(base.lower, base.upper)
+            lp = LinearProgram(
+                c=base.c,
+                A_eq=np.vstack([base.A_eq, row]),
+                b_eq=np.append(base.b_eq, rhs),
+                A_ub=base.A_ub if base.A_ub.size else None,
+                b_ub=base.b_ub if base.b_ub.size else None,
+                lower=base.lower,
+                upper=base.upper,
+            )
+            sol = solve_lp(lp)
+            res = linprog(
+                lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                A_ub=lp.A_ub if lp.A_ub.size else None,
+                b_ub=lp.b_ub if lp.b_ub.size else None,
+                bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
+            )
+            assert res.status in (0, 2), res.message
+            expected = LpStatus.OPTIMAL if res.status == 0 else LpStatus.INFEASIBLE
+            assert sol.status is expected
+            outcomes[expected] += 1
+            if expected is LpStatus.OPTIMAL:
+                assert sol.objective == pytest.approx(res.fun, rel=1e-6)
+        # The sample must reach both outcomes for the agreement to mean much.
+        assert min(outcomes.values()) >= 50, outcomes
+
+
 class TestDegenerateAndStress:
     def test_degenerate_vertex(self):
         # Several constraints meet at the optimum; must still terminate.

@@ -1,9 +1,11 @@
 """Every script under ``scripts/`` imports cleanly, so a script that names a
 removed function fails here instead of on its next manual run, and
 ``scan_lstm.py`` runs one epoch; every committed config under ``configs/``
-loads; ``output_digests.py`` digests what each command prints."""
+loads; ``output_digests.py`` digests what each command prints, and only what
+is the same in every run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,29 @@ def test_output_digests_keeps_stdout_without_the_output_path(tmp_path):
     assert (where / "stdout.txt").read_text(encoding="utf-8") == (
         "wrote <dir>/synth/generation.csv and <dir>/synth/demand.csv\n"
     )
+
+
+def test_output_digests_drop_what_differs_between_runs_from_the_manifest(
+    tmp_path,
+):
+    """Two runs in other directories, with other timings, digest the same
+    manifest; every other file is digested as it is."""
+    digests = import_script(ROOT / "scripts" / "output_digests.py")
+    seen = []
+    for where, seconds in (("a", 0.5), ("b", 7.25)):
+        out = tmp_path / where
+        (out / "run").mkdir(parents=True)
+        manifest = out / "run" / "manifest.json"
+        manifest.write_text(json.dumps({
+            "config": {"output_dir": str(out / "run"), "seed": 5},
+            "timings_s": {"dispatch": seconds},
+        }))
+        seen.append(digests._digested_bytes(out, manifest))
+        other = out / "run" / "metrics.csv"
+        other.write_text(str(out))
+        assert digests._digested_bytes(out, other) == str(out).encode()
+    assert seen[0] == seen[1]
+    assert json.loads(seen[0]) == {"config": {"output_dir": "<dir>/run", "seed": 5}}
 
 
 def test_synthetic_experiment_config():
