@@ -56,7 +56,7 @@ def daily_profiles(
     days are dropped.
     """
     target = ds.column(target_j)
-    hours = ds.hours()
+    hours = timestamp_hours(ds.timestamps)
     start = int(np.argmax(hours == 0)) if (hours == 0).any() else ds.n
     n_days = (ds.n - start) // 24
     if n_days == 0:
@@ -180,8 +180,8 @@ def kmeans_fit(
 def monthly_hour_fit(train: TimeSeriesDataset, target_j: int) -> MonthlyHourModel:
     """Mean MW of the target feature per (month, hour) over the train split."""
     vals = train.column(target_j)
-    months = train.months()
-    hours = train.hours()
+    months = timestamp_months(train.timestamps)
+    hours = timestamp_hours(train.timestamps)
     sums = np.zeros((12, 24))
     counts = np.zeros((12, 24))
     np.add.at(sums, (months - 1, hours), vals)

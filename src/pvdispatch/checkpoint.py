@@ -34,7 +34,8 @@ def _write(
 ) -> None:
     """Save the model's ``arrays``, then its dark ``mask``."""
     meta = {"format_version": FORMAT_VERSION, **meta}
-    payload = {"__meta__": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
+    sidecar = json.dumps(meta, sort_keys=True).encode()
+    payload = {"__meta__": np.frombuffer(sidecar, dtype=np.uint8)}
     payload.update(arrays)
     payload["mask_table"] = mask.table.astype(np.uint8)
     payload["mask_defined"] = mask.month_defined.astype(np.uint8)

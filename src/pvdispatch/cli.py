@@ -68,7 +68,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    config.validate()
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     generation, _demand, _fleet = load_inputs(config)
@@ -89,7 +88,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    config.validate()
     models_dir = Path(args.models)
     net, params, normalizer, mask = checkpoint.load_lstm(models_dir / "mlstm.npz")
     km, km_mask = checkpoint.load_kmeans(models_dir / "kmeans.npz")

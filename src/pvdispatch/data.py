@@ -105,12 +105,6 @@ class TimeSeriesDataset:
     def n_features(self) -> int:
         return int(self.values.shape[1])
 
-    def months(self) -> np.ndarray:
-        return timestamp_months(self.timestamps)
-
-    def hours(self) -> np.ndarray:
-        return timestamp_hours(self.timestamps)
-
     def column(self, j: int) -> np.ndarray:
         """The values of feature ``j``, which must exist."""
         if not 0 <= j < self.n_features:
@@ -180,7 +174,7 @@ def read_csv_rows(
     cells (None if the file is empty) pass ``check_header``. A missing file,
     or a ValueError from either callable, raises ``error`` naming the path
     and, for a data row, its 1-based number (header excluded), as does a
-    file that is not UTF-8 text."""
+    file that cannot be read or is not UTF-8 text."""
     path = Path(path)
     if not path.exists():
         raise error(f"no such file: {path}")
@@ -200,6 +194,8 @@ def read_csv_rows(
                     raise error(f"{path}: row {i}: {exc}") from None
     except UnicodeDecodeError as exc:  # raised reading ahead: no row number
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:  # a directory, say, or no permission to read
+        raise error(f"{path}: cannot read: {exc.strerror}") from None
     return parsed
 
 
@@ -378,8 +374,8 @@ def derive_dark_mask(train: TimeSeriesDataset, target_j: int) -> DarkHourMask:
     observed inside a covered month are left unmasked.
     """
     vals = train.column(target_j)
-    months = train.months()
-    hours = train.hours()
+    months = timestamp_months(train.timestamps)
+    hours = timestamp_hours(train.timestamps)
     defined = np.zeros(12, dtype=bool)
     defined[np.unique(months) - 1] = True
     slot_max = np.full((12, 24), -1.0)
@@ -392,8 +388,8 @@ def derive_dark_mask(train: TimeSeriesDataset, target_j: int) -> DarkHourMask:
 
 def apply_dark_mask(series: TimeSeriesDataset, mask: DarkHourMask) -> TimeSeriesDataset:
     """Zero every column of the series at every masked (month, hour) slot."""
-    months = series.months()
-    hours = series.hours()
+    months = timestamp_months(series.timestamps)
+    hours = timestamp_hours(series.timestamps)
     undefined = ~mask.month_defined[months - 1]
     if undefined.any():
         bad = int(months[undefined][0])

@@ -30,13 +30,13 @@ import numpy as np
 
 from .data import (
     DarkHourMask,
-    DataError,
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
     apply_dark_mask,
     denormalize_feature,
     normalize,
+    window_arrays,
 )
 
 
@@ -396,23 +396,20 @@ def backward(
 
 def adam_step(
     params: NetworkParameters, grads: NetworkParameters, state: AdamState
-) -> tuple[NetworkParameters, AdamState]:
-    """One bias-corrected Adam update; returns fresh parameters and state."""
-    t = state.t + 1
-    new_params = params.copy()
-    new_m = state.m.copy()
-    new_v = state.v.copy()
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
+) -> None:
+    """One bias-corrected Adam update, in place: advances ``state.t`` and
+    updates ``params``, ``state.m`` and ``state.v``."""
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for p_leaf, g_leaf, m_leaf, v_leaf in zip(
-        new_params.leaves(), grads.leaves(), new_m.leaves(), new_v.leaves()
+        params.leaves(), grads.leaves(), state.m.leaves(), state.v.leaves()
     ):
         m_leaf[...] = ADAM_BETA1 * m_leaf + (1.0 - ADAM_BETA1) * g_leaf
         v_leaf[...] = ADAM_BETA2 * v_leaf + (1.0 - ADAM_BETA2) * g_leaf * g_leaf
         m_hat = m_leaf / bc1
         v_hat = v_leaf / bc2
         p_leaf -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_params, AdamState(new_m, new_v, t, state.lr)
 
 
 def train_epochs(
@@ -421,7 +418,8 @@ def train_epochs(
     tc: TrainingConfig,
 ) -> Iterator[tuple[NetworkParameters, float]]:
     """Mini-batch Adam training on (inputs (B, p, F), labels (B,)) windows;
-    yields the parameters and the mean MSE after each epoch.
+    yields a copy of the parameters, which Adam updates in place, and the
+    mean MSE after each epoch.
 
     Fully deterministic given (net.seed, tc.seed): the shuffle order and
     each batch's dropout mask are drawn from one seeded stream.
@@ -457,8 +455,8 @@ def train_epochs(
                 raise DivergenceError(f"training diverged at epoch {epoch}")
             total += batch_loss * idx.size
             grads = backward(params, cache, labels[idx])
-            params, state = adam_step(params, grads, state)
-        yield params, total / n
+            adam_step(params, grads, state)
+        yield params.copy(), total / n
 
 
 def train(
@@ -484,25 +482,22 @@ def predict_series(
 ) -> TimeSeriesDataset:
     """Backtest-style forecast over every target hour the dataset covers.
 
-    Each prediction uses the window ending ``horizon_m`` hours earlier, is
-    rescaled to MW, clipped at 0, and finally forced to zero on dark slots.
+    The windows are training's (:func:`~pvdispatch.data.window_arrays`),
+    normalized chunk by chunk. Each prediction uses the window ending
+    ``horizon_m`` hours earlier, is rescaled to MW, clipped at 0, and
+    finally forced to zero on dark slots.
     """
-    if ds.n < spec.lookback_p + spec.horizon_m:
-        raise DataError(
-            f"need at least {spec.lookback_p + spec.horizon_m} rows, have {ds.n}"
-        )
-    values = normalize(ds.values, normalizer)
-    view = np.lib.stride_tricks.sliding_window_view(values, spec.lookback_p, axis=0)
-    n_samples = ds.n - spec.lookback_p - spec.horizon_m + 1
-    inputs = view[:n_samples].transpose(0, 2, 1)
+    inputs, _labels = window_arrays(ds, spec)
+    n_samples = inputs.shape[0]
     preds = np.empty(n_samples)
     for start in range(0, n_samples, PREDICT_CHUNK):
-        block = np.ascontiguousarray(inputs[start : start + PREDICT_CHUNK])
+        chunk = normalize(inputs[start : start + PREDICT_CHUNK], normalizer)
+        block = np.ascontiguousarray(chunk)
         preds[start : start + PREDICT_CHUNK] = _predict_windows(params, config, block)
     mw = denormalize_feature(preds, normalizer, spec.target_feature_j)
     mw = np.maximum(mw, 0.0)
     series = TimeSeriesDataset(
-        ds.timestamps[spec.lookback_p + spec.horizon_m - 1 :],
+        ds.timestamps[-n_samples:],
         mw[:, None],
         (ds.feature_names[spec.target_feature_j],),
     )

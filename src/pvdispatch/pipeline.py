@@ -49,6 +49,7 @@ from .data import (
     load_mask_csv,
     normalize,
     split_chronological,
+    timestamp_hours,
     window_arrays,
     write_table,
 )
@@ -59,6 +60,7 @@ from .dispatch import (
     EvaluationReport,
     GeneratorSpec,
     case_metrics,
+    check_voll,
     default_fleet,
     load_fleet_csv,
     nmae,
@@ -99,7 +101,8 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs; see the README for the YAML schema."""
+    """Everything a run needs; see the README for the YAML schema. Building
+    one raises :class:`ConfigError` for a value no early stage checks."""
 
     # data: either a synthetic spec or paths to CSV files
     synth_enabled: bool = True
@@ -137,11 +140,7 @@ class PipelineConfig:
     seed: int = 0
     output_dir: str = "runs/out"
 
-    def validate(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+    def __post_init__(self) -> None:
         for label, value in (
             ("voll", self.voll), ("emission_factor", self.emission_factor)
         ):
@@ -156,11 +155,6 @@ class PipelineConfig:
             ):
                 if p is None:
                     raise ConfigError(f"{label} required when synth is disabled")
-                if not Path(p).exists():
-                    raise ConfigError(f"{label}: no such file: {p}")
-        for label, p in (("fleet_csv", self.fleet_csv), ("mask_csv", self.mask_csv)):
-            if p is not None and not Path(p).exists():
-                raise ConfigError(f"{label}: no such file: {p}")
         # Constructor-level checks, surfaced before any stage runs.
         try:
             _window_spec(self)
@@ -202,32 +196,55 @@ def _flag(value) -> bool:
     return value
 
 
+def _real(value) -> float:
+    """A YAML number or numeric string; booleans are rejected, not read as 0/1."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A YAML integer, or a number or string that is one exactly (30, 30.0,
+    "30"); booleans and fractional parts are rejected, not truncated."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ValueError(value)
+    return int(value)
+
+
+def _sizes(value) -> tuple[int, ...]:
+    """A YAML list of integers; a string is rejected, not read digit by digit."""
+    if not isinstance(value, list):
+        raise ValueError(value)
+    return tuple(_integer(h) for h in value)
+
+
 # (YAML section, key, config field, conversion); a missing key keeps the
 # field's default.
 _YAML_FIELDS = (
     ("data.synth", "enabled", "synth_enabled", _flag),
-    ("data.synth", "hours", "synth_hours", int),
+    ("data.synth", "hours", "synth_hours", _integer),
     ("data.synth", "start", "synth_start", str),
-    ("data.synth", "areas", "synth_areas", int),
-    ("window", "lookback", "lookback_p", int),
-    ("window", "horizon", "horizon_m", int),
-    ("window", "target", "target_feature_j", int),
-    ("split", "train_fraction", "train_fraction", float),
-    ("network", "layers", "layer_sizes", lambda v: tuple(int(h) for h in v)),
-    ("network", "dropout", "dropout_rate", float),
+    ("data.synth", "areas", "synth_areas", _integer),
+    ("window", "lookback", "lookback_p", _integer),
+    ("window", "horizon", "horizon_m", _integer),
+    ("window", "target", "target_feature_j", _integer),
+    ("split", "train_fraction", "train_fraction", _real),
+    ("network", "layers", "layer_sizes", _sizes),
+    ("network", "dropout", "dropout_rate", _real),
     ("network", "activation", "cell_activation", str),
-    ("network", "seed", "network_seed", int),
-    ("training", "epochs", "epochs", int),
-    ("training", "batch_size", "batch_size", int),
-    ("training", "learning_rate", "learning_rate", float),
-    ("training", "lr_decay", "lr_decay", float),
-    ("training", "seed", "training_seed", int),
+    ("network", "seed", "network_seed", _integer),
+    ("training", "epochs", "epochs", _integer),
+    ("training", "batch_size", "batch_size", _integer),
+    ("training", "learning_rate", "learning_rate", _real),
+    ("training", "lr_decay", "lr_decay", _real),
+    ("training", "seed", "training_seed", _integer),
     ("training", "shuffle", "shuffle", _flag),
-    ("baselines", "kmeans_clusters", "kmeans_clusters", int),
-    ("baselines", "kmeans_seed", "kmeans_seed", int),
-    ("dispatch", "voll", "voll", float),
-    ("dispatch", "emission_factor", "emission_factor", float),
-    ("", "seed", "seed", int),
+    ("baselines", "kmeans_clusters", "kmeans_clusters", _integer),
+    ("baselines", "kmeans_seed", "kmeans_seed", _integer),
+    ("dispatch", "voll", "voll", _real),
+    ("dispatch", "emission_factor", "emission_factor", _real),
+    ("", "seed", "seed", _integer),
     ("", "output_dir", "output_dir", str),
 )
 _SECTIONS = ("window", "split", "network", "training", "baselines", "dispatch")
@@ -302,6 +319,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"no such config file: {path}")
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     return config_from_dict(raw or {})
@@ -394,6 +415,7 @@ def load_inputs(
         demand = _read_single_column(config.demand_csv, generation, what)
     generation.column(config.target_feature_j)  # fails early on a missing target
     fleet = load_fleet_csv(config.fleet_csv) if config.fleet_csv else default_fleet()
+    check_voll(config.voll, fleet)  # against the fleet, before any model is fitted
     return generation, demand, fleet
 
 
@@ -531,7 +553,6 @@ def evaluate_days(
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage and return reports keyed by forecast method."""
-    config.validate()
     timings: dict[str, float] = {}
 
     with _stage(timings, "load_data"):
@@ -547,7 +568,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     with _stage(timings, "dispatch"):
         # Dispatch whole calendar days, from the first midnight of the span.
-        first_midnight = int(np.argmax(test_ds.hours() == 0))
+        first_midnight = int(np.argmax(timestamp_hours(test_ds.timestamps) == 0))
         n_days = (test_ds.n - first_midnight) // 24
         day_slice = slice(first_midnight, first_midnight + 24 * n_days)
         dispatch_actual = test_ds.column(config.target_feature_j)[day_slice]

@@ -18,6 +18,10 @@ gate-major cache, hoisted projection and whole-block ``sigmoid`` of
 :func:`pvdispatch.lstm.forward_batch` and :func:`pvdispatch.lstm.backward`
 can be checked against them byte for byte.
 
+The reference Adam step is :func:`pvdispatch.lstm.adam_step` as it stood
+when it copied the parameters and both moments on every call, kept
+verbatim, so the in-place update can be checked against it byte for byte.
+
 The reference simplex is :func:`pvdispatch.lp.solve_lp` before its
 set-up copies and per-pivot overhead were cut, kept verbatim, so the tuned
 solver can be checked against it byte for byte.
@@ -41,7 +45,14 @@ from pvdispatch.lp import (
     LpSolution,
     LpStatus,
 )
-from pvdispatch.lstm import NetworkConfig, NetworkParameters
+from pvdispatch.lstm import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    NetworkConfig,
+    NetworkParameters,
+)
 
 
 def enumerate_vertices(lp: LinearProgram, feas_tol: float = 1e-7):
@@ -485,6 +496,27 @@ def reference_backward(
             dc_carry = dc * f_t
         dh_seq = dx_seq
     return grads
+
+
+def reference_adam_step(
+    params: NetworkParameters, grads: NetworkParameters, state: AdamState
+) -> tuple[NetworkParameters, AdamState]:
+    """One bias-corrected Adam update; returns fresh parameters and state."""
+    t = state.t + 1
+    new_params = params.copy()
+    new_m = state.m.copy()
+    new_v = state.v.copy()
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for p_leaf, g_leaf, m_leaf, v_leaf in zip(
+        new_params.leaves(), grads.leaves(), new_m.leaves(), new_v.leaves()
+    ):
+        m_leaf[...] = ADAM_BETA1 * m_leaf + (1.0 - ADAM_BETA1) * g_leaf
+        v_leaf[...] = ADAM_BETA2 * v_leaf + (1.0 - ADAM_BETA2) * g_leaf * g_leaf
+        m_hat = m_leaf / bc1
+        v_hat = v_leaf / bc2
+        p_leaf -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(new_m, new_v, t, state.lr)
 
 
 # The two-phase simplex of :func:`pvdispatch.lp.solve_lp` as it stood before

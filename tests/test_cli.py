@@ -366,6 +366,13 @@ class TestErrorContract:
             ("training: {learning_rate: nan}\n", "learning_rate"),
             ("training: {learning_rate: .inf}\n", "learning_rate"),
             ("dispatch: {horizon: 24}\n", "dispatch.horizon"),
+            ("training: {epochs: 2.9}\n", "training.epochs"),
+            ("training: {epochs: true}\n", "training.epochs"),
+            ("window: {lookback: 24.5}\n", "window.lookback"),
+            ("network: {layers: [64.7, 32]}\n", "network.layers"),
+            ("network: {layers: '64'}\n", "network.layers"),
+            ("seed: 1.5\n", "seed"),
+            ("dispatch: {voll: true}\n", "dispatch.voll"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(
@@ -375,6 +382,66 @@ class TestErrorContract:
         p.write_text(yaml_text)
         assert main(["run", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("loader", ["demand", "fleet", "mask", "config"])
+    def test_directory_path_exits_2_naming_it(self, tmp_path, capsys, loader):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "48"])
+        paths = {
+            name: tmp_path / "d" / "demand.csv"
+            for name in ("demand", "forecast", "actual")
+        }
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"data: {{synth: {{hours: 48}}, mask_csv: '{folder}'}}\n")
+        if loader in ("demand", "fleet"):
+            paths[loader] = folder
+            argv = ["evaluate"] + [f"--{name}={path}" for name, path in paths.items()]
+        else:
+            argv = ["run", "--config", str(folder if loader == "config" else config)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {folder}: cannot read: ")
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (command, key)
+            for command in ("run", "train", "forecast")
+            for key in ("generation_csv", "demand_csv", "fleet_csv", "mask_csv")
+            # forecast masks with the checkpoint's mask and reads no mask file
+            if (command, key) != ("forecast", "mask_csv")
+        ],
+    )
+    def test_absent_input_file_exits_2_naming_it(
+        self, tmp_path, capsys, command, key
+    ):
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "48"])
+        files = {
+            "generation_csv": tmp_path / "d" / "generation.csv",
+            "demand_csv": tmp_path / "d" / "demand.csv",
+            key: tmp_path / "absent.csv",
+        }
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "data: {" + ", ".join(f"{k}: '{v}'" for k, v in files.items()) + "}\n"
+        )
+        models = tmp_path / "models"
+        models.mkdir()
+        net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
+        normalizer = NormalizationParams(np.zeros(3), np.ones(3))
+        mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
+        params = init_params(net)
+        checkpoint.save_lstm(models / "mlstm.npz", net, params, normalizer, mask)
+        kmeans = KMeansModel(np.ones((2, 24)), np.zeros(3, dtype=int), 0.0)
+        checkpoint.save_kmeans(models / "kmeans.npz", kmeans, mask)
+        monthly = MonthlyHourModel(np.ones((12, 24)))
+        checkpoint.save_monthly(models / "monthly.npz", monthly, mask)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        argv += ["--models", str(models)] if command == "forecast" else []
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"no such file: {tmp_path / 'absent.csv'}" in capsys.readouterr().err
 
     def test_bad_synth_setting_exits_2_naming_it(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "d"), "--hours", "0"])
@@ -446,6 +513,53 @@ class TestErrorContract:
                    "--actual", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_bytes(b"seed: 5\n# \xff\n")
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}: not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "scaled, factor, flags, field",
+        [
+            # Outside the range the solver's answers were checked in.
+            ("demand", 3e5, [], "demand: "),
+            ("actual", 3e7, [], "actual: "),
+            ("actual", 1e12, [], "actual: "),
+            ("demand", 1.0, ["--voll", "1e17"], "voll 1e+17 "),
+        ],
+    )
+    def test_figures_outside_the_dispatch_range_exit_2_naming_the_field(
+        self, tmp_path, capsys, scaled, factor, flags, field
+    ):
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "48",
+              "--areas", "1", "--seed", "0"])
+        series = {
+            "demand": load_csv(tmp_path / "d" / "demand.csv").column(0),
+            "forecast": load_csv(tmp_path / "d" / "generation.csv").column(0),
+        }
+        series["actual"] = series["forecast"]
+        series[scaled] = series[scaled] * factor
+        argv = ["evaluate"] + flags + [
+            f"--{name}={write_series(tmp_path / f'{name}.csv', values)}"
+            for name, values in series.items()
+        ]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: day 0 of the span: {field}")
+
+    def test_voll_beyond_the_fleet_range_stops_a_run_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def train(*args):
+            raise AssertionError("the network was trained")
+
+        monkeypatch.setattr("pvdispatch.pipeline.train", train)
+        p = tmp_path / "cfg.yaml"
+        p.write_text("data: {synth: {hours: 48}}\ndispatch: {voll: 1.0e+17}\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: voll 1e+17 must be")
 
     @pytest.mark.parametrize("command", ["dispatch", "evaluate"])
     @pytest.mark.parametrize("shifted", ["forecast", "actual"])

@@ -20,6 +20,8 @@ from pvdispatch.data import (
     normalize,
     save_mask_csv,
     split_chronological,
+    timestamp_hours,
+    timestamp_months,
     window_arrays,
     write_csv,
     write_table,
@@ -351,11 +353,11 @@ class TestDarkMask:
     def test_mask_soundness_property(self):
         ds = make_ds(24 * 200, seed=13)
         vals = ds.values.copy()
-        hours = ds.hours()
+        hours = timestamp_hours(ds.timestamps)
         vals[(hours < 6) | (hours > 19), 0] = 0.0
         ds = TimeSeriesDataset(ds.timestamps, vals, ds.feature_names)
         mask = derive_dark_mask(ds, 0)
-        months = ds.months()
+        months = timestamp_months(ds.timestamps)
         for month in range(1, 13):
             if not mask.month_defined[month - 1]:
                 continue

@@ -12,6 +12,8 @@ from oracles import (
     reference_rt_lp,
 )
 from pvdispatch.dispatch import (
+    MW_LIMIT,
+    VOLL_COST_RATIO,
     DispatchCase,
     DispatchError,
     EvaluationReport,
@@ -449,6 +451,73 @@ class TestHighsOracle:
             )
         # The sample must reach each feature for the agreement to cover it.
         assert min(seen.values()) >= 50, seen
+
+
+class TestNumericRange:
+    """Dispatch takes MW figures up to MW_LIMIT and a voll of at most
+    VOLL_COST_RATIO times the dearest unit's cost; outside, the absolute
+    tolerances of the simplex no longer hold its answers to HiGHS's."""
+
+    @pytest.mark.parametrize("key", ["pmax", "ramp"])
+    def test_unit_figure_above_the_limit_is_named(self, key):
+        figures = dict(pmax=50.0, ramp=20.0)
+        figures[key] = 2.0 * MW_LIMIT
+        with pytest.raises(DispatchError, match=f"^G1: {key} 200000 MW is above"):
+            GeneratorSpec("G1", cost=20.0, **figures)
+
+    @pytest.mark.parametrize("label", ["demand", "forecast", "actual"])
+    def test_series_above_the_limit_is_named(self, label):
+        series = dict(demand=[80.0, 90.0], forecast=[5.0, 6.0], actual=[5.0, 6.0])
+        series[label] = [series[label][0], 1.5 * MW_LIMIT]
+        with pytest.raises(DispatchError, match=f"^{label}: 150000 MW at hour 1 "):
+            DispatchCase(fleet=default_fleet(), **series)
+
+    @pytest.mark.parametrize("costs", [(20.0, 25.0, 30.0), (0.0, 0.0, 0.0)])
+    def test_voll_beyond_the_ratio_to_the_dearest_cost_is_named(self, costs):
+        fleet = tuple(
+            GeneratorSpec(f"G{i}", cost=c, pmax=50.0, ramp=20.0)
+            for i, c in enumerate(costs)
+        )
+        voll = 2.0 * VOLL_COST_RATIO * max(max(costs), 1.0)
+        with pytest.raises(DispatchError, match="^voll .* at most 100000"):
+            case_t1(80.0, 0.0, fleet=fleet, voll=voll)
+        if max(costs) > 0:
+            case_t1(80.0, 0.0, fleet=fleet, voll=VOLL_COST_RATIO * max(costs))
+
+    def test_answers_at_the_edge_of_the_range_match_highs(self):
+        """Every MW figure scaled so the largest is MW_LIMIT, and voll at its
+        largest: both programs still match HiGHS."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.Generator(np.random.PCG64(2027))
+        for _ in range(30):
+            case = random_dispatch_case(rng)
+            fleet = case.fleet
+            top = max(
+                case.demand.max(), case.forecast.max(), case.actual.max(),
+                max(max(g.pmax, g.ramp) for g in fleet),
+            )
+            k = (1.0 - 1e-9) * MW_LIMIT / top  # so that no product rounds past
+            case = DispatchCase(
+                demand=case.demand * k,
+                forecast=case.forecast * k,
+                actual=case.actual * k,
+                fleet=tuple(
+                    GeneratorSpec(
+                        g.name, g.cost, g.pmax * k, g.pmin * k, g.ramp * k,
+                        g.rt_available, g.gas_fired,
+                    )
+                    for g in fleet
+                ),
+                voll=VOLL_COST_RATIO * max(g.cost for g in fleet),
+            )
+            da = solve_da(case)
+            assert da.objective == pytest.approx(
+                _highs_objective(linprog, build_da_lp(case)), rel=1e-6, abs=1e-6
+            )
+            rt = solve_rt(case, da)
+            assert rt.objective == pytest.approx(
+                _highs_objective(linprog, build_rt_lp(case, da)), rel=1e-6, abs=1e-6
+            )
 
 
 class TestFleetCsv:

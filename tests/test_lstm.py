@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     from_vector,
+    reference_adam_step,
     reference_backward,
     reference_forward_batch,
     reference_sigmoid,
@@ -318,6 +319,24 @@ class TestReferenceLoops:
         for leaf, ref_leaf in zip(grads, ref_grads, strict=True):
             assert leaf.tobytes() == ref_leaf.tobytes()
 
+    def test_in_place_adam_byte_identical_to_copying_step(self):
+        cfg = NetworkConfig(input_features=3, layer_sizes=(6, 4))
+        params = jostled_params(cfg, 2)
+        state = AdamState.init(params, lr=3e-3)
+        ref_params = params.copy()
+        ref_state = AdamState.init(ref_params, lr=3e-3)
+        rng = np.random.Generator(np.random.PCG64(11))
+        for _ in range(50):
+            grads = params.map(lambda a: rng.standard_normal(a.shape))
+            adam_step(params, grads, state)
+            ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state)
+        assert state.t == ref_state.t == 50
+        for ours, ref in (
+            (params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)
+        ):
+            for leaf, ref_leaf in zip(ours.leaves(), ref.leaves(), strict=True):
+                assert leaf.tobytes() == ref_leaf.tobytes()
+
 
 class TestAdam:
     def _tiny(self, seed=0):
@@ -326,10 +345,11 @@ class TestAdam:
 
     def test_zero_gradient_keeps_params(self):
         cfg, params = self._tiny()
+        before = params.copy()
         state = AdamState.init(params)
-        new_params, new_state = adam_step(params, params.zeros_like(), state)
-        assert new_state.t == 1
-        for a, b in zip(params.leaves(), new_params.leaves()):
+        adam_step(params, params.zeros_like(), state)
+        assert state.t == 1
+        for a, b in zip(before.leaves(), params.leaves()):
             np.testing.assert_array_equal(a, b)
 
     def test_first_step_is_signed_learning_rate(self):
@@ -343,10 +363,11 @@ class TestAdam:
                 -1, 1, leaf.shape
             ))
         lr = 1e-3
+        start = params.copy()
         state = AdamState.init(params, lr=lr)
-        new_params, _ = adam_step(params, grads, state)
+        adam_step(params, grads, state)
         for before, after, g in zip(
-            params.leaves(), new_params.leaves(), grads.leaves()
+            start.leaves(), params.leaves(), grads.leaves()
         ):
             expected = before - lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(after, expected, rtol=1e-9)
@@ -359,10 +380,11 @@ class TestAdam:
         grads = params.zeros_like()
         for leaf in grads.leaves():
             leaf[...] = 0.3
-        s0 = AdamState.init(params)
-        a_params, a_state = adam_step(params, grads, s0)
-        s0b = AdamState.init(params)
-        b_params, b_state = adam_step(params, grads, s0b)
+        a_params, b_params = params.copy(), params.copy()
+        a_state = AdamState.init(a_params)
+        adam_step(a_params, grads, a_state)
+        b_state = AdamState.init(b_params)
+        adam_step(b_params, grads, b_state)
         for a, b in zip(a_params.leaves(), b_params.leaves()):
             np.testing.assert_array_equal(a, b)
         assert a_state.t == b_state.t == 1

@@ -4,7 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvdispatch.data import DarkHourMask, TimeSeriesDataset, split_chronological
+from pvdispatch import pipeline
+from pvdispatch.data import (
+    DarkHourMask,
+    DataError,
+    TimeSeriesDataset,
+    split_chronological,
+)
 from pvdispatch.dispatch import CaseMetrics, EvaluationReport
 from pvdispatch.pipeline import (
     METHODS,
@@ -40,18 +46,23 @@ FAST = dict(
 )
 
 
+def _must_not_train(*args, **kwargs):
+    raise AssertionError("the network was trained")
+
+
 @pytest.fixture(scope="module")
 def fast_result():
     return run_pipeline(PipelineConfig(**FAST))
 
 
 class TestValidation:
-    def test_train_fraction_one_rejected_before_stages(self):
+    def test_train_fraction_one_rejected_before_stages(self, monkeypatch):
         cfg = PipelineConfig(**{**FAST, "train_fraction": 1.0})
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        with pytest.raises(DataError, match="train_fraction must be in"):
+            run_pipeline(cfg)
 
-    def test_missing_files_rejected(self, tmp_path):
+    def test_missing_files_rejected(self, tmp_path, monkeypatch):
         cfg = PipelineConfig(
             **{
                 **FAST,
@@ -60,13 +71,13 @@ class TestValidation:
                 "demand_csv": str(tmp_path / "absent2.csv"),
             }
         )
-        with pytest.raises(ConfigError, match="no such file"):
-            cfg.validate()
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        with pytest.raises(DataError, match="no such file"):
+            run_pipeline(cfg)
 
     def test_bad_network_config_surfaces_early(self):
-        cfg = PipelineConfig(**{**FAST, "dropout_rate": 1.5})
         with pytest.raises(ConfigError):
-            cfg.validate()
+            PipelineConfig(**{**FAST, "dropout_rate": 1.5})
 
     def test_yaml_loading(self, tmp_path):
         p = tmp_path / "cfg.yaml"
@@ -86,7 +97,20 @@ class TestValidation:
         assert cfg.seed == 9
         assert cfg.synth_hours == 9096
         assert cfg.layer_sizes == (8, 6)
-        cfg.validate()
+
+    def test_values_that_convert_exactly_are_accepted(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        # PyYAML reads 1e-3 (no dot) as a string, which float() still takes.
+        p.write_text(
+            "seed: 30\n"
+            "training: {epochs: 30.0, batch_size: '32', learning_rate: 1e-3}\n"
+            "network: {layers: [8.0, '6']}\n"
+        )
+        cfg = load_config(p)
+        assert (cfg.seed, cfg.epochs, cfg.batch_size) == (30, 30, 32)
+        assert all(type(v) is int for v in (cfg.seed, cfg.epochs, cfg.batch_size))
+        assert cfg.learning_rate == 1e-3
+        assert cfg.layer_sizes == (8, 6)
 
     def test_config_from_dict_rejects_non_mapping(self):
         with pytest.raises(ConfigError):

@@ -25,18 +25,18 @@ class TestSynthYear:
 
     def test_night_hours_exactly_zero(self):
         gen, _ = synth_year(seed=3)
-        hours = gen.hours()
+        hours = timestamp_hours(gen.timestamps)
         night = (hours <= 3) | (hours >= 21)  # outside any daylight window
         assert (gen.values[night] == 0.0).all()
 
     def test_daylight_noon_positive(self):
         gen, _ = synth_year(seed=3)
-        noon = gen.hours() == 12
+        noon = timestamp_hours(gen.timestamps) == 12
         assert (gen.values[noon] > 0.0).all()
 
     def test_summer_brighter_than_winter_on_average(self):
         gen, _ = synth_year(seed=4)
-        months = gen.months()
+        months = timestamp_months(gen.timestamps)
         summer = gen.values[np.isin(months, (6, 7)), 0].mean()
         winter = gen.values[np.isin(months, (12, 1)), 0].mean()
         assert summer > 2.0 * winter
@@ -53,7 +53,7 @@ class TestSynthYear:
         _, demand = synth_year(seed=7)
         vals = demand.values[:, 0]
         assert vals.min() > 0.0
-        hours = demand.hours()
+        hours = timestamp_hours(demand.timestamps)
         assert vals[hours == 16].mean() > vals[hours == 4].mean()
 
     def test_custom_span_and_start(self):
