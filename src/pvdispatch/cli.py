@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .data import save_mask_csv, split_chronological, write_csv, write_table
+from .data import load_single_column, save_mask_csv, split_chronological
+from .data import write_csv, write_table
 from .dispatch import (
     DispatchCase,
     EvaluationReport,
@@ -32,8 +33,8 @@ from .pipeline import (
     METHODS,
     METRIC_ROWS,
     FittedModels,
+    PipelineConfig,
     StageError,
-    _read_single_column,
     emit_report,
     evaluate_days,
     fit_models,
@@ -116,9 +117,9 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 def _read_series_and_fleet(args: argparse.Namespace):
     """Demand, forecast and actual series over the same hours, and the fleet."""
     fleet = load_fleet_csv(args.fleet) if args.fleet else default_fleet()
-    demand = _read_single_column(args.demand)
+    demand = load_single_column(args.demand)
     forecast, actual = (
-        _read_single_column(path, demand, f"{name} must align with the demand series")
+        load_single_column(path, demand, f"{name} must align with the demand series")
         for name, path in (("forecast", args.forecast), ("actual", args.actual))
     )
     return demand.column(0), forecast.column(0), actual.column(0), fleet
@@ -195,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic year of PV and demand")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--areas", type=int, default=3)
-    p.add_argument("--hours", type=int, default=8760)
-    p.add_argument("--start", default="2023-01-01T00")
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--areas", type=int, default=PipelineConfig.synth_areas)
+    p.add_argument("--hours", type=int, default=PipelineConfig.synth_hours)
+    p.add_argument("--start", default=PipelineConfig.synth_start)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="fit all three forecasters, write checkpoints")
@@ -225,8 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--forecast", required=True)
         p.add_argument("--actual", required=True)
         p.add_argument("--fleet", help="fleet CSV (default: built-in three units)")
-        p.add_argument("--voll", type=float, default=1000.0)
-        p.add_argument("--emission-factor", type=float, default=202.0)
+        p.add_argument("--voll", type=float, default=PipelineConfig.voll)
+        p.add_argument(
+            "--emission-factor", type=float, default=PipelineConfig.emission_factor
+        )
 
     p = sub.add_parser("run", help="full pipeline: data, train, dispatch, reports")
     p.add_argument("--config", required=True)

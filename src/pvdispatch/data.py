@@ -253,6 +253,24 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
         raise DataError(f"{path}: {exc}") from None
 
 
+def load_single_column(
+    path: str | Path, align_with: TimeSeriesDataset | None = None, what: str = ""
+) -> TimeSeriesDataset:
+    """A CSV series with one value column. Given ``align_with``, it must cover
+    the same hours (row count and first timestamp), or the DataError names
+    the file and says ``what``."""
+    ds = load_csv(path)
+    if ds.n_features != 1:
+        raise DataError(f"{path}: expected a single value column")
+    ref = align_with
+    if ref is not None and (ds.n, ds.timestamps[0]) != (ref.n, ref.timestamps[0]):
+        raise DataError(
+            f"{path}: {what}: {ds.n} hours from {ds.timestamps[0]}, "
+            f"expected {ref.n} from {ref.timestamps[0]}"
+        )
+    return ds
+
+
 def write_table(path: str | Path, header: list[str], columns: list) -> None:
     """Write equal-length ``columns`` under ``header`` as UTF-8 CSV with
     ``\n`` line ends: floats in shortest round-trip form, other cells as
@@ -378,12 +396,10 @@ def derive_dark_mask(train: TimeSeriesDataset, target_j: int) -> DarkHourMask:
     hours = timestamp_hours(train.timestamps)
     defined = np.zeros(12, dtype=bool)
     defined[np.unique(months) - 1] = True
+    # Values are >= 0, so a slot never seen keeps its -1 and is not dark.
     slot_max = np.full((12, 24), -1.0)
-    slot_seen = np.zeros((12, 24), dtype=bool)
     np.maximum.at(slot_max, (months - 1, hours), vals)
-    slot_seen[months - 1, hours] = True
-    table = slot_seen & (slot_max == 0.0)
-    return DarkHourMask(table, defined)
+    return DarkHourMask(slot_max == 0.0, defined)
 
 
 def apply_dark_mask(series: TimeSeriesDataset, mask: DarkHourMask) -> TimeSeriesDataset:

@@ -117,6 +117,32 @@ def check_voll(voll: float, fleet: tuple[GeneratorSpec, ...]) -> None:
         )
 
 
+def check_dispatch_series(
+    fleet: tuple[GeneratorSpec, ...], demand: np.ndarray, **series: np.ndarray
+) -> None:
+    """Raise :class:`DispatchError`, naming the series and hour, unless
+    ``demand`` and each other named series is finite, nonnegative MW within
+    ``MW_LIMIT``, and ``demand`` covers the fleet's total pmin every hour."""
+    for label, values in {"demand": demand, **series}.items():
+        check_mw(values, label, DispatchError)
+        h = int(values.argmax())
+        if values[h] > MW_LIMIT:
+            raise DispatchError(
+                f"{label}: {values[h]:g} MW at hour {h} is above the "
+                f"{MW_LIMIT:g} MW limit"
+            )
+    # Day ahead, every unit runs at pmin or more and nothing can absorb a
+    # surplus, so demand below the total pmin has no schedule.
+    pmin_total = sum(g.pmin for g in fleet)
+    short = np.nonzero(demand < pmin_total)[0]
+    if short.size:
+        h = int(short[0])
+        raise DispatchError(
+            f"hour {h}: demand {demand[h]:g} MW is below the fleet's total "
+            f"pmin {pmin_total:g} MW, so no day-ahead schedule exists"
+        )
+
+
 @dataclass(frozen=True)
 class DispatchCase:
     """One dispatch horizon: demand, the forecast renewable cap used day
@@ -141,16 +167,7 @@ class DispatchCase:
                 f"series lengths differ: demand {t}, forecast "
                 f"{forecast.shape[0]}, actual {actual.shape[0]}"
             )
-        for label, series in (
-            ("demand", demand), ("forecast", forecast), ("actual", actual)
-        ):
-            check_mw(series, label, DispatchError)
-            h = int(series.argmax())
-            if series[h] > MW_LIMIT:
-                raise DispatchError(
-                    f"{label}: {series[h]:g} MW at hour {h} is above the "
-                    f"{MW_LIMIT:g} MW limit"
-                )
+        check_dispatch_series(self.fleet, demand, forecast=forecast, actual=actual)
         if not self.fleet:
             raise DispatchError("fleet must not be empty")
         fleet = tuple(self.fleet)
@@ -158,16 +175,6 @@ class DispatchCase:
         if not 0 < self.emission_factor < math.inf:
             raise DispatchError(
                 f"emission_factor {self.emission_factor} must be finite and > 0"
-            )
-        # Day ahead, every unit runs at pmin or more and nothing can absorb
-        # a surplus, so demand below the total pmin has no schedule.
-        pmin_total = sum(g.pmin for g in fleet)
-        short = np.nonzero(demand < pmin_total)[0]
-        if short.size:
-            h = int(short[0])
-            raise DispatchError(
-                f"hour {h}: demand {demand[h]:g} MW is below the fleet's total "
-                f"pmin {pmin_total:g} MW, so no day-ahead schedule exists"
             )
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "forecast", forecast)

@@ -19,8 +19,9 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -47,6 +48,7 @@ from .data import (
     fit_normalizer,
     load_csv,
     load_mask_csv,
+    load_single_column,
     normalize,
     split_chronological,
     timestamp_hours,
@@ -60,6 +62,7 @@ from .dispatch import (
     EvaluationReport,
     GeneratorSpec,
     case_metrics,
+    check_dispatch_series,
     check_voll,
     default_fleet,
     load_fleet_csv,
@@ -99,46 +102,50 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+def _setting(default, yaml: str):
+    return field(default=default, metadata={"yaml": yaml})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a run needs; see the README for the YAML schema. Building
     one raises :class:`ConfigError` for a value no early stage checks."""
 
     # data: either a synthetic spec or paths to CSV files
-    synth_enabled: bool = True
-    synth_hours: int = 8760
-    synth_start: str = "2023-01-01T00"
-    synth_areas: int = 3
-    generation_csv: str | None = None
-    demand_csv: str | None = None
-    fleet_csv: str | None = None
-    mask_csv: str | None = None
+    synth_enabled: bool = _setting(True, "data.synth.enabled")
+    synth_hours: int = _setting(8760, "data.synth.hours")
+    synth_start: str = _setting("2023-01-01T00", "data.synth.start")
+    synth_areas: int = _setting(3, "data.synth.areas")
+    generation_csv: str | None = _setting(None, "data.generation_csv")
+    demand_csv: str | None = _setting(None, "data.demand_csv")
+    fleet_csv: str | None = _setting(None, "data.fleet_csv")
+    mask_csv: str | None = _setting(None, "data.mask_csv")
     # windowing
-    lookback_p: int = 24
-    horizon_m: int = 12
-    target_feature_j: int = 0
+    lookback_p: int = _setting(24, "window.lookback")
+    horizon_m: int = _setting(12, "window.horizon")
+    target_feature_j: int = _setting(0, "window.target")
     # split
-    train_fraction: float = 0.75
+    train_fraction: float = _setting(0.75, "split.train_fraction")
     # network / training
-    layer_sizes: tuple[int, ...] = (64, 32)
-    dropout_rate: float = 0.2
-    cell_activation: str = "relu"
-    network_seed: int = 1
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    lr_decay: float = 1.0
-    training_seed: int = 2
-    shuffle: bool = True
+    layer_sizes: tuple[int, ...] = _setting((64, 32), "network.layers")
+    dropout_rate: float = _setting(0.2, "network.dropout")
+    cell_activation: str = _setting("relu", "network.activation")
+    network_seed: int = _setting(1, "network.seed")
+    epochs: int = _setting(50, "training.epochs")
+    batch_size: int = _setting(32, "training.batch_size")
+    learning_rate: float = _setting(1e-3, "training.learning_rate")
+    lr_decay: float = _setting(1.0, "training.lr_decay")
+    training_seed: int = _setting(2, "training.seed")
+    shuffle: bool = _setting(True, "training.shuffle")
     # baselines
-    kmeans_clusters: int = 10
-    kmeans_seed: int = 3
+    kmeans_clusters: int = _setting(10, "baselines.kmeans_clusters")
+    kmeans_seed: int = _setting(3, "baselines.kmeans_seed")
     # dispatch
-    voll: float = 1000.0
-    emission_factor: float = 202.0
+    voll: float = _setting(1000.0, "dispatch.voll")
+    emission_factor: float = _setting(202.0, "dispatch.emission_factor")
     # run
-    seed: int = 0
-    output_dir: str = "runs/out"
+    seed: int = _setting(0, "seed")
+    output_dir: str = _setting("runs/out", "output_dir")
 
     def __post_init__(self) -> None:
         for label, value in (
@@ -219,49 +226,40 @@ def _sizes(value) -> tuple[int, ...]:
     return tuple(_integer(h) for h in value)
 
 
-# (YAML section, key, config field, conversion); a missing key keeps the
-# field's default.
-_YAML_FIELDS = (
-    ("data.synth", "enabled", "synth_enabled", _flag),
-    ("data.synth", "hours", "synth_hours", _integer),
-    ("data.synth", "start", "synth_start", str),
-    ("data.synth", "areas", "synth_areas", _integer),
-    ("window", "lookback", "lookback_p", _integer),
-    ("window", "horizon", "horizon_m", _integer),
-    ("window", "target", "target_feature_j", _integer),
-    ("split", "train_fraction", "train_fraction", _real),
-    ("network", "layers", "layer_sizes", _sizes),
-    ("network", "dropout", "dropout_rate", _real),
-    ("network", "activation", "cell_activation", str),
-    ("network", "seed", "network_seed", _integer),
-    ("training", "epochs", "epochs", _integer),
-    ("training", "batch_size", "batch_size", _integer),
-    ("training", "learning_rate", "learning_rate", _real),
-    ("training", "lr_decay", "lr_decay", _real),
-    ("training", "seed", "training_seed", _integer),
-    ("training", "shuffle", "shuffle", _flag),
-    ("baselines", "kmeans_clusters", "kmeans_clusters", _integer),
-    ("baselines", "kmeans_seed", "kmeans_seed", _integer),
-    ("dispatch", "voll", "voll", _real),
-    ("dispatch", "emission_factor", "emission_factor", _real),
-    ("", "seed", "seed", _integer),
-    ("", "output_dir", "output_dir", str),
-)
-_SECTIONS = ("window", "split", "network", "training", "baselines", "dispatch")
-_DATA_FILES = ("generation_csv", "demand_csv", "fleet_csv", "mask_csv")
-_KNOWN_KEYS = (
-    {(section, key) for section, key, *_ in _YAML_FIELDS}
-    | {("", name) for name in ("data", *_SECTIONS)}
-    | {("data", key) for key in ("synth", *_DATA_FILES)}
-)
+_CONVERTERS = {
+    bool: _flag, int: _integer, float: _real, tuple[int, ...]: _sizes, str: str,
+    str | None: lambda value: str(value) if value else None,  # empty: left unset
+}
+_TYPES = get_type_hints(PipelineConfig)
+# YAML key path -> (field name, converter). Resolved at import, so a field
+# without a YAML key, or of a type no converter takes, fails on import.
+_SETTINGS = {
+    tuple(f.metadata["yaml"].split(".")): (f.name, _CONVERTERS[_TYPES[f.name]])
+    for f in fields(PipelineConfig)
+}
+# Every path that holds settings below it: the root, "data", "data.synth", ...
+_SECTION_PATHS = {path[:i] for path in _SETTINGS for i in range(len(path))}
 
 
-def _mapping(value, name: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected a mapping, got {type(value).__name__}")
-    return value
+def _read_section(raw: dict, section: tuple = ()) -> dict[tuple, object]:
+    """The converted settings under ``section``, keyed by YAML key path."""
+    values = {}
+    for key, value in raw.items():
+        path = (*section, key)
+        where = ".".join(map(str, path))
+        if path in _SECTION_PATHS:
+            if not isinstance(value, (dict, type(None))):
+                kind = type(value).__name__
+                raise ConfigError(f"{where}: expected a mapping, got {kind}")
+            values.update(_read_section(value or {}, path))
+        elif path in _SETTINGS:
+            try:
+                values[path] = _SETTINGS[path][1](value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: invalid value {value!r}") from None
+        else:
+            raise ConfigError(f"{where}: unknown config key")
+    return values
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -273,44 +271,19 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    data = _mapping(raw.get("data"), "data")
-    sections = {
-        "": raw, "data": data, "data.synth": _mapping(data.get("synth"), "data.synth")
-    }
-    for name in _SECTIONS:
-        sections[name] = _mapping(raw.get(name), name)
-    for section, values in sections.items():
-        for key in values:
-            if (section, key) not in _KNOWN_KEYS:
-                where = f"{section}.{key}" if section else str(key)
-                raise ConfigError(f"{where}: unknown config key")
-    flat: dict = {}
-    for section, key, field, convert in _YAML_FIELDS:
-        if key not in sections[section]:
-            continue
-        value = sections[section][key]
-        try:
-            flat[field] = convert(value)
-        except (TypeError, ValueError):
-            where = f"{section}.{key}" if section else key
-            raise ConfigError(f"{where}: invalid value {value!r}") from None
-    if sections["data.synth"]:
-        flat.setdefault("synth_enabled", True)
-    for key in _DATA_FILES:
-        if data.get(key):
-            flat[key] = str(data[key])
-    files = [key for key in ("generation_csv", "demand_csv") if key in flat]
+    settings = _read_section(raw)
+    values = {_SETTINGS[path][0]: value for path, value in settings.items()}
+    # Any data.synth key asks for synthetic data unless enabled says otherwise.
+    synth_given = any(path[:2] == ("data", "synth") for path in settings)
+    files = [key for key in ("generation_csv", "demand_csv") if values.get(key)]
     if files:
-        if flat.get("synth_enabled"):
+        if values.get("synth_enabled", synth_given):
             raise ConfigError(
                 f"data.{files[0]}: synthetic data is enabled; "
                 "set data.synth.enabled: false to read files"
             )
-        flat["synth_enabled"] = False
-    try:
-        return PipelineConfig(**flat)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        values["synth_enabled"] = False
+    return PipelineConfig(**values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -380,24 +353,6 @@ def _stage(timings: dict[str, float], name: str):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _read_single_column(
-    path: str | Path, align_with: TimeSeriesDataset | None = None, what: str = ""
-) -> TimeSeriesDataset:
-    """A CSV series with one value column. Given ``align_with``, it must cover
-    the same hours (row count and first timestamp), or the DataError names
-    the file and says ``what``."""
-    ds = load_csv(path)
-    if ds.n_features != 1:
-        raise DataError(f"{path}: expected a single value column")
-    ref = align_with
-    if ref is not None and (ds.n, ds.timestamps[0]) != (ref.n, ref.timestamps[0]):
-        raise DataError(
-            f"{path}: {what}: {ds.n} hours from {ds.timestamps[0]}, "
-            f"expected {ref.n} from {ref.timestamps[0]}"
-        )
-    return ds
-
-
 def load_inputs(
     config: PipelineConfig,
 ) -> tuple[TimeSeriesDataset, TimeSeriesDataset, tuple[GeneratorSpec, ...]]:
@@ -412,7 +367,7 @@ def load_inputs(
     else:
         generation = load_csv(config.generation_csv)
         what = "demand series must align with the generation series"
-        demand = _read_single_column(config.demand_csv, generation, what)
+        demand = load_single_column(config.demand_csv, generation, what)
     generation.column(config.target_feature_j)  # fails early on a missing target
     fleet = load_fleet_csv(config.fleet_csv) if config.fleet_csv else default_fleet()
     check_voll(config.voll, fleet)  # against the fleet, before any model is fitted
@@ -560,6 +515,21 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     with _stage(timings, "split"):
         train_ds, test_ds = split_chronological(generation, config.train_fraction)
+        # Dispatch whole calendar days, from the first midnight of the span.
+        first_midnight = int(np.argmax(timestamp_hours(test_ds.timestamps) == 0))
+        n_days = (test_ds.n - first_midnight) // 24
+        if n_days == 0:
+            raise DataError("evaluation needs at least one complete 24-hour day")
+        day_slice = slice(first_midnight, first_midnight + 24 * n_days)
+        dispatch_hours = test_ds.timestamps[day_slice]
+        dispatch_actual = test_ds.column(config.target_feature_j)[day_slice]
+        dispatch_demand = demand_ds.values[train_ds.n :, 0][day_slice]
+        # Checked as each day's DispatchCase will be, before any model is fitted.
+        try:
+            check_dispatch_series(fleet, dispatch_demand, actual=dispatch_actual)
+        except DispatchError as exc:
+            where = f"dispatch span from {dispatch_hours[0]}"
+            raise DispatchError(f"{where}: {exc}") from None
 
     models, _history = fit_models(config, train_ds, timings)
 
@@ -567,12 +537,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         forecasts = forecast_test(config, models, generation, train_ds.n)
 
     with _stage(timings, "dispatch"):
-        # Dispatch whole calendar days, from the first midnight of the span.
-        first_midnight = int(np.argmax(timestamp_hours(test_ds.timestamps) == 0))
-        n_days = (test_ds.n - first_midnight) // 24
-        day_slice = slice(first_midnight, first_midnight + 24 * n_days)
-        dispatch_actual = test_ds.column(config.target_feature_j)[day_slice]
-        dispatch_demand = demand_ds.values[train_ds.n :, 0][day_slice]
         outcomes: dict[str, MethodOutcome] = {}
         for method in METHODS:
             series = forecasts[method]
@@ -589,7 +553,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     return PipelineResult(
         config=config,
         outcomes=outcomes,
-        dispatch_timestamps=test_ds.timestamps[day_slice],
+        dispatch_timestamps=dispatch_hours,
         demand=dispatch_demand,
         actual=dispatch_actual,
         timings=timings,

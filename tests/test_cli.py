@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pvdispatch import checkpoint
+from pvdispatch import checkpoint, pipeline
 from pvdispatch.baselines import KMeansModel, MonthlyHourModel
-from pvdispatch.cli import main
+from pvdispatch.cli import build_parser, main
 from pvdispatch.data import load_csv, split_chronological, write_csv
 from pvdispatch.data import DarkHourMask, NormalizationParams, TimeSeriesDataset
 from pvdispatch.dispatch import GeneratorSpec, save_fleet_csv
@@ -23,7 +23,7 @@ from pvdispatch.pipeline import (
     load_inputs,
     run_pipeline,
 )
-from test_pipeline import FAST
+from test_pipeline import FAST, _must_not_train
 
 
 CONFIG_YAML = """\
@@ -339,6 +339,21 @@ class TestOneVocabulary:
         assert [line for line in printed if "nmae" in line] == expected
 
 
+class TestParserDefaults:
+    def test_defaults_are_the_config_defaults(self):
+        config, parser = PipelineConfig(), build_parser()
+        args = parser.parse_args(["synth", "--out", "d"])
+        assert (args.seed, args.areas, args.hours, args.start) == (
+            config.seed, config.synth_areas, config.synth_hours, config.synth_start
+        )
+        series = ["--demand=d", "--forecast=f", "--actual=a"]
+        for argv in (["dispatch", "--out=o", *series], ["evaluate", *series]):
+            args = parser.parse_args(argv)
+            assert (args.voll, args.emission_factor) == (
+                config.voll, config.emission_factor
+            )
+
+
 class TestErrorContract:
     @pytest.mark.parametrize(
         "yaml_text, field",
@@ -393,7 +408,7 @@ class TestErrorContract:
             for name in ("demand", "forecast", "actual")
         }
         config = tmp_path / "cfg.yaml"
-        config.write_text(f"data: {{synth: {{hours: 48}}, mask_csv: '{folder}'}}\n")
+        config.write_text(f"data: {{synth: {{hours: 96}}, mask_csv: '{folder}'}}\n")
         if loader in ("demand", "fleet"):
             paths[loader] = folder
             argv = ["evaluate"] + [f"--{name}={path}" for name, path in paths.items()]
@@ -416,7 +431,7 @@ class TestErrorContract:
     def test_absent_input_file_exits_2_naming_it(
         self, tmp_path, capsys, command, key
     ):
-        main(["synth", "--out", str(tmp_path / "d"), "--hours", "48"])
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "96"])
         files = {
             "generation_csv": tmp_path / "d" / "generation.csv",
             "demand_csv": tmp_path / "d" / "demand.csv",
@@ -560,6 +575,60 @@ class TestErrorContract:
         p.write_text("data: {synth: {hours: 48}}\ndispatch: {voll: 1.0e+17}\n")
         assert main(["run", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error: voll 1e+17 must be")
+
+    @pytest.mark.parametrize(
+        "scaled, field", [("demand", "demand"), ("generation", "actual")]
+    )
+    def test_series_outside_the_dispatch_range_stop_a_run_before_training(
+        self, tmp_path, capsys, monkeypatch, scaled, field
+    ):
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "96"])
+        files = {
+            name: tmp_path / "d" / f"{name}.csv" for name in ("generation", "demand")
+        }
+        ds = load_csv(files[scaled])
+        write_csv(replace(ds, values=ds.values * 1e5), files[scaled])
+        p = tmp_path / "cfg.yaml"
+        p.write_text(
+            f"data: {{generation_csv: '{files['generation']}', "
+            f"demand_csv: '{files['demand']}'}}\n"
+        )
+        capsys.readouterr()
+        assert main(["run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: dispatch span from 2023-01-04T00: {field}: "
+        )
+
+    def test_demand_below_fleet_pmin_stops_a_run_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        fleet = (
+            GeneratorSpec("G1", cost=20.0, pmax=80.0, pmin=60.0, ramp=20.0),
+            GeneratorSpec("G3", cost=30.0, pmax=30.0, pmin=30.0, ramp=30.0,
+                          rt_available=True, gas_fired=True),
+        )
+        save_fleet_csv(fleet, tmp_path / "fleet.csv")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(
+            f"data: {{synth: {{hours: 96}}, fleet_csv: '{tmp_path / 'fleet.csv'}'}}\n"
+        )
+        assert main(["run", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dispatch span from 2023-01-04T00: hour ")
+        assert "demand" in err and "below the fleet's total pmin 90 MW" in err
+
+    def test_test_span_without_a_whole_day_stops_a_run_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        p = tmp_path / "cfg.yaml"
+        p.write_text("data: {synth: {hours: 48}}\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: evaluation needs at least one complete 24-hour day\n"
+        )
 
     @pytest.mark.parametrize("command", ["dispatch", "evaluate"])
     @pytest.mark.parametrize("shifted", ["forecast", "actual"])

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from pvdispatch import pipeline
 from pvdispatch.data import (
@@ -115,6 +117,57 @@ class TestValidation:
     def test_config_from_dict_rejects_non_mapping(self):
         with pytest.raises(ConfigError):
             config_from_dict([1, 2, 3])
+
+
+# A value other than the default for every field; synth is off, so the files
+# may be named.
+NOT_DEFAULT = dict(
+    synth_enabled=False,
+    synth_hours=48,
+    synth_start="2024-03-01T00",
+    synth_areas=2,
+    generation_csv="g.csv",
+    demand_csv="d.csv",
+    fleet_csv="f.csv",
+    mask_csv="m.csv",
+    lookback_p=12,
+    horizon_m=6,
+    target_feature_j=1,
+    train_fraction=0.5,
+    layer_sizes=(8, 4, 2),
+    dropout_rate=0.1,
+    cell_activation="tanh",
+    network_seed=5,
+    epochs=3,
+    batch_size=16,
+    learning_rate=0.01,
+    lr_decay=0.9,
+    training_seed=7,
+    shuffle=False,
+    kmeans_clusters=4,
+    kmeans_seed=8,
+    voll=2000.0,
+    emission_factor=300.0,
+    seed=9,
+    output_dir="elsewhere",
+)
+
+
+class TestYamlKeys:
+    def test_every_field_round_trips_through_its_yaml_key(self, tmp_path):
+        config, default = PipelineConfig(**NOT_DEFAULT), PipelineConfig()
+        nested: dict = {}
+        for f in fields(PipelineConfig):
+            value = getattr(config, f.name)
+            assert value != getattr(default, f.name), f.name
+            *sections, key = f.metadata["yaml"].split(".")
+            table = nested
+            for section in sections:
+                table = table.setdefault(section, {})
+            table[key] = list(value) if isinstance(value, tuple) else value
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump(nested))
+        assert load_config(p) == config
 
 
 class TestRunPipeline:

@@ -1,21 +1,69 @@
-"""Every line of the package fits in 88 characters, the width its code is
-written to, so a longer line fails here instead of in review."""
+"""Checks on the package's source and the README that no behaviour test
+makes: the line width the code is written to, module privacy, and the
+documented config defaults. A breach fails here instead of in review."""
 
+import ast
 from pathlib import Path
 
+import yaml
+
+from pvdispatch.pipeline import PipelineConfig, config_from_dict
+
 WIDTH = 88
-PACKAGE = Path(__file__).parent.parent / "src" / "pvdispatch"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "pvdispatch"
+
+
+def _sources() -> list[Path]:
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no modules under {PACKAGE}"
+    return sources
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def test_no_source_line_is_longer_than_88_characters():
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources, f"no modules under {PACKAGE}"
     too_long = [
         f"{path.name}:{number} ({len(line)} characters)"
-        for path in sources
+        for path in _sources()
         for number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         )
         if len(line) > WIDTH
     ]
     assert not too_long, too_long
+
+
+def test_no_module_uses_another_modules_underscore_name():
+    """Neither ``from .x import _y`` nor ``x._y`` on a sibling module."""
+    found = []
+    for path in _sources():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module is None:  # from . import module
+                    siblings.update(a.asname or a.name for a in node.names)
+                found += [
+                    f"{path.name}:{node.lineno}: {a.name}"
+                    for a in node.names
+                    if _private(a.name)
+                ]
+        found += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and _private(node.attr)
+        ]
+    assert not found, found
+
+
+def test_readme_config_block_loads_to_the_defaults():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration file\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert config_from_dict(yaml.safe_load(block)) == PipelineConfig()
