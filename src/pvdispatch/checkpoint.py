@@ -119,6 +119,12 @@ def load_lstm(
         widths_match = normalizer.n_features == config.input_features
         if [leaf.shape for leaf in params.leaves()] != expected or not widths_match:
             raise CheckpointError(f"{path}: array shapes do not match the metadata")
+        dtypes = sorted({leaf.dtype.name for leaf in params.leaves()})
+        if dtypes not in (["float32"], ["float64"]):
+            raise CheckpointError(
+                f"{path}: parameter dtypes {dtypes}, expected all float32 or "
+                "all float64"
+            )
         return config, params, normalizer, mask
 
 

@@ -16,8 +16,10 @@ hidden sequence to the second; only the final hidden state of the top layer
 passes through inverted dropout (training mode only) and a linear head.
 
 Training is plain backpropagation through time with Adam updates on the
-batch-mean squared error. Everything runs in float64 so analytic gradients
-can be checked against central finite differences.
+batch-mean squared error, in float32: :func:`train_epochs` casts the
+parameters and windows once, and every other function computes in its
+parameters' dtype. :func:`init_params` draws float64, the path on which the
+analytic gradients are checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 # (activation, derivative expressed in terms of the activation output)
 _ACTIVATIONS = {
-    "relu": (relu, lambda y: (y > 0).astype(float)),
+    "relu": (relu, lambda y: (y > 0).astype(y.dtype)),
     "tanh": (np.tanh, lambda y: 1.0 - y * y),
 }
 
@@ -264,8 +266,10 @@ def forward_batch(
     and hidden states (p + 1, B, H), whose row 0 is the zero initial state.
     The input projection of all p steps is one stacked matmul; each step
     then applies ``sigmoid`` once to its (B, 4H) block and ``act`` to g.
+    Inputs, cache and predictions take the parameters' dtype.
     """
-    inputs = np.asarray(inputs, dtype=float)
+    dt = params.dense_w.dtype
+    inputs = np.asarray(inputs, dtype=dt)
     _check_window_shapes(params, config, inputs)
     b, p, _ = inputs.shape
     act, _ = _ACTIVATIONS[config.cell_activation]
@@ -274,10 +278,10 @@ def forward_batch(
     x_seq = inputs.transpose(1, 0, 2)  # (p, B, D)
     for layer in params.layers:
         h_dim = layer.hidden
-        gates = np.empty((4, p, b, h_dim))
-        cells_act = np.empty((p, b, h_dim))
-        cells = np.zeros((p + 1, b, h_dim))
-        hidden = np.zeros((p + 1, b, h_dim))
+        gates = np.empty((4, p, b, h_dim), dt)
+        cells_act = np.empty((p, b, h_dim), dt)
+        cells = np.zeros((p + 1, b, h_dim), dt)
+        hidden = np.zeros((p + 1, b, h_dim), dt)
         x_proj = x_seq @ layer.w_in.T  # (p, B, 4H)
         w_rec_t = layer.w_rec.T
         for t in range(p):
@@ -293,7 +297,7 @@ def forward_batch(
     rate = config.dropout_rate
     if training_mode and rate > 0.0:
         drop_rng = np.random.Generator(np.random.PCG64(dropout_seed))
-        keep = (drop_rng.random(h_top.shape) >= rate).astype(float)
+        keep = (drop_rng.random(h_top.shape) >= rate).astype(dt)
         h_drop = h_top * keep / (1.0 - rate)
     else:
         keep = None
@@ -317,12 +321,13 @@ def _predict_windows(
     no cache: a layer keeps its (B, H) state and its (p, B, H) outputs."""
     _check_window_shapes(params, config, inputs)
     b, p, _ = inputs.shape
+    dt = params.dense_w.dtype
     act, _ = _ACTIVATIONS[config.cell_activation]
     x_seq = inputs.transpose(1, 0, 2)  # (p, B, D)
     for layer in params.layers:
-        gates = np.empty((4, b, layer.hidden))
-        c = np.zeros((b, layer.hidden))
-        out = np.zeros((p + 1, b, layer.hidden))  # row 0: the initial state
+        gates = np.empty((4, b, layer.hidden), dt)
+        c = np.zeros((b, layer.hidden), dt)
+        out = np.zeros((p + 1, b, layer.hidden), dt)  # row 0: the initial state
         for t in range(p):
             # x_seq[t] @ W_in.T is the GEMM the stacked projection runs for t.
             pre = x_seq[t] @ layer.w_in.T + out[t] @ layer.w_rec.T + layer.bias
@@ -345,8 +350,10 @@ def loss_mse(predictions: np.ndarray, labels: np.ndarray) -> float:
 def backward(
     params: NetworkParameters, cache: dict, labels: np.ndarray
 ) -> NetworkParameters:
-    """Gradients of the batch-mean squared error w.r.t. every parameter."""
-    labels = np.asarray(labels, dtype=float)
+    """Gradients of the batch-mean squared error w.r.t. every parameter, in
+    the parameters' dtype."""
+    dt = params.dense_w.dtype
+    labels = np.asarray(labels, dtype=dt)
     b = cache["predictions"].shape[0]
     if labels.shape != (b,):
         raise ValueError(f"labels must have shape ({b},)")
@@ -365,16 +372,16 @@ def backward(
     # The top layer's output is read at the final step only; lower layers
     # receive the full back-propagated sequence from the layer above.
     p = cache["layers"][0][0].shape[0]  # steps of the (p, B, D) input
-    dh_seq = np.zeros((p, *dh_top.shape))
+    dh_seq = np.zeros((p, *dh_top.shape), dt)
     dh_seq[-1] = dh_top
     for layer, grad, (x_seq, gates, cells_act, cells, hidden) in zip(
         reversed(params.layers), reversed(grads.layers), reversed(cache["layers"])
     ):
         h_dim = layer.hidden
         dx_seq = np.zeros_like(x_seq)
-        dh_rec = np.zeros((b, h_dim))
-        dc_carry = np.zeros((b, h_dim))
-        da = np.empty((b, 4 * h_dim))
+        dh_rec = np.zeros((b, h_dim), dt)
+        dc_carry = np.zeros((b, h_dim), dt)
+        da = np.empty((b, 4 * h_dim), dt)
         for t in range(p - 1, -1, -1):
             dh = dh_seq[t] + dh_rec
             i_t, f_t, g_t, o_t = gates[0, t], gates[1, t], gates[2, t], gates[3, t]
@@ -398,7 +405,8 @@ def adam_step(
     params: NetworkParameters, grads: NetworkParameters, state: AdamState
 ) -> None:
     """One bias-corrected Adam update, in place: advances ``state.t`` and
-    updates ``params``, ``state.m`` and ``state.v``."""
+    updates ``params``, ``state.m`` and ``state.v``. Its scalars are Python
+    floats, so the arrays keep their dtype."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -422,40 +430,43 @@ def train_epochs(
     mean MSE after each epoch.
 
     Fully deterministic given (net.seed, tc.seed): the shuffle order and
-    each batch's dropout mask are drawn from one seeded stream.
+    each batch's dropout mask are drawn from one seeded stream. Training runs
+    in float32, cast here once: the parameters, windows and labels.
     """
-    inputs, labels = (np.asarray(a, dtype=float) for a in samples)
+    inputs, labels = (np.asarray(a, dtype=np.float32) for a in samples)
     if inputs.shape[0] == 0:
         raise ValueError("training needs at least one sample")
     n = inputs.shape[0]
-    params = init_params(net)
+    params = init_params(net).map(lambda a: a.astype(np.float32))
     state = AdamState.init(params, lr=tc.learning_rate)
     rng = np.random.Generator(np.random.PCG64(tc.seed))
     for epoch in range(tc.epochs):
-        state.lr = tc.learning_rate * tc.lr_decay**epoch
+        state.lr = float(tc.learning_rate * tc.lr_decay**epoch)
         order = rng.permutation(n) if tc.shuffle else np.arange(n)
         total = 0.0
-        for start in range(0, n, tc.batch_size):
-            idx = order[start : start + tc.batch_size]
-            dropout_seed = int(rng.integers(0, 2**63 - 1))
-            try:
-                preds, cache = forward_batch(
-                    params,
-                    net,
-                    inputs[idx],
-                    training_mode=True,
-                    dropout_seed=dropout_seed,
-                )
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"training diverged at epoch {epoch}: {exc}"
-                ) from None
-            batch_loss = loss_mse(preds, labels[idx])
-            if not math.isfinite(batch_loss):
-                raise DivergenceError(f"training diverged at epoch {epoch}")
-            total += batch_loss * idx.size
-            grads = backward(params, cache, labels[idx])
-            adam_step(params, grads, state)
+        # A diverging step overflows; the finiteness checks report it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, tc.batch_size):
+                idx = order[start : start + tc.batch_size]
+                dropout_seed = int(rng.integers(0, 2**63 - 1))
+                try:
+                    preds, cache = forward_batch(
+                        params,
+                        net,
+                        inputs[idx],
+                        training_mode=True,
+                        dropout_seed=dropout_seed,
+                    )
+                except DivergenceError as exc:
+                    raise DivergenceError(
+                        f"training diverged at epoch {epoch}: {exc}"
+                    ) from None
+                batch_loss = loss_mse(preds, labels[idx])
+                if not math.isfinite(batch_loss):
+                    raise DivergenceError(f"training diverged at epoch {epoch}")
+                total += batch_loss * idx.size
+                grads = backward(params, cache, labels[idx])
+                adam_step(params, grads, state)
         yield params.copy(), total / n
 
 
@@ -483,16 +494,17 @@ def predict_series(
     """Backtest-style forecast over every target hour the dataset covers.
 
     The windows are training's (:func:`~pvdispatch.data.window_arrays`),
-    normalized chunk by chunk. Each prediction uses the window ending
-    ``horizon_m`` hours earlier, is rescaled to MW, clipped at 0, and
-    finally forced to zero on dark slots.
+    normalized chunk by chunk and run in the parameters' dtype. Each
+    prediction uses the window ending ``horizon_m`` hours earlier, is
+    rescaled to MW in float64, clipped at 0, and finally forced to zero on
+    dark slots.
     """
     inputs, _labels = window_arrays(ds, spec)
     n_samples = inputs.shape[0]
     preds = np.empty(n_samples)
     for start in range(0, n_samples, PREDICT_CHUNK):
         chunk = normalize(inputs[start : start + PREDICT_CHUNK], normalizer)
-        block = np.ascontiguousarray(chunk)
+        block = np.ascontiguousarray(chunk, dtype=params.dense_w.dtype)
         preds[start : start + PREDICT_CHUNK] = _predict_windows(params, config, block)
     mw = denormalize_feature(preds, normalizer, spec.target_feature_j)
     mw = np.maximum(mw, 0.0)

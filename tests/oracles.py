@@ -377,7 +377,7 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 _REFERENCE_ACTIVATIONS = {
-    "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(float)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(y.dtype)),
     "tanh": (np.tanh, lambda y: 1.0 - y * y),
 }
 
@@ -407,17 +407,19 @@ def reference_forward_batch(
     training_mode: bool = False,
     dropout_seed: int = 0,
 ) -> tuple[np.ndarray, dict]:
-    """Stacked cells over (B, p, F) windows, one named array per gate."""
-    inputs = np.asarray(inputs, dtype=float)
+    """Stacked cells over (B, p, F) windows, one named array per gate, in
+    the parameters' dtype."""
+    dt = params.dense_w.dtype
+    inputs = np.asarray(inputs, dtype=dt)
     b, p, _ = inputs.shape
     act, _ = _REFERENCE_ACTIVATIONS[config.cell_activation]
     layer_caches = []
     x_seq = inputs.transpose(1, 0, 2)
     for layer in params.layers:
         h_dim = layer.hidden
-        lc = {k: np.empty((p, b, h_dim)) for k in "ifgocrh"}
-        h_prev = np.zeros((b, h_dim))
-        c_prev = np.zeros((b, h_dim))
+        lc = {k: np.empty((p, b, h_dim), dt) for k in "ifgocrh"}
+        h_prev = np.zeros((b, h_dim), dt)
+        c_prev = np.zeros((b, h_dim), dt)
         for t in range(p):
             pre = x_seq[t] @ layer.w_in.T + h_prev @ layer.w_rec.T + layer.bias
             i_t = reference_sigmoid(pre[:, :h_dim])
@@ -439,7 +441,7 @@ def reference_forward_batch(
     h_drop = h_top
     if rate > 0.0:
         drop_rng = np.random.Generator(np.random.PCG64(dropout_seed))
-        keep = (drop_rng.random(h_top.shape) >= rate).astype(float)
+        keep = (drop_rng.random(h_top.shape) >= rate).astype(dt)
         h_drop = h_top * keep / (1.0 - rate)
     predictions = h_drop @ params.dense_w + params.dense_b[0]
     cache = {
@@ -452,7 +454,10 @@ def reference_forward_batch(
 def reference_backward(
     params: NetworkParameters, cache: dict, labels: np.ndarray
 ) -> NetworkParameters:
-    """Backpropagation through time over a reference cache, step by step."""
+    """Backpropagation through time over a reference cache, step by step,
+    in the parameters' dtype."""
+    dt = params.dense_w.dtype
+    labels = np.asarray(labels, dtype=dt)
     _, dact = _REFERENCE_ACTIVATIONS[cache["activation"]]
     b = labels.shape[0]
     d_pred = 2.0 * (cache["predictions"] - labels) / b
@@ -471,9 +476,9 @@ def reference_backward(
         p = lc["x"].shape[0]
         g = grads.layers[li]
         dx_seq = np.zeros_like(lc["x"])
-        dh_rec = np.zeros((b, h_dim))
-        dc_carry = np.zeros((b, h_dim))
-        da = np.empty((b, 4 * h_dim))
+        dh_rec = np.zeros((b, h_dim), dt)
+        dc_carry = np.zeros((b, h_dim), dt)
+        da = np.empty((b, 4 * h_dim), dt)
         for t in range(p - 1, -1, -1):
             if li == n_layers - 1:
                 dh = dh_top + dh_rec if t == p - 1 else dh_rec
@@ -481,8 +486,8 @@ def reference_backward(
                 dh = dh_seq[t] + dh_rec
             i_t, f_t, g_t, o_t = lc["i"][t], lc["f"][t], lc["g"][t], lc["o"][t]
             r_t = lc["r"][t]
-            c_prev = lc["c"][t - 1] if t > 0 else np.zeros((b, h_dim))
-            h_prev = lc["h"][t - 1] if t > 0 else np.zeros((b, h_dim))
+            c_prev = lc["c"][t - 1] if t > 0 else np.zeros((b, h_dim), dt)
+            h_prev = lc["h"][t - 1] if t > 0 else np.zeros((b, h_dim), dt)
             dc = dh * o_t * dact(r_t) + dc_carry
             da[:, :h_dim] = dc * g_t * i_t * (1.0 - i_t)
             da[:, h_dim : 2 * h_dim] = dc * c_prev * f_t * (1.0 - f_t)

@@ -7,9 +7,11 @@ from pvdispatch.checkpoint import CheckpointError
 from pvdispatch.data import (
     NormalizationParams,
     TimeSeriesDataset,
+    WindowSpec,
     derive_dark_mask,
+    fit_normalizer,
 )
-from pvdispatch.lstm import NetworkConfig, init_params
+from pvdispatch.lstm import NetworkConfig, init_params, predict_series
 
 
 def small_dataset():
@@ -30,22 +32,74 @@ def assert_same_mask(back, mask):
 class TestLstmCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
         cfg = NetworkConfig(input_features=3, layer_sizes=(8, 5), seed=3)
-        params = init_params(cfg)
         normalizer = NormalizationParams(
             np.array([0.0, 1.0, 2.0]), np.array([10.0, 11.0, 12.0])
         )
         ds = small_dataset()
         mask = derive_dark_mask(ds, 0)
         path = tmp_path / "model.npz"
+        # Trained parameters are float32; earlier versions wrote float64.
+        for dtype in (np.float64, np.float32):
+            params = init_params(cfg).map(lambda a: a.astype(dtype))
+            checkpoint.save_lstm(path, cfg, params, normalizer, mask)
+            cfg2, params2, normalizer2, mask2 = checkpoint.load_lstm(path)
+            assert cfg2 == cfg
+            for a, b in zip(params.leaves(), params2.leaves(), strict=True):
+                assert b.dtype == dtype and a.tobytes() == b.tobytes()
+            np.testing.assert_array_equal(
+                normalizer2.feature_min, normalizer.feature_min
+            )
+            assert normalizer2.feature_max.dtype == np.float64
+            assert_same_mask(mask2, mask)
+
+    def test_float64_checkpoint_forecasts_as_in_memory(self, tmp_path):
+        """A float64 checkpoint, as earlier versions wrote, forecasts in
+        float64: the bytes of its in-memory parameters' forecast."""
+        ds = small_dataset()
+        cfg = NetworkConfig(input_features=1, layer_sizes=(6, 4), seed=5)
+        params = init_params(cfg)
+        normalizer = fit_normalizer(ds)
+        mask = derive_dark_mask(ds, 0)
+        path = tmp_path / "model.npz"
         checkpoint.save_lstm(path, cfg, params, normalizer, mask)
-        cfg2, params2, normalizer2, mask2 = checkpoint.load_lstm(path)
-        assert cfg2 == cfg
-        for a, b in zip(params.leaves(), params2.leaves()):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            normalizer2.feature_min, normalizer.feature_min
+        _, back, normalizer_back, mask_back = checkpoint.load_lstm(path)
+        assert {leaf.dtype for leaf in back.leaves()} == {np.dtype(np.float64)}
+        spec = WindowSpec(24, 12, 0)
+        before = predict_series(params, cfg, ds, spec, normalizer, mask)
+        after = predict_series(back, cfg, ds, spec, normalizer_back, mask_back)
+        assert after.values.dtype == np.float64
+        assert before.values.tobytes() == after.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            ("layer1_w_rec", np.float64),  # one layer float64, the rest float32
+            ("dense_w", np.float32),  # one leaf float32, the rest float64
+            ("layer0_bias", np.int64),
+            ("dense_b", np.float16),
+        ],
+        ids=["float64_in_float32", "float32_in_float64", "int64", "float16"],
+    )
+    def test_parameter_dtypes_must_be_one_float_kind(self, tmp_path, damage):
+        name, dtype = damage
+        cfg = NetworkConfig(input_features=1, layer_sizes=(3, 2))
+        params = init_params(cfg)
+        if name == "layer1_w_rec":
+            params = params.map(lambda a: a.astype(np.float32))
+        path = tmp_path / "model.npz"
+        checkpoint.save_lstm(
+            path, cfg, params,
+            NormalizationParams(np.array([0.0]), np.array([1.0])),
+            derive_dark_mask(small_dataset(), 0),
         )
-        assert_same_mask(mask2, mask)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays[name] = arrays[name].astype(dtype)
+        with path.open("wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match="dtypes") as err:
+            checkpoint.load_lstm(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_file_without_mask_rejected_naming_it(self, tmp_path):
         """Forecasts are masked, so a checkpoint must carry its dark mask."""

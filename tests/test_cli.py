@@ -667,6 +667,8 @@ class TestErrorContract:
             "missing_array",
             "missing_mask",
             "wrong_shape",
+            "mixed_dtype",
+            "integer_dtype",
         ],
     )
     def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys, damage):
@@ -692,6 +694,10 @@ class TestErrorContract:
                 del arrays["layer0_w_in"]
             elif damage == "missing_mask":
                 del arrays["mask_table"], arrays["mask_defined"]
+            elif damage == "mixed_dtype":
+                arrays["layer1_w_in"] = arrays["layer1_w_in"].astype(np.float32)
+            elif damage == "integer_dtype":
+                arrays["dense_b"] = arrays["dense_b"].astype(np.int64)
             else:
                 arrays["layer0_w_rec"] = np.zeros((32, 5))
             with path.open("wb") as fh:

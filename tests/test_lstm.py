@@ -390,6 +390,53 @@ class TestAdam:
         assert a_state.t == b_state.t == 1
 
 
+class TestFloat32:
+    """Parameters in float32 keep every array of a training step in float32."""
+
+    def test_forward_backward_adam_stay_float32(self):
+        cfg = NetworkConfig(input_features=3, layer_sizes=(6, 4), dropout_rate=0.3)
+        params = jostled_params(cfg, 5).map(lambda a: a.astype(np.float32))
+        rng = np.random.Generator(np.random.PCG64(5))
+        inputs = rng.uniform(0, 1, (7, 5, 3))  # float64, cast by the pass
+        labels = rng.uniform(0, 1, 7)
+        preds, cache = forward_batch(params, cfg, inputs, True, 3)
+        cached = [a for layer in cache["layers"] for a in layer]
+        cached += [cache["h_drop"], cache["keep"], cache["predictions"], preds]
+        grads = backward(params, cache, labels)
+        state = AdamState.init(params)
+        for _ in range(2):
+            adam_step(params, grads, state)
+        arrays = cached + [
+            leaf for tree in (grads, params, state.m, state.v) for leaf in tree.leaves()
+        ]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert all(np.isfinite(a).all() for a in arrays)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_predictions_and_gradients_match_reference_bytes(
+        self, activation, dropout
+    ):
+        """No float64 intermediate: a promoted step would move the bytes."""
+        cfg = NetworkConfig(
+            input_features=3, layer_sizes=(6, 4), dropout_rate=dropout,
+            cell_activation=activation,
+        )
+        params = jostled_params(cfg, 2).map(lambda a: a.astype(np.float32))
+        rng = np.random.Generator(np.random.PCG64(3))
+        inputs = rng.uniform(0, 1, (17, 6, 3))
+        labels = rng.uniform(0, 1, 17)
+        preds, cache = forward_batch(params, cfg, inputs, dropout > 0.0, 31)
+        ref_preds, ref_cache = reference_forward_batch(
+            params, cfg, inputs, dropout > 0.0, 31
+        )
+        assert preds.tobytes() == ref_preds.tobytes()
+        grads = backward(params, cache, labels).leaves()
+        ref_grads = reference_backward(params, ref_cache, labels).leaves()
+        for leaf, ref_leaf in zip(grads, ref_grads, strict=True):
+            assert leaf.tobytes() == ref_leaf.tobytes()
+
+
 class TestTrain:
     def _toy(self, n=10, p=6, f=2, seed=0):
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -435,7 +482,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train((np.empty((0, 6, 2)), np.empty(0)), net, TrainingConfig(epochs=1))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_trains_in_float32(self):
+        X, y = self._toy(seed=9)
+        net = NetworkConfig(input_features=2, layer_sizes=(5, 3), dropout_rate=0.3)
+        tc = TrainingConfig(epochs=3, batch_size=4, lr_decay=0.9, seed=1)
+        params, history = train((X, y), net, tc)
+        assert [leaf.dtype for leaf in params.leaves()] == [np.float32] * 8
+        assert all(math.isfinite(mse) for mse in history)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_aborts_with_epoch(self):
         X, y = self._toy()
         net = NetworkConfig(input_features=2, layer_sizes=(4,), dropout_rate=0.0)
@@ -555,6 +610,7 @@ class TestPredictSeries:
         # One full chunk and one of `batch` windows. The identity normalizer
         # and a positive head bias keep the raw predictions unscaled and
         # unclipped, so they can be compared with forward_batch's directly.
+        # Both parameter dtypes: trained (float32) and earlier (float64).
         spec = WindowSpec(6, 1, 0)
         n_samples = PREDICT_CHUNK + batch
         ds = self._dataset(n=n_samples + spec.lookback_p, f=3, seed=batch)
@@ -563,18 +619,20 @@ class TestPredictSeries:
             input_features=3, layer_sizes=layers, dropout_rate=dropout,
             cell_activation=activation,
         )
-        params = jostled_params(cfg, len(layers))
-        params.dense_b[...] = 10.0
         identity = NormalizationParams(np.zeros(3), np.ones(3))
-        series = predict_series(params, cfg, ds, spec, identity)
         p = spec.lookback_p
         windows = np.stack([ds.values[k : k + p] for k in range(n_samples)])
-        expected = np.concatenate([
-            forward_batch(params, cfg, windows[:PREDICT_CHUNK])[0],
-            forward_batch(params, cfg, windows[PREDICT_CHUNK:])[0],
-        ])
-        assert (expected > 0.0).all()
-        assert series.values.tobytes() == expected.tobytes()
+        for dtype in (np.float64, np.float32):
+            params = jostled_params(cfg, len(layers)).map(lambda a: a.astype(dtype))
+            params.dense_b[...] = 10.0
+            series = predict_series(params, cfg, ds, spec, identity)
+            expected = np.concatenate([
+                forward_batch(params, cfg, windows[:PREDICT_CHUNK])[0],
+                forward_batch(params, cfg, windows[PREDICT_CHUNK:])[0],
+            ])
+            assert expected.dtype == dtype and (expected > 0.0).all()
+            assert series.values.dtype == np.float64
+            assert series.values.tobytes() == expected.astype(np.float64).tobytes()
 
     def test_nonfinite_reported_as_divergence(self):
         ds = self._dataset(f=1)
