@@ -402,15 +402,20 @@ def derive_dark_mask(train: TimeSeriesDataset, target_j: int) -> DarkHourMask:
     return DarkHourMask(slot_max == 0.0, defined)
 
 
-def apply_dark_mask(series: TimeSeriesDataset, mask: DarkHourMask) -> TimeSeriesDataset:
-    """Zero every column of the series at every masked (month, hour) slot."""
-    months = timestamp_months(series.timestamps)
-    hours = timestamp_hours(series.timestamps)
+def dark_slots(timestamps: np.ndarray, mask: DarkHourMask) -> np.ndarray:
+    """Whether the mask forces each timestamp's (month, hour) slot dark;
+    a month the mask leaves undefined is an error."""
+    months = timestamp_months(timestamps)
     undefined = ~mask.month_defined[months - 1]
     if undefined.any():
         bad = int(months[undefined][0])
         raise DataError(f"dark mask undefined for month {bad}")
-    dark = mask.table[months - 1, hours]
+    return mask.table[months - 1, timestamp_hours(timestamps)]
+
+
+def apply_dark_mask(series: TimeSeriesDataset, mask: DarkHourMask) -> TimeSeriesDataset:
+    """Zero every column of the series at every masked (month, hour) slot."""
+    dark = dark_slots(series.timestamps, mask)
     values = np.where(dark[:, None], 0.0, series.values)
     return TimeSeriesDataset(series.timestamps, values, series.feature_names)
 

@@ -11,7 +11,8 @@ Cell equations per timestep and layer, gate order (i, f, g, o):
 
 ``act`` is the configured cell activation (rectifier by default, replacing
 the usual tanh in both the candidate transform and the cell-output
-transform); the three gates stay logistic. The first layer feeds its full
+transform); the three gates stay logistic, as ``0.5 * tanh(0.5 * x) + 0.5``
+in place over each step's whole (B, 4H) block. The first layer feeds its full
 hidden sequence to the second; only the final hidden state of the top layer
 passes through inverted dropout (training mode only) and a linear head.
 
@@ -20,6 +21,8 @@ batch-mean squared error, in float32: :func:`train_epochs` casts the
 parameters and windows once, and every other function computes in its
 parameters' dtype. :func:`init_params` draws float64, the path on which the
 analytic gradients are checked against central finite differences.
+Forecasts (:func:`predict_series`) run the network only on the windows
+whose target hour the dark-hour mask leaves lit.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .data import (
     TimeSeriesDataset,
     WindowSpec,
     apply_dark_mask,
+    dark_slots,
     denormalize_feature,
     normalize,
     window_arrays,
@@ -46,10 +50,12 @@ class DivergenceError(RuntimeError):
     """A forward pass or training run produced a non-finite value."""
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # never overflows: 1/(1+e) at x >= 0, e/(1+e) below
-    # e <= 1, so min(e + 1, 1) is exactly 1 at x >= 0; no branch per element.
-    return np.minimum(e + (x >= 0), 1.0) / (1.0 + e)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 # The inference pass calls the gate sigmoid through this name, bound once at
@@ -58,8 +64,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 _inference_sigmoid = sigmoid
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 # (activation, derivative expressed in terms of the activation output)
@@ -146,9 +152,10 @@ class NetworkParameters:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Windows per inference pass in predict_series. Predictions depend on the GEMM
-# batch size through BLAS: 64- or 128-window chunks move some by 1 ulp against
-# 256, which is why the chunk stays at 256.
+# Windows per inference pass in predict_series; with a mask, a chunk holds lit
+# windows only. Predictions depend on the GEMM batch size through BLAS: 64- or
+# 128-window chunks move some by 1 ulp against 256, which is why the chunk
+# stays at 256.
 PREDICT_CHUNK = 256
 
 
@@ -229,18 +236,22 @@ def _cell_step(
     pre: np.ndarray,
     gates: np.ndarray,
     c_prev: np.ndarray,
+    c: np.ndarray,
+    c_act: np.ndarray,
+    h: np.ndarray,
     act: Callable,
     squash: Callable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cell equations for one step: fill the gate-major (4, B, H) block
-    ``gates`` from the (B, 4H) pre-activation, with ``squash`` the gate
-    sigmoid; return c, act(c) and h."""
+) -> None:
+    """One step of the cell equations, in place: ``squash`` (the gate sigmoid)
+    and ``act`` fill the gate-major (4, B, H) ``gates`` from the (B, 4H) ``pre``;
+    c, act(c) and h go to ``c`` (which may be ``c_prev``), ``c_act`` and ``h``."""
     b, h_dim = c_prev.shape
-    gates[...] = squash(pre).reshape(b, 4, h_dim).transpose(1, 0, 2)
-    gates[2] = act(pre[:, 2 * h_dim : 3 * h_dim])
-    c = gates[1] * c_prev + gates[0] * gates[2]
-    c_act = act(c)
-    return c, c_act, gates[3] * c_act
+    squash(pre.reshape(b, 4, h_dim).transpose(1, 0, 2), out=gates)
+    act(pre[:, 2 * h_dim : 3 * h_dim], out=gates[2])
+    np.multiply(gates[1], c_prev, out=c)
+    c += gates[0] * gates[2]
+    act(c, out=c_act)
+    np.multiply(gates[3], c_act, out=h)
 
 
 def _dense_head(params: NetworkParameters, h_top: np.ndarray) -> np.ndarray:
@@ -262,10 +273,10 @@ def forward_batch(
     Returns per-sample scalar predictions and the activation cache consumed
     by :func:`backward`. Each layer caches ``(x_seq, gates, cells_act,
     cells, hidden)``: the (p, B, D) input sequence, the activated gates
-    (4, p, B, H) in (i, f, g, o) order, ``act(c)`` (p, B, H), and the cell
+    (p, 4, B, H) in (i, f, g, o) order, ``act(c)`` (p, B, H), and the cell
     and hidden states (p + 1, B, H), whose row 0 is the zero initial state.
-    The input projection of all p steps is one stacked matmul; each step
-    then applies ``sigmoid`` once to its (B, 4H) block and ``act`` to g.
+    The input projection of all p steps, bias added, is one stacked matmul;
+    each step applies ``sigmoid`` once to its (B, 4H) block and ``act`` to g.
     Inputs, cache and predictions take the parameters' dtype.
     """
     dt = params.dense_w.dtype
@@ -278,36 +289,36 @@ def forward_batch(
     x_seq = inputs.transpose(1, 0, 2)  # (p, B, D)
     for layer in params.layers:
         h_dim = layer.hidden
-        gates = np.empty((4, p, b, h_dim), dt)
+        gates = np.empty((p, 4, b, h_dim), dt)
         cells_act = np.empty((p, b, h_dim), dt)
         cells = np.zeros((p + 1, b, h_dim), dt)
         hidden = np.zeros((p + 1, b, h_dim), dt)
         x_proj = x_seq @ layer.w_in.T  # (p, B, 4H)
+        x_proj += layer.bias
         w_rec_t = layer.w_rec.T
         for t in range(p):
-            pre = x_proj[t] + hidden[t] @ w_rec_t + layer.bias
-            cells[t + 1], cells_act[t], hidden[t + 1] = _cell_step(
-                pre, gates[:, t], cells[t], act, sigmoid
+            x_proj[t] += hidden[t] @ w_rec_t
+            _cell_step(
+                x_proj[t], gates[t], cells[t], cells[t + 1], cells_act[t],
+                hidden[t + 1], act, sigmoid,
             )
         del x_proj  # free it before the next layer's projection
         layer_caches.append((x_seq, gates, cells_act, cells, hidden))
         x_seq = hidden[1:]
 
     h_top = x_seq[-1]  # (B, H_last)
-    rate = config.dropout_rate
-    if training_mode and rate > 0.0:
+    rate = config.dropout_rate if training_mode else 0.0
+    keep, h_drop = None, h_top
+    if rate > 0.0:
         drop_rng = np.random.Generator(np.random.PCG64(dropout_seed))
         keep = (drop_rng.random(h_top.shape) >= rate).astype(dt)
         h_drop = h_top * keep / (1.0 - rate)
-    else:
-        keep = None
-        h_drop = h_top
     predictions = _dense_head(params, h_drop)
     cache = {
         "layers": layer_caches,
         "h_drop": h_drop,
         "keep": keep,
-        "rate": rate if (training_mode and rate > 0.0) else 0.0,
+        "rate": rate,
         "predictions": predictions,
         "activation": config.cell_activation,
     }
@@ -327,11 +338,14 @@ def _predict_windows(
     for layer in params.layers:
         gates = np.empty((4, b, layer.hidden), dt)
         c = np.zeros((b, layer.hidden), dt)
+        c_act = np.empty_like(c)
         out = np.zeros((p + 1, b, layer.hidden), dt)  # row 0: the initial state
         for t in range(p):
-            # x_seq[t] @ W_in.T is the GEMM the stacked projection runs for t.
-            pre = x_seq[t] @ layer.w_in.T + out[t] @ layer.w_rec.T + layer.bias
-            c, _, out[t + 1] = _cell_step(pre, gates, c, act, _inference_sigmoid)
+            # Row t of forward_batch's stacked projection, bias added the same way.
+            pre = x_seq[t] @ layer.w_in.T
+            pre += layer.bias
+            pre += out[t] @ layer.w_rec.T
+            _cell_step(pre, gates, c, c, c_act, out[t + 1], act, _inference_sigmoid)
         x_seq = out[1:]
     return _dense_head(params, x_seq[-1])
 
@@ -363,11 +377,9 @@ def backward(
     grads = params.zeros_like()
     grads.dense_w[...] = cache["h_drop"].T @ d_pred
     grads.dense_b[0] = d_pred.sum()
-    dh_drop = d_pred[:, None] * params.dense_w[None, :]
+    dh_top = d_pred[:, None] * params.dense_w[None, :]
     if cache["rate"] > 0.0:
-        dh_top = dh_drop * cache["keep"] / (1.0 - cache["rate"])
-    else:
-        dh_top = dh_drop
+        dh_top = dh_top * cache["keep"] / (1.0 - cache["rate"])
 
     # The top layer's output is read at the final step only; lower layers
     # receive the full back-propagated sequence from the layer above.
@@ -378,25 +390,34 @@ def backward(
         reversed(params.layers), reversed(grads.layers), reversed(cache["layers"])
     ):
         h_dim = layer.hidden
-        dx_seq = np.zeros_like(x_seq)
+        i, f, g, o = gates.transpose(1, 0, 2, 3)
+        # Every step's factors at once; step t forms the gate gradients as
+        # dc * fac[t, :3] and dh * fac[t, 3], with dc = dh * dc_dh[t] + dc_carry.
+        fac = np.empty_like(gates)
+        np.multiply(g * i, 1.0 - i, out=fac[:, 0])
+        np.multiply(cells[:-1] * f, 1.0 - f, out=fac[:, 1])
+        np.multiply(i, dact(g), out=fac[:, 2])
+        np.multiply(cells_act * o, 1.0 - o, out=fac[:, 3])
+        dc_dh = o * dact(cells_act)
+        # The bottom layer's input is the data, which takes no gradient.
+        dx_seq = None if layer is params.layers[0] else np.zeros_like(x_seq)
         dh_rec = np.zeros((b, h_dim), dt)
         dc_carry = np.zeros((b, h_dim), dt)
         da = np.empty((b, 4 * h_dim), dt)
+        da_gates = da.reshape(b, 4, h_dim).transpose(1, 0, 2)  # gate-major view
         for t in range(p - 1, -1, -1):
             dh = dh_seq[t] + dh_rec
-            i_t, f_t, g_t, o_t = gates[0, t], gates[1, t], gates[2, t], gates[3, t]
-            r_t = cells_act[t]
-            dc = dh * o_t * dact(r_t) + dc_carry
-            da[:, :h_dim] = dc * g_t * i_t * (1.0 - i_t)
-            da[:, h_dim : 2 * h_dim] = dc * cells[t] * f_t * (1.0 - f_t)
-            da[:, 2 * h_dim : 3 * h_dim] = dc * i_t * dact(g_t)
-            da[:, 3 * h_dim :] = dh * r_t * o_t * (1.0 - o_t)
+            dc = dh * dc_dh[t]
+            dc += dc_carry
+            np.multiply(dc, fac[t, :3], out=da_gates[:3])
+            np.multiply(dh, fac[t, 3], out=da_gates[3])
             grad.w_in += da.T @ x_seq[t]
             grad.w_rec += da.T @ hidden[t]
             grad.bias += da.sum(axis=0)
-            dx_seq[t] = da @ layer.w_in
+            if dx_seq is not None:
+                np.matmul(da, layer.w_in, out=dx_seq[t])
             dh_rec = da @ layer.w_rec
-            dc_carry = dc * f_t
+            np.multiply(dc, f[t], out=dc_carry)
         dh_seq = dx_seq
     return grads
 
@@ -497,21 +518,25 @@ def predict_series(
     normalized chunk by chunk and run in the parameters' dtype. Each
     prediction uses the window ending ``horizon_m`` hours earlier, is
     rescaled to MW in float64, clipped at 0, and finally forced to zero on
-    dark slots.
+    dark slots. With a mask, only windows whose target slot it leaves lit
+    run through the network.
     """
     inputs, _labels = window_arrays(ds, spec)
     n_samples = inputs.shape[0]
-    preds = np.empty(n_samples)
-    for start in range(0, n_samples, PREDICT_CHUNK):
-        chunk = normalize(inputs[start : start + PREDICT_CHUNK], normalizer)
+    targets = ds.timestamps[-n_samples:]
+    lit = np.arange(n_samples)
+    if mask is not None:
+        lit = np.flatnonzero(~dark_slots(targets, mask))
+    preds = np.zeros(n_samples)
+    for start in range(0, lit.size, PREDICT_CHUNK):
+        rows = lit[start : start + PREDICT_CHUNK]
+        chunk = normalize(inputs[rows], normalizer)
         block = np.ascontiguousarray(chunk, dtype=params.dense_w.dtype)
-        preds[start : start + PREDICT_CHUNK] = _predict_windows(params, config, block)
+        preds[rows] = _predict_windows(params, config, block)
     mw = denormalize_feature(preds, normalizer, spec.target_feature_j)
     mw = np.maximum(mw, 0.0)
     series = TimeSeriesDataset(
-        ds.timestamps[-n_samples:],
-        mw[:, None],
-        (ds.feature_names[spec.target_feature_j],),
+        targets, mw[:, None], (ds.feature_names[spec.target_feature_j],)
     )
     if mask is not None:
         series = apply_dark_mask(series, mask)

@@ -13,10 +13,15 @@ against them byte for byte.
 
 The reference recurrent passes keep one array per gate and state, with
 explicit step-0 and top-layer branches, project each step's input inside
-the recurrence and apply a masked logistic to each gate on its own, so the
-gate-major cache, hoisted projection and whole-block ``sigmoid`` of
+the recurrence, apply the tanh-form logistic to each gate on its own and
+form each gate gradient step by step, so the stacked gate cache, hoisted
+projection, whole-block in-place ``sigmoid`` and per-layer gate factors of
 :func:`pvdispatch.lstm.forward_batch` and :func:`pvdispatch.lstm.backward`
-can be checked against them byte for byte.
+can be checked against them byte for byte. They share the arithmetic order
+of those functions: ``(x W_in + b) + h U`` for a pre-activation, and each
+gate gradient as ``dc`` (or ``dh``) times one product of cached values. The
+masked logistic is the plain reading of the gate function, against which
+``sigmoid``'s accuracy is checked.
 
 The reference Adam step is :func:`pvdispatch.lstm.adam_step` as it stood
 when it copied the parameters and both moments on every call, kept
@@ -366,6 +371,11 @@ def reference_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function through tanh, as one expression."""
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
+def masked_logistic(x: np.ndarray) -> np.ndarray:
     """The logistic function by boolean masks: ``1 / (1 + exp(-x))`` where
     x >= 0 and ``exp(x) / (1 + exp(x))`` elsewhere."""
     out = np.empty_like(x)
@@ -421,7 +431,7 @@ def reference_forward_batch(
         h_prev = np.zeros((b, h_dim), dt)
         c_prev = np.zeros((b, h_dim), dt)
         for t in range(p):
-            pre = x_seq[t] @ layer.w_in.T + h_prev @ layer.w_rec.T + layer.bias
+            pre = x_seq[t] @ layer.w_in.T + layer.bias + h_prev @ layer.w_rec.T
             i_t = reference_sigmoid(pre[:, :h_dim])
             f_t = reference_sigmoid(pre[:, h_dim : 2 * h_dim])
             g_t = act(pre[:, 2 * h_dim : 3 * h_dim])
@@ -488,11 +498,11 @@ def reference_backward(
             r_t = lc["r"][t]
             c_prev = lc["c"][t - 1] if t > 0 else np.zeros((b, h_dim), dt)
             h_prev = lc["h"][t - 1] if t > 0 else np.zeros((b, h_dim), dt)
-            dc = dh * o_t * dact(r_t) + dc_carry
-            da[:, :h_dim] = dc * g_t * i_t * (1.0 - i_t)
-            da[:, h_dim : 2 * h_dim] = dc * c_prev * f_t * (1.0 - f_t)
-            da[:, 2 * h_dim : 3 * h_dim] = dc * i_t * dact(g_t)
-            da[:, 3 * h_dim :] = dh * r_t * o_t * (1.0 - o_t)
+            dc = dh * (o_t * dact(r_t)) + dc_carry
+            da[:, :h_dim] = dc * (g_t * i_t * (1.0 - i_t))
+            da[:, h_dim : 2 * h_dim] = dc * (c_prev * f_t * (1.0 - f_t))
+            da[:, 2 * h_dim : 3 * h_dim] = dc * (i_t * dact(g_t))
+            da[:, 3 * h_dim :] = dh * (r_t * o_t * (1.0 - o_t))
             g.w_in += da.T @ lc["x"][t]
             g.w_rec += da.T @ h_prev
             g.bias += da.sum(axis=0)

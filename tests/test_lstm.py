@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     from_vector,
+    masked_logistic,
     reference_adam_step,
     reference_backward,
     reference_forward_batch,
@@ -16,6 +17,7 @@ from oracles import (
 
 from pvdispatch import lstm
 from pvdispatch.data import (
+    DarkHourMask,
     DataError,
     NormalizationParams,
     TimeSeriesDataset,
@@ -43,6 +45,17 @@ from pvdispatch.lstm import (
 
 def sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def sigmoid_inputs() -> tuple[np.ndarray, np.ndarray]:
+    """A (32, 256) gate block and the edge values of the gate sigmoid."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    block = 8.0 * rng.standard_normal((32, 256))
+    edges = np.array(
+        [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf,
+         745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324]
+    )
+    return block, edges
 
 
 def jostled_params(cfg: NetworkConfig, seed: int):
@@ -278,20 +291,29 @@ class TestBackward:
 
 
 class TestReferenceLoops:
-    """The gate-major cache gives the bytes of the per-gate reference loops."""
+    """The stacked gate cache gives the bytes of the per-gate reference loops."""
 
-    def test_sigmoid_byte_identical_to_masked_form(self):
-        rng = np.random.Generator(np.random.PCG64(8))
-        block = 8.0 * rng.standard_normal((32, 256))
-        edges = np.array(
-            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf,
-             745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324]
-        )
-        for x in (block, edges):
-            assert lstm.sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
-        # A NaN stays NaN; its sign bit carries no meaning, and exp(-|x|)
-        # sets it where the masked form's exp(x) does not.
+    def test_sigmoid_byte_identical_to_tanh_form(self):
+        for x in sigmoid_inputs():
+            for dtype in (np.float64, np.float32):
+                xd = x.astype(dtype)
+                assert lstm.sigmoid(xd).tobytes() == reference_sigmoid(xd).tobytes()
+                out = np.empty_like(xd)
+                assert lstm.sigmoid(xd, out=out) is out
+                assert out.tobytes() == reference_sigmoid(xd).tobytes()
         assert np.isnan(lstm.sigmoid(np.array([np.nan]))).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "dtype, tol", [(np.float64, 2.0**-52), (np.float32, 2.0**-23)]
+    )
+    def test_sigmoid_accuracy_against_masked_logistic(self, dtype, tol):
+        for x in sigmoid_inputs():
+            xd = x.astype(dtype)
+            y = lstm.sigmoid(xd)
+            assert y.dtype == dtype
+            assert ((y >= 0.0) & (y <= 1.0)).all()
+            assert np.abs(y - masked_logistic(xd)).max() <= tol
 
     @pytest.mark.parametrize("batch", [1, 17])
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
@@ -633,6 +655,71 @@ class TestPredictSeries:
             assert expected.dtype == dtype and (expected > 0.0).all()
             assert series.values.dtype == np.float64
             assert series.values.tobytes() == expected.astype(np.float64).tobytes()
+
+    def _record_windows(self, monkeypatch) -> list[np.ndarray]:
+        """Have lstm._predict_windows keep a copy of every block it is given."""
+        blocks: list[np.ndarray] = []
+        run = lstm._predict_windows
+
+        def recording(params, config, inputs):
+            blocks.append(inputs.copy())
+            return run(params, config, inputs)
+
+        monkeypatch.setattr(lstm, "_predict_windows", recording)
+        return blocks
+
+    def test_mask_runs_only_lit_windows(self, monkeypatch):
+        # Hours 0-5 are dark: 360 of the 474 windows target a lit hour, so
+        # the lit windows fill one PREDICT_CHUNK and part of a second.
+        spec = WindowSpec(6, 1, 0)
+        ds = self._dataset(f=3, seed=4)
+        ds = TimeSeriesDataset(ds.timestamps, ds.values / 8.0, ds.feature_names)
+        mask = derive_dark_mask(ds, 0)
+        cfg = NetworkConfig(input_features=3, layer_sizes=(6, 4), dropout_rate=0.0)
+        identity = NormalizationParams(np.zeros(3), np.ones(3))
+        p, n_samples = spec.lookback_p, ds.n - spec.lookback_p
+        windows = np.stack([ds.values[k : k + p] for k in range(n_samples)])
+        hours = ds.timestamps[p:].astype(np.int64) % 24
+        lit = np.flatnonzero(hours >= 6)
+        assert PREDICT_CHUNK < lit.size < 2 * PREDICT_CHUNK
+        blocks = self._record_windows(monkeypatch)
+        for dtype in (np.float64, np.float32):
+            blocks.clear()
+            params = jostled_params(cfg, 2).map(lambda a: a.astype(dtype))
+            params.dense_b[...] = 10.0  # no lit prediction is clipped
+            series = predict_series(params, cfg, ds, spec, identity, mask)
+            sizes = [block.shape[0] for block in blocks]
+            assert sizes == [PREDICT_CHUNK, lit.size - PREDICT_CHUNK]
+            passed = np.concatenate(blocks)
+            assert passed.tobytes() == windows[lit].astype(dtype).tobytes()
+            expected = np.concatenate([
+                forward_batch(params, cfg, windows[lit[:PREDICT_CHUNK]])[0],
+                forward_batch(params, cfg, windows[lit[PREDICT_CHUNK:]])[0],
+            ])
+            values = series.values[:, 0]
+            assert values[lit].tobytes() == expected.astype(np.float64).tobytes()
+            assert (values[hours < 6] == 0.0).all()
+            assert (values[lit] > 0.0).all()
+
+    def test_without_mask_every_window_runs(self, monkeypatch):
+        spec = WindowSpec(6, 1, 0)
+        ds = self._dataset(f=2)
+        cfg = NetworkConfig(input_features=2, layer_sizes=(4, 3), dropout_rate=0.0)
+        blocks = self._record_windows(monkeypatch)
+        series = predict_series(init_params(cfg), cfg, ds, spec, fit_normalizer(ds))
+        assert sum(b.shape[0] for b in blocks) == series.n == ds.n - spec.lookback_p
+
+    def test_mask_undefined_month_rejected(self):
+        ds = self._dataset()  # March only
+        mask = derive_dark_mask(ds, 0)
+        defined = np.ones(12, dtype=bool)
+        defined[2] = False
+        mask = DarkHourMask(mask.table, defined)
+        cfg = NetworkConfig(input_features=2, layer_sizes=(3,))
+        with pytest.raises(DataError, match="month 3"):
+            predict_series(
+                init_params(cfg), cfg, ds, WindowSpec(6, 1, 0), fit_normalizer(ds), mask
+            )
 
     def test_nonfinite_reported_as_divergence(self):
         ds = self._dataset(f=1)
