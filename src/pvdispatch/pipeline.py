@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -141,8 +142,10 @@ class PipelineConfig:
     kmeans_clusters: int = _setting(10, "baselines.kmeans_clusters")
     kmeans_seed: int = _setting(3, "baselines.kmeans_seed")
     # dispatch
-    voll: float = _setting(1000.0, "dispatch.voll")
-    emission_factor: float = _setting(202.0, "dispatch.emission_factor")
+    voll: float = _setting(DispatchCase.voll, "dispatch.voll")
+    emission_factor: float = _setting(
+        DispatchCase.emission_factor, "dispatch.emission_factor"
+    )
     # run
     seed: int = _setting(0, "seed")
     output_dir: str = _setting("runs/out", "output_dir")
@@ -456,6 +459,34 @@ def forecast_test(
     return forecasts
 
 
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread in a dispatch worker: beside workers that fill
+    the CPUs, spin-waiting OpenBLAS threads stalled them several times over."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        libraries = {line.split()[-1] for line in maps if "openblas" in line}
+    for library in map(ctypes.CDLL, libraries):
+        for name in (  # as numpy 2's and 1's wheels, then distributions, name it
+            "scipy_openblas_set_num_threads64_",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            if hasattr(library, name):
+                getattr(library, name)(ctypes.c_int(1))
+
+
+def _dispatch_day(d: int, case_fields: tuple) -> tuple[CaseMetrics, np.ndarray]:
+    """Day ``d`` of a span: its metrics and absorbed renewable (actual - spill)."""
+    try:
+        case = DispatchCase(*case_fields)
+    except DispatchError as exc:
+        raise DispatchError(f"day {d} of the span: {exc}") from None
+    da = solve_da(case)
+    rt = solve_rt(case, da)
+    return case_metrics(case, da, rt), case.actual - rt.spill
+
+
 def evaluate_days(
     demand: np.ndarray,
     forecast: np.ndarray,
@@ -470,29 +501,28 @@ def evaluate_days(
     Returns the report, each day's metrics, and the absorbed renewable
     (actual minus spill) per dispatched hour. A trailing partial day is
     left out. NMAE is NaN when the actual series is all zero.
+
+    Forked workers, one per CPU this process may use, solve the days; the
+    results, or the first bad day's error, come back in calendar order.
     """
+    from concurrent.futures import ProcessPoolExecutor  # here: slow to import
+    from multiprocessing import get_context
+
     n_days = len(demand) // 24
     if n_days == 0:
         raise DataError("evaluation needs at least one complete 24-hour day")
-    daily: list[CaseMetrics] = []
-    absorbed = np.empty(24 * n_days)
-    for d in range(n_days):
-        sl = slice(24 * d, 24 * (d + 1))
-        try:
-            case = DispatchCase(
-                demand=demand[sl],
-                forecast=forecast[sl],
-                actual=actual[sl],
-                fleet=fleet,
-                voll=voll,
-                emission_factor=emission_factor,
-            )
-        except DispatchError as exc:
-            raise DispatchError(f"day {d} of the span: {exc}") from None
-        da = solve_da(case)
-        rt = solve_rt(case, da)
-        absorbed[sl] = actual[sl] - rt.spill
-        daily.append(case_metrics(case, da, rt))
+    cases = [
+        (demand[sl], forecast[sl], actual[sl], fleet, voll, emission_factor)
+        for sl in (slice(24 * d, 24 * (d + 1)) for d in range(n_days))
+    ]
+    workers = min(len(os.sched_getaffinity(0)), n_days)
+    pool = ProcessPoolExecutor(workers, get_context("fork"), _one_blas_thread)
+    try:
+        solved = list(pool.map(_dispatch_day, range(n_days), cases, chunksize=4))
+    finally:
+        pool.shutdown(cancel_futures=True)  # after a failed day, start no more
+    daily = [metrics for metrics, _ in solved]
+    absorbed = np.concatenate([day_absorbed for _, day_absorbed in solved])
     totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
     for day in daily:
         for key in totals:

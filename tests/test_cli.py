@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,11 @@ from pvdispatch.baselines import KMeansModel, MonthlyHourModel
 from pvdispatch.cli import build_parser, main
 from pvdispatch.data import load_csv, split_chronological, write_csv
 from pvdispatch.data import DarkHourMask, NormalizationParams, TimeSeriesDataset
-from pvdispatch.dispatch import GeneratorSpec, save_fleet_csv
+from pvdispatch.dispatch import (
+    DispatchInternalError,
+    GeneratorSpec,
+    save_fleet_csv,
+)
 from pvdispatch.lstm import NetworkConfig, init_params
 from pvdispatch.pipeline import (
     METHODS,
@@ -23,7 +29,7 @@ from pvdispatch.pipeline import (
     load_inputs,
     run_pipeline,
 )
-from test_pipeline import FAST, _must_not_train
+from test_pipeline import FAST, SMALL, _must_not_train
 
 
 CONFIG_YAML = """\
@@ -563,6 +569,48 @@ class TestErrorContract:
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: day 0 of the span: {field}")
+
+    def test_the_first_bad_day_in_calendar_order_is_named(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", str(24 * 8),
+              "--areas", "1", "--seed", "0"])
+        demand = load_csv(tmp_path / "d" / "demand.csv").column(0).copy()
+        pv = load_csv(tmp_path / "d" / "generation.csv").column(0)
+        # Days 3 and 4 of eight ask for more than the dispatch range allows.
+        # The two workers take the days in chunks of four: the one given
+        # days 4-7 fails at once, the other only after solving days 0-2.
+        demand[24 * 3 : 24 * 5] *= 3e5
+        argv = ["evaluate"] + [
+            f"--{name}={write_series(tmp_path / f'{name}.csv', values)}"
+            for name, values in (("demand", demand), ("forecast", pv), ("actual", pv))
+        ]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: day 3 of the span: demand: ")
+        assert multiprocessing.active_children() == []
+
+    def test_a_solver_failure_in_a_worker_exits_3_naming_the_stage(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def solve_da(case):
+            raise DispatchInternalError("solver broke")
+
+        monkeypatch.setattr(pipeline, "solve_da", solve_da)
+        p = tmp_path / "cfg.yaml"
+        p.write_text(
+            f"data: {{synth: {{hours: {SMALL['synth_hours']}}}}}\n"
+            f"network: {{layers: {list(SMALL['layer_sizes'])}}}\n"
+            f"training: {{epochs: {SMALL['epochs']}}}\n"
+            f"baselines: {{kmeans_clusters: {SMALL['kmeans_clusters']}}}\n"
+            f"output_dir: '{tmp_path / 'out'}'\n"
+        )
+        assert main(["run", "--config", str(p)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: stage 'dispatch' failed: solver broke"
+        )
+        assert multiprocessing.active_children() == []
 
     def test_voll_beyond_the_fleet_range_stops_a_run_before_training(
         self, tmp_path, capsys, monkeypatch

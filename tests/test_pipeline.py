@@ -1,4 +1,7 @@
+import ctypes
 import json
+import multiprocessing
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,7 +16,16 @@ from pvdispatch.data import (
     TimeSeriesDataset,
     split_chronological,
 )
-from pvdispatch.dispatch import CaseMetrics, EvaluationReport
+from pvdispatch.dispatch import (
+    CaseMetrics,
+    DispatchCase,
+    DispatchInternalError,
+    EvaluationReport,
+    GeneratorSpec,
+    case_metrics,
+    solve_da,
+    solve_rt,
+)
 from pvdispatch.pipeline import (
     METHODS,
     METRIC_ROWS,
@@ -24,12 +36,14 @@ from pvdispatch.pipeline import (
     StageError,
     config_from_dict,
     emit_report,
+    evaluate_days,
     fit_models,
     forecast_test,
     load_config,
     load_inputs,
     run_pipeline,
 )
+from pvdispatch.synth import synth_year
 
 # Small but complete: the span covers every calendar month so month-keyed
 # models are defined over the whole test span (it wraps one full year plus
@@ -46,6 +60,11 @@ FAST = dict(
     kmeans_clusters=4,
     seed=5,
 )
+
+
+# A January of four weeks, trained in seconds: enough to reach the dispatch
+# stage with a week to dispatch.
+SMALL = dict(synth_hours=24 * 28, layer_sizes=(4,), epochs=1, kmeans_clusters=2)
 
 
 def _must_not_train(*args, **kwargs):
@@ -304,3 +323,115 @@ class TestDeterminism:
         assert (out_a / "metrics.csv").read_bytes() != (
             out_b / "metrics.csv"
         ).read_bytes()
+
+
+# Two units with pmin > 0, so the day-ahead program shifts lower bounds, and
+# two units that move in real time.
+PMIN_FLEET = (
+    GeneratorSpec("G1", cost=20.0, pmax=50.0, pmin=15.0, ramp=20.0),
+    GeneratorSpec("G2", cost=25.0, pmax=50.0, pmin=0.0, ramp=20.0, rt_available=True),
+    GeneratorSpec(
+        "G3", cost=30.0, pmax=30.0, pmin=5.0, ramp=30.0,
+        rt_available=True, gas_fired=True,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def sampled_year():
+    """Every fifth day of a seeded synthetic year as one 73-day span: the
+    demand, a forecast that errs both ways day by day, and the actual PV
+    output summed over three areas."""
+    generation, demand = synth_year(seed=11)
+    hours = np.arange(8760).reshape(365, 24)[::5].ravel()
+    actual = generation.values.sum(axis=1)[hours]
+    rng = np.random.default_rng(11)
+    error = np.repeat(rng.lognormal(0.0, 0.3, hours.size // 24), 24)
+    forecast = actual * error * rng.lognormal(0.0, 0.1, hours.size)
+    return demand.values[hours, 0], forecast, actual
+
+
+def _blas_threads() -> list[int]:
+    """The thread count of each OpenBLAS library this process has loaded."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        libraries = {line.split()[-1] for line in maps if "openblas" in line}
+    getters = (
+        "scipy_openblas_get_num_threads64_",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    )
+    return [
+        getattr(library, name)()
+        for library in map(ctypes.CDLL, libraries)
+        for name in getters
+        if hasattr(library, name)
+    ]
+
+
+def _evaluate_on(monkeypatch, cpus, *args):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    return evaluate_days(*args)
+
+
+class TestEvaluateDays:
+    def test_same_bytes_on_one_and_two_workers(self, monkeypatch, sampled_year):
+        span = [series[: 24 * 6] for series in sampled_year]
+        args = (*span, PMIN_FLEET, 1000.0, 202.0)
+        one = _evaluate_on(monkeypatch, {0}, *args)
+        two = _evaluate_on(monkeypatch, {0, 1}, *args)
+        # repr tells -0.0 from 0.0 and compares NaN, so equal text is equal bytes.
+        assert repr(one[0]) == repr(two[0])
+        assert repr(one[1]) == repr(two[1])
+        assert one[2].tobytes() == two[2].tobytes()
+        # And each day is the one solved in this process, in calendar order.
+        cases = [
+            DispatchCase(*(s[24 * d : 24 * (d + 1)] for s in span), PMIN_FLEET)
+            for d in range(6)
+        ]
+        solved = [(c, solve_da(c)) for c in cases]
+        assert repr(one[1]) == repr(
+            [case_metrics(c, da, solve_rt(c, da)) for c, da in solved]
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_blas_on_one_thread(self, monkeypatch, sampled_year):
+        """Threaded BLAS beside workers that fill the CPUs made a span's
+        dispatch several times slower than in one process."""
+        if not _blas_threads():
+            pytest.skip("numpy's BLAS is not a loaded OpenBLAS")
+
+        def checked_solve_da(case):
+            assert _blas_threads() == [1]  # raised again in this process
+            return solve_da(case)
+
+        monkeypatch.setattr(pipeline, "solve_da", checked_solve_da)
+        span = [series[: 24 * 2] for series in sampled_year]
+        _evaluate_on(monkeypatch, {0, 1}, *span, PMIN_FLEET, 1000.0, 202.0)
+
+    def test_a_perfect_forecast_is_never_dearer(self, sampled_year):
+        """For any day and forecast f, da_rt_cost(f) >= da_rt_cost(actual):
+        the day-ahead schedule plus its real-time moves is feasible for the
+        day-ahead program capped at the actual output."""
+        demand, forecast, actual = sampled_year
+        _, erring, _ = evaluate_days(demand, forecast, actual, PMIN_FLEET, 1e3, 202.0)
+        _, perfect, _ = evaluate_days(demand, actual, actual, PMIN_FLEET, 1e3, 202.0)
+        assert len(erring) == len(perfect) == 73
+        # Relative tolerance 1e-9: the two costs come from different LPs and
+        # carry their round-off; an erring forecast read cheaper than the
+        # perfect one by at most 1.8e-16 relative on these days.
+        for d, (f, p) in enumerate(zip(erring, perfect)):
+            assert f.da_rt_cost_usd >= p.da_rt_cost_usd * (1 - 1e-9), d
+
+    def test_a_solver_failure_in_a_worker_fails_the_dispatch_stage(
+        self, monkeypatch
+    ):
+        def solve_da(case):
+            raise DispatchInternalError("solver broke")
+
+        # Forked workers see the patched module attribute.
+        monkeypatch.setattr(pipeline, "solve_da", solve_da)
+        with pytest.raises(StageError, match="solver broke") as info:
+            run_pipeline(PipelineConfig(**SMALL))
+        assert info.value.stage == "dispatch"
+        assert isinstance(info.value.cause, DispatchInternalError)
+        assert multiprocessing.active_children() == []

@@ -1,8 +1,11 @@
 """Checks on the package's source and the README that no behaviour test
-makes: the line width the code is written to, module privacy, and the
-documented config defaults. A breach fails here instead of in review."""
+makes: the line width the code is written to, module privacy, the
+documented config defaults, and the modules the CLI loads at start-up. A
+breach fails here instead of in review."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -67,3 +70,18 @@ def test_readme_config_block_loads_to_the_defaults():
     section = readme.split("\n## Configuration file\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert config_from_dict(yaml.safe_load(block)) == PipelineConfig()
+
+
+def test_cli_start_up_leaves_the_worker_pool_modules_unloaded():
+    """The dispatch stage imports its process pool when it runs, so that
+    starting the CLI does not pay for ``multiprocessing``."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import pvdispatch.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
