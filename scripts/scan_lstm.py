@@ -1,5 +1,12 @@
 """Dev scan: train the forecaster on a synthetic span and log test NMAE
-every few epochs, for hyperparameter tuning. Not part of the test suite."""
+every few epochs, for hyperparameter tuning. Not part of the test suite.
+
+    PYTHONPATH=src python scripts/scan_lstm.py [seed epochs lr batch dropout lr_decay]
+
+By default it trains on the data and schedule of
+``configs/synthetic_experiment.yaml``: the generator's default parameters
+and a learning-rate decay of 0.93 per epoch.
+"""
 
 import sys
 import time
@@ -17,7 +24,7 @@ from pvdispatch.data import (
 from pvdispatch.dispatch import nmae
 from pvdispatch.lstm import NetworkConfig, TrainingConfig, predict_series, train_epochs
 from pvdispatch.pipeline import with_lead_in
-from pvdispatch.synth import SynthParams, synth_year
+from pvdispatch.synth import synth_year
 
 
 def main():
@@ -26,11 +33,9 @@ def main():
     lr = float(sys.argv[3]) if len(sys.argv) > 3 else 1e-3
     batch = int(sys.argv[4]) if len(sys.argv) > 4 else 32
     dropout = float(sys.argv[5]) if len(sys.argv) > 5 else 0.2
-    phi = float(sys.argv[6]) if len(sys.argv) > 6 else 0.99
-    noise = float(sys.argv[7]) if len(sys.argv) > 7 else 0.08
+    decay = float(sys.argv[6]) if len(sys.argv) > 6 else 0.93
 
-    sp = SynthParams(cloud_persistence=phi, area_noise_scale=noise)
-    gen, _dem = synth_year(seed=seed, hours=10968, start="2022-10-01T00", params=sp)
+    gen, _dem = synth_year(seed=seed, hours=10968, start="2022-10-01T00")
     train_ds, test_ds = split_chronological(gen, 0.7987)
     normalizer = fit_normalizer(train_ds)
     mask = derive_dark_mask(train_ds, 0)
@@ -46,7 +51,6 @@ def main():
     )
     samples = window_arrays(tn, spec)
     net = NetworkConfig(input_features=3, layer_sizes=(64, 32), dropout_rate=dropout, seed=1)
-    decay = float(sys.argv[8]) if len(sys.argv) > 8 else 1.0
     tc = TrainingConfig(
         epochs=epochs, batch_size=batch, learning_rate=lr, seed=2, lr_decay=decay
     )

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .data import load_single_column, save_mask_csv, split_chronological
-from .data import write_csv, write_table
+from .data import DataError, dark_slots, load_single_column, save_mask_csv
+from .data import split_chronological, write_csv, write_table
 from .dispatch import (
     DispatchCase,
     EvaluationReport,
@@ -101,11 +101,17 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
                 f"{models_dir / name}: dark mask differs from mlstm.npz's"
             )
     models = FittedModels(net, params, normalizer, mask, km, monthly)
-    out = Path(args.out or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     generation, _demand, _fleet = load_inputs(config)
     train_ds, test_ds = split_chronological(generation, config.train_fraction)
+    try:  # every forecast is masked, so the mask must know each test month
+        dark_slots(test_ds.timestamps, mask)
+    except DataError as exc:
+        raise checkpoint.CheckpointError(
+            f"{models_dir / 'mlstm.npz'}: test span: {exc}"
+        ) from None
     forecasts = forecast_test(config, models, generation, train_ds.n)
+    out = Path(args.out or config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "forecasts.csv"
     header = ["timestamp", "actual", *METHODS]
     columns = [test_ds.timestamps, test_ds.column(config.target_feature_j)]

@@ -107,13 +107,24 @@ def default_fleet() -> tuple[GeneratorSpec, ...]:
 
 
 def check_voll(voll: float, fleet: tuple[GeneratorSpec, ...]) -> None:
-    """Raise :class:`DispatchError` unless ``voll`` exceeds the dearest unit's
-    cost by a factor of at most ``VOLL_COST_RATIO``."""
+    """Raise :class:`DispatchError` unless the fleet has a unit and ``voll``
+    exceeds the dearest unit's cost by a factor of at most ``VOLL_COST_RATIO``."""
+    if not fleet:
+        raise DispatchError("fleet must not be empty")
     max_cost = max(g.cost for g in fleet)
     if not max_cost < voll <= VOLL_COST_RATIO * max_cost:
         raise DispatchError(
             f"voll {voll} must be finite and exceed the dearest generator "
             f"({max_cost}), by a factor of at most {VOLL_COST_RATIO:g}"
+        )
+
+
+def check_emission_factor(emission_factor: float) -> None:
+    """Raise :class:`DispatchError` unless the emission factor, in kg of CO2
+    per gas-fired MWh, is finite and > 0."""
+    if not 0 < emission_factor < math.inf:
+        raise DispatchError(
+            f"emission_factor {emission_factor} must be finite and > 0"
         )
 
 
@@ -168,14 +179,9 @@ class DispatchCase:
                 f"{forecast.shape[0]}, actual {actual.shape[0]}"
             )
         check_dispatch_series(self.fleet, demand, forecast=forecast, actual=actual)
-        if not self.fleet:
-            raise DispatchError("fleet must not be empty")
         fleet = tuple(self.fleet)
         check_voll(self.voll, fleet)
-        if not 0 < self.emission_factor < math.inf:
-            raise DispatchError(
-                f"emission_factor {self.emission_factor} must be finite and > 0"
-            )
+        check_emission_factor(self.emission_factor)
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "forecast", forecast)
         object.__setattr__(self, "actual", actual)

@@ -38,7 +38,6 @@ from .data import (
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
-    apply_dark_mask,
     dark_slots,
     denormalize_feature,
     normalize,
@@ -517,9 +516,9 @@ def predict_series(
     The windows are training's (:func:`~pvdispatch.data.window_arrays`),
     normalized chunk by chunk and run in the parameters' dtype. Each
     prediction uses the window ending ``horizon_m`` hours earlier, is
-    rescaled to MW in float64, clipped at 0, and finally forced to zero on
-    dark slots. With a mask, only windows whose target slot it leaves lit
-    run through the network.
+    rescaled to MW in float64 and clipped at 0. With a mask, only windows
+    whose target slot it leaves lit run through the network; every dark
+    slot is exactly 0 MW.
     """
     inputs, _labels = window_arrays(ds, spec)
     n_samples = inputs.shape[0]
@@ -527,17 +526,12 @@ def predict_series(
     lit = np.arange(n_samples)
     if mask is not None:
         lit = np.flatnonzero(~dark_slots(targets, mask))
-    preds = np.zeros(n_samples)
+    mw = np.zeros((n_samples, 1))
     for start in range(0, lit.size, PREDICT_CHUNK):
         rows = lit[start : start + PREDICT_CHUNK]
         chunk = normalize(inputs[rows], normalizer)
         block = np.ascontiguousarray(chunk, dtype=params.dense_w.dtype)
-        preds[rows] = _predict_windows(params, config, block)
-    mw = denormalize_feature(preds, normalizer, spec.target_feature_j)
-    mw = np.maximum(mw, 0.0)
-    series = TimeSeriesDataset(
-        targets, mw[:, None], (ds.feature_names[spec.target_feature_j],)
-    )
-    if mask is not None:
-        series = apply_dark_mask(series, mask)
-    return series
+        mw[rows, 0] = _predict_windows(params, config, block)
+    j = spec.target_feature_j
+    mw[lit, 0] = np.maximum(denormalize_feature(mw[lit, 0], normalizer, j), 0.0)
+    return TimeSeriesDataset(targets, mw, (ds.feature_names[j],))

@@ -53,6 +53,7 @@ from .data import (
     normalize,
     split_chronological,
     timestamp_hours,
+    timestamp_months,
     window_arrays,
     write_table,
 )
@@ -64,6 +65,7 @@ from .dispatch import (
     GeneratorSpec,
     case_metrics,
     check_dispatch_series,
+    check_emission_factor,
     check_voll,
     default_fleet,
     load_fleet_csv,
@@ -151,11 +153,14 @@ class PipelineConfig:
     output_dir: str = _setting("runs/out", "output_dir")
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("voll", self.voll), ("emission_factor", self.emission_factor)
-        ):
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{label}: {value} must be finite and > 0")
+        if not 0 < self.voll < math.inf:  # against the fleet once it is loaded
+            raise ConfigError(f"voll: {self.voll} must be finite and > 0")
+        try:
+            check_emission_factor(self.emission_factor)
+        except DispatchError:  # in the config's "field: problem" form
+            raise ConfigError(
+                f"emission_factor: {self.emission_factor} must be finite and > 0"
+            ) from None
         if self.kmeans_clusters < 1:
             raise ConfigError("kmeans_clusters must be >= 1")
         if not self.synth_enabled:
@@ -321,7 +326,7 @@ class FittedModels:
 class MethodOutcome:
     """Everything the pipeline produced for one forecast method."""
 
-    forecast: TimeSeriesDataset  # the whole test span, one column
+    forecast: TimeSeriesDataset  # the dispatched hours, one column
     report: EvaluationReport
     daily: list[CaseMetrics]  # one per dispatched day
     absorbed: np.ndarray  # actual minus spill, per dispatched hour
@@ -511,6 +516,9 @@ def evaluate_days(
     n_days = len(demand) // 24
     if n_days == 0:
         raise DataError("evaluation needs at least one complete 24-hour day")
+    # Span-wide settings are checked once, here: a worker would blame day 0.
+    check_voll(voll, fleet)
+    check_emission_factor(emission_factor)
     cases = [
         (demand[sl], forecast[sl], actual[sl], fleet, voll, emission_factor)
         for sl in (slice(24 * d, 24 * (d + 1)) for d in range(n_days))
@@ -560,6 +568,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         except DispatchError as exc:
             where = f"dispatch span from {dispatch_hours[0]}"
             raise DispatchError(f"{where}: {exc}") from None
+        # Every forecaster must have seen each month the test span reaches,
+        # and kmeans, the strictest, knows a month only from its whole days.
+        _, trained_months = daily_profiles(train_ds, config.target_feature_j)
+        test_months = timestamp_months(test_ds.timestamps)
+        unseen = ~np.isin(test_months, trained_months)
+        if unseen.any():
+            raise ConfigError(
+                f"split.train_fraction {config.train_fraction}: the test span "
+                f"reaches month {test_months[unseen.argmax()]}, of which the "
+                "training span holds no whole day"
+            )
 
     models, _history = fit_models(config, train_ds, timings)
 
@@ -569,10 +588,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     with _stage(timings, "dispatch"):
         outcomes: dict[str, MethodOutcome] = {}
         for method in METHODS:
-            series = forecasts[method]
+            series = forecasts[method].rows(day_slice.start, day_slice.stop)
             report, daily, absorbed = evaluate_days(
                 dispatch_demand,
-                series.column(0)[day_slice],
+                series.column(0),
                 dispatch_actual,
                 fleet,
                 config.voll,
@@ -604,10 +623,7 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outcomes = [result.outcomes[m] for m in METHODS]
-    # Every forecast covers the test span; dispatch starts `offset` hours
-    # into it.
     hours = result.dispatch_timestamps
-    offset = int((hours[0] - outcomes[0].forecast.timestamps[0]).astype(np.int64))
     daily_rows = [f.name for f in fields(CaseMetrics)]
     days = [day for o in outcomes for day in o.daily]
     tables = {
@@ -629,7 +645,7 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
             + [f"forecast_{m}" for m in METHODS]
             + [f"absorbed_{m}" for m in METHODS],
             [hours, result.demand, result.actual]
-            + [o.forecast.column(0)[offset : offset + hours.size] for o in outcomes]
+            + [o.forecast.column(0) for o in outcomes]
             + [o.absorbed for o in outcomes],
         ),
     }

@@ -544,11 +544,13 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "scaled, factor, flags, field",
         [
-            # Outside the range the solver's answers were checked in.
-            ("demand", 3e5, [], "demand: "),
-            ("actual", 3e7, [], "actual: "),
-            ("actual", 1e12, [], "actual: "),
+            # Outside the range the solver's answers were checked in; a
+            # series is blamed on its first bad day, a setting on the span.
+            ("demand", 3e5, [], "day 0 of the span: demand: "),
+            ("actual", 3e7, [], "day 0 of the span: actual: "),
+            ("actual", 1e12, [], "day 0 of the span: actual: "),
             ("demand", 1.0, ["--voll", "1e17"], "voll 1e+17 "),
+            ("demand", 1.0, ["--emission-factor", "-1"], "emission_factor -1.0 "),
         ],
     )
     def test_figures_outside_the_dispatch_range_exit_2_naming_the_field(
@@ -568,7 +570,7 @@ class TestErrorContract:
         ]
         capsys.readouterr()
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: day 0 of the span: {field}")
+        assert capsys.readouterr().err.startswith(f"error: {field}")
 
     def test_the_first_bad_day_in_calendar_order_is_named(
         self, tmp_path, capsys, monkeypatch
@@ -677,6 +679,60 @@ class TestErrorContract:
         assert capsys.readouterr().err == (
             "error: evaluation needs at least one complete 24-hour day\n"
         )
+
+    @pytest.mark.parametrize(
+        "yaml_text, fraction, month",
+        [
+            # The defaults: the test span starts at 2023-10-01T18, so October
+            # has 18 training hours but no whole day, and November none.
+            ("training: {epochs: 1}\n", 0.75, 10),
+            # A training span of June to December, tested on January.
+            (
+                "data: {synth: {hours: 5880, start: '2022-06-01T00'}}\n"
+                "split: {train_fraction: 0.8735}\n",
+                0.8735,
+                1,
+            ),
+        ],
+    )
+    def test_test_months_without_a_whole_training_day_stop_a_run_before_training(
+        self, tmp_path, capsys, monkeypatch, yaml_text, fraction, month
+    ):
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml_text)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: split.train_fraction {fraction}: the test span reaches "
+            f"month {month}, of which the training span holds no whole day\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_forecast_exits_2_for_a_test_month_the_checkpoint_never_saw(
+        self, tmp_path, capsys
+    ):
+        models = tmp_path / "models"
+        models.mkdir()
+        net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
+        normalizer = NormalizationParams(np.zeros(3), np.ones(3))
+        defined = np.ones(12, dtype=bool)
+        defined[9] = False  # October, the month the test span falls in
+        mask = DarkHourMask(np.zeros((12, 24), dtype=bool), defined)
+        checkpoint.save_lstm(models / "mlstm.npz", net, init_params(net),
+                             normalizer, mask)
+        kmeans = KMeansModel(np.ones((2, 24)), np.zeros(3, dtype=int), 0.0)
+        checkpoint.save_kmeans(models / "kmeans.npz", kmeans, mask)
+        checkpoint.save_monthly(
+            models / "monthly.npz", MonthlyHourModel(np.ones((12, 24))), mask
+        )
+        cfg = write_config(tmp_path, tmp_path / "out")
+        rc = main(["forecast", "--config", str(cfg), "--models", str(models)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {models / 'mlstm.npz'}: test span: "
+            "dark mask undefined for month 10\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["dispatch", "evaluate"])
     @pytest.mark.parametrize("shifted", ["forecast", "actual"])

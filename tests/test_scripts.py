@@ -1,8 +1,8 @@
 """Every script under ``scripts/`` imports cleanly, so a script that names a
 removed function fails here instead of on its next manual run, and
 ``scan_lstm.py`` runs one epoch; every committed config under ``configs/``
-loads; ``output_digests.py`` digests what each command prints, and only what
-is the same in every run."""
+runs up to training; ``output_digests.py`` digests what each command prints,
+and only what is the same in every run."""
 
 import importlib.util
 import json
@@ -10,10 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from pvdispatch import pipeline
+from pvdispatch.cli import main as cli
 from pvdispatch.pipeline import PipelineConfig, load_config
+from test_acceptance import PIPELINE_CONFIG
 
 ROOT = Path(__file__).parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
 
 def import_script(path):
@@ -74,16 +78,24 @@ def test_output_digests_drop_what_differs_between_runs_from_the_manifest(
 
 
 def test_synthetic_experiment_config():
-    """The committed experiment: one training year plus an evaluation
-    quarter, split at the year boundary (floor(10968 * 0.7987) = 8760)."""
+    """The committed experiment is the acceptance suite's pipeline run."""
     config = load_config(ROOT / "configs" / "synthetic_experiment.yaml")
     assert config == PipelineConfig(
-        synth_enabled=True,
-        synth_hours=10968,
-        synth_start="2022-10-01T00",
-        train_fraction=0.7987,
-        epochs=30,
-        lr_decay=0.93,
-        seed=11,
-        output_dir="runs/synthetic_experiment",
+        **PIPELINE_CONFIG, output_dir="runs/synthetic_experiment"
+    )
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_config_runs_up_to_training(path, monkeypatch, capsys):
+    """``run`` gets through loading, the split-stage checks and the
+    preprocessing fit on every committed config, from the repository root
+    that its relative paths assume; training stops it."""
+    def reached(*args, **kwargs):
+        raise RuntimeError("training reached")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(pipeline, "train", reached)
+    assert cli(["run", "--config", str(path.relative_to(ROOT))]) == 3
+    assert capsys.readouterr().err == (
+        "error: stage 'train_mlstm' failed: training reached\n"
     )
