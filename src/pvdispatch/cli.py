@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
+from .baselines import kmeans_forecast_values
 from .data import DataError, dark_slots, load_single_column, save_mask_csv
 from .data import split_chronological, write_csv, write_table
 from .dispatch import (
@@ -108,6 +109,12 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     except DataError as exc:
         raise checkpoint.CheckpointError(
             f"{models_dir / 'mlstm.npz'}: test span: {exc}"
+        ) from None
+    try:  # kmeans knows a month only from its whole training days
+        kmeans_forecast_values(km, test_ds.timestamps)
+    except DataError as exc:
+        raise checkpoint.CheckpointError(
+            f"{models_dir / 'kmeans.npz'}: test span: {exc}"
         ) from None
     forecasts = forecast_test(config, models, generation, train_ds.n)
     out = Path(args.out or config.output_dir)

@@ -2,8 +2,9 @@
 
 The pipeline splits the hourly history chronologically, fits the
 normalizer, dark mask, and all three forecasters on the training span
-only, forecasts the test span, then solves a day-ahead and a real-time
-dispatch for every complete calendar day of the test span. Metrics are
+only, forecasts the test span, and solves a day-ahead and a real-time
+dispatch for every complete calendar day of the test span: worker
+processes solve the baselines' days while the network trains. Metrics are
 aggregated per forecast method into the six-row report table; the
 discrepancy file carries per-hour forecast/actual/absorbed series for
 external plotting.
@@ -382,16 +383,12 @@ def load_inputs(
     return generation, demand, fleet
 
 
-def fit_models(
-    config: PipelineConfig,
-    train_ds: TimeSeriesDataset,
-    timings: dict[str, float] | None = None,
-) -> tuple[FittedModels, list[float]]:
-    """Fit the normalizer, the dark mask and all three forecasters on the
-    training span; returns them and the network's per-epoch mean MSE.
-
-    Each step is timed into ``timings`` as a stage."""
-    timings = {} if timings is None else timings
+def fit_baselines(
+    config: PipelineConfig, train_ds: TimeSeriesDataset, timings: dict[str, float]
+) -> tuple[NormalizationParams, DarkHourMask, KMeansModel, MonthlyHourModel]:
+    """The normalizer and dark mask, then the k-means and monthly-hour
+    baselines, fitted on the training span; timed as the
+    ``fit_preprocessing`` and ``fit_baselines`` stages."""
     with _stage(timings, "fit_preprocessing"):
         normalizer = fit_normalizer(train_ds)
         if config.mask_csv:
@@ -399,21 +396,40 @@ def fit_models(
         else:
             mask = derive_dark_mask(train_ds, config.target_feature_j)
 
+    with _stage(timings, "fit_baselines"):
+        profiles, day_months = daily_profiles(train_ds, config.target_feature_j)
+        km = kmeans_fit(
+            profiles, config.kmeans_clusters, seed=config.kmeans_seed, months=day_months
+        )
+        monthly = monthly_hour_fit(train_ds, config.target_feature_j)
+    return normalizer, mask, km, monthly
+
+
+def fit_network(
+    config: PipelineConfig,
+    train_ds: TimeSeriesDataset,
+    normalizer: NormalizationParams,
+    timings: dict[str, float],
+) -> tuple[NetworkConfig, NetworkParameters, list[float]]:
+    """The LSTM trained on the normalized training span, and its per-epoch
+    mean MSE; timed as the ``train_mlstm`` stage."""
     with _stage(timings, "train_mlstm"):
         net = _network_config(config, train_ds.n_features)
         train_norm = replace(train_ds, values=normalize(train_ds.values, normalizer))
         windows = window_arrays(train_norm, _window_spec(config))
         params, history = train(windows, net, _training_config(config))
+    return net, params, history
 
-    with _stage(timings, "fit_baselines"):
-        profiles, day_months = daily_profiles(train_ds, config.target_feature_j)
-        km = kmeans_fit(
-            profiles,
-            config.kmeans_clusters,
-            seed=config.kmeans_seed,
-            months=day_months,
-        )
-        monthly = monthly_hour_fit(train_ds, config.target_feature_j)
+
+def fit_models(
+    config: PipelineConfig, train_ds: TimeSeriesDataset
+) -> tuple[FittedModels, list[float]]:
+    """Fit the normalizer, the dark mask and all three forecasters on the
+    training span; returns them and the network's per-epoch mean MSE. A
+    step that fails other than on bad input raises :class:`StageError`."""
+    timings: dict[str, float] = {}
+    normalizer, mask, km, monthly = fit_baselines(config, train_ds, timings)
+    net, params, history = fit_network(config, train_ds, normalizer, timings)
     return FittedModels(net, params, normalizer, mask, km, monthly), history
 
 
@@ -432,6 +448,42 @@ def with_lead_in(
     return generation.rows(start)
 
 
+def forecast_baselines(
+    config: PipelineConfig,
+    kmeans: KMeansModel,
+    monthly: MonthlyHourModel,
+    mask: DarkHourMask,
+    generation: TimeSeriesDataset,
+    n_train: int,
+) -> dict[str, TimeSeriesDataset]:
+    """The k-means and monthly-hour forecasts of the test span (rows
+    ``n_train`` onward), dark slots forced to 0 MW."""
+    test_ts = generation.timestamps[n_train:]
+    names = (generation.feature_names[config.target_feature_j],)
+    baselines = {
+        "kmeans": kmeans_forecast_values(kmeans, test_ts),
+        "monthly": monthly_forecast_values(monthly, test_ts),
+    }
+    return {
+        m: apply_dark_mask(TimeSeriesDataset(test_ts, mw[:, None], names), mask)
+        for m, mw in baselines.items()
+    }
+
+
+def forecast_network(
+    config: PipelineConfig,
+    models: FittedModels,
+    generation: TimeSeriesDataset,
+    n_train: int,
+) -> TimeSeriesDataset:
+    """The LSTM's forecast of the test span, dark slots forced to 0 MW."""
+    spec = _window_spec(config)
+    lead_in = with_lead_in(generation, spec, n_train)
+    return predict_series(
+        models.params, models.net, lead_in, spec, models.normalizer, models.mask
+    )
+
+
 def forecast_test(
     config: PipelineConfig,
     models: FittedModels,
@@ -441,34 +493,20 @@ def forecast_test(
     """Forecast the test span (rows ``n_train`` onward) with each method,
     dark slots forced to 0 MW, as one-column datasets named after the
     target feature."""
-    spec = _window_spec(config)
-    mlstm = predict_series(
-        models.params,
-        models.net,
-        with_lead_in(generation, spec, n_train),
-        spec,
-        models.normalizer,
-        models.mask,
+    forecasts = forecast_baselines(
+        config, models.kmeans, models.monthly, models.mask, generation, n_train
     )
-    test_ts = generation.timestamps[n_train:]
-    names = (generation.feature_names[config.target_feature_j],)
-    baselines = {
-        "kmeans": kmeans_forecast_values(models.kmeans, test_ts),
-        "monthly": monthly_forecast_values(models.monthly, test_ts),
-    }
-    forecasts = {
-        m: apply_dark_mask(TimeSeriesDataset(test_ts, mw[:, None], names), models.mask)
-        for m, mw in baselines.items()
-    }
-    forecasts["mlstm"] = mlstm
+    forecasts["mlstm"] = forecast_network(config, models, generation, n_train)
     return forecasts
 
 
-def _one_blas_thread() -> None:
-    """Run BLAS on one thread in a dispatch worker: beside workers that fill
-    the CPUs, spin-waiting OpenBLAS threads stalled them several times over."""
+def _init_worker() -> None:
+    """Lower a dispatch worker's priority, so that training in the parent
+    keeps its CPU, and run BLAS on one thread: beside workers that fill the
+    CPUs, spin-waiting OpenBLAS threads stalled them several times over."""
     import ctypes
 
+    os.nice(10)
     with open("/proc/self/maps", encoding="utf-8") as maps:
         libraries = {line.split()[-1] for line in maps if "openblas" in line}
     for library in map(ctypes.CDLL, libraries):
@@ -481,6 +519,24 @@ def _one_blas_thread() -> None:
                 getattr(library, name)(ctypes.c_int(1))
 
 
+@contextlib.contextmanager
+def _dispatch_pool(n_days: int):
+    """Forked workers for spans of ``n_days`` days, one per CPU this process
+    may use but no more than there are days; on leaving, the days not yet
+    started are cancelled."""
+    from concurrent.futures import ProcessPoolExecutor  # here: slow to import
+    from multiprocessing import get_context
+
+    if n_days == 0:
+        raise DataError("evaluation needs at least one complete 24-hour day")
+    workers = min(len(os.sched_getaffinity(0)), n_days)
+    pool = ProcessPoolExecutor(workers, get_context("fork"), _init_worker)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)  # after a failed day, start no more
+
+
 def _dispatch_day(d: int, case_fields: tuple) -> tuple[CaseMetrics, np.ndarray]:
     """Day ``d`` of a span: its metrics and absorbed renewable (actual - spill)."""
     try:
@@ -490,6 +546,39 @@ def _dispatch_day(d: int, case_fields: tuple) -> tuple[CaseMetrics, np.ndarray]:
     da = solve_da(case)
     rt = solve_rt(case, da)
     return case_metrics(case, da, rt), case.actual - rt.spill
+
+
+def _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor):
+    """Send each complete day of the span to ``pool``, arguments as for
+    :func:`evaluate_days`; returns a function that waits for the days and
+    returns what :func:`evaluate_days` does."""
+    # Span-wide settings are checked once, here: a worker would blame day 0.
+    check_voll(voll, fleet)
+    check_emission_factor(emission_factor)
+    n_days = len(demand) // 24
+    cases = [
+        (demand[sl], forecast[sl], actual[sl], fleet, voll, emission_factor)
+        for sl in (slice(24 * d, 24 * (d + 1)) for d in range(n_days))
+    ]
+    solved = pool.map(_dispatch_day, range(n_days), cases, chunksize=4)
+
+    def tally() -> tuple[EvaluationReport, list[CaseMetrics], np.ndarray]:
+        days = list(solved)  # in calendar order, or the first bad day's error
+        daily = [metrics for metrics, _ in days]
+        absorbed = np.concatenate([day_absorbed for _, day_absorbed in days])
+        totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
+        for day in daily:
+            for key in totals:
+                totals[key] += getattr(day, key)
+        span = slice(0, 24 * n_days)
+        report = EvaluationReport(
+            **totals,
+            co2_kg=emission_factor * totals["gas_mwh"],
+            nmae=nmae(forecast[span], actual[span]),
+        )
+        return report, daily, absorbed
+
+    return tally
 
 
 def evaluate_days(
@@ -510,38 +599,9 @@ def evaluate_days(
     Forked workers, one per CPU this process may use, solve the days; the
     results, or the first bad day's error, come back in calendar order.
     """
-    from concurrent.futures import ProcessPoolExecutor  # here: slow to import
-    from multiprocessing import get_context
-
-    n_days = len(demand) // 24
-    if n_days == 0:
-        raise DataError("evaluation needs at least one complete 24-hour day")
-    # Span-wide settings are checked once, here: a worker would blame day 0.
-    check_voll(voll, fleet)
-    check_emission_factor(emission_factor)
-    cases = [
-        (demand[sl], forecast[sl], actual[sl], fleet, voll, emission_factor)
-        for sl in (slice(24 * d, 24 * (d + 1)) for d in range(n_days))
-    ]
-    workers = min(len(os.sched_getaffinity(0)), n_days)
-    pool = ProcessPoolExecutor(workers, get_context("fork"), _one_blas_thread)
-    try:
-        solved = list(pool.map(_dispatch_day, range(n_days), cases, chunksize=4))
-    finally:
-        pool.shutdown(cancel_futures=True)  # after a failed day, start no more
-    daily = [metrics for metrics, _ in solved]
-    absorbed = np.concatenate([day_absorbed for _, day_absorbed in solved])
-    totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
-    for day in daily:
-        for key in totals:
-            totals[key] += getattr(day, key)
-    span = slice(0, 24 * n_days)
-    report = EvaluationReport(
-        **totals,
-        co2_kg=emission_factor * totals["gas_mwh"],
-        nmae=nmae(forecast[span], actual[span]),
-    )
-    return report, daily, absorbed
+    with _dispatch_pool(len(demand) // 24) as pool:
+        tally = _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor)
+        return tally()
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -580,24 +640,29 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 "training span holds no whole day"
             )
 
-    models, _history = fit_models(config, train_ds, timings)
-
+    normalizer, mask, kmeans, monthly = fit_baselines(config, train_ds, timings)
     with _stage(timings, "forecast"):
-        forecasts = forecast_test(config, models, generation, train_ds.n)
+        forecasts = forecast_baselines(
+            config, kmeans, monthly, mask, generation, train_ds.n
+        )
+    span = dispatch_demand, dispatch_actual, fleet, config.voll, config.emission_factor
 
-    with _stage(timings, "dispatch"):
-        outcomes: dict[str, MethodOutcome] = {}
-        for method in METHODS:
-            series = forecasts[method].rows(day_slice.start, day_slice.stop)
-            report, daily, absorbed = evaluate_days(
-                dispatch_demand,
-                series.column(0),
-                dispatch_actual,
-                fleet,
-                config.voll,
-                config.emission_factor,
-            )
-            outcomes[method] = MethodOutcome(series, report, daily, absorbed)
+    def send(pool, forecast: TimeSeriesDataset):  # returns a wait for the outcome
+        series = forecast.rows(day_slice.start, day_slice.stop)
+        tally = _send_days(pool, series.column(0), *span)
+        return lambda: MethodOutcome(series, *tally())
+
+    # The workers solve the baselines' days while the network trains here.
+    with _dispatch_pool(n_days) as pool:
+        with _stage(timings, "dispatch"):
+            waiting = {method: send(pool, f) for method, f in forecasts.items()}
+        net, params, _history = fit_network(config, train_ds, normalizer, timings)
+        models = FittedModels(net, params, normalizer, mask, kmeans, monthly)
+        with _stage(timings, "forecast"):
+            mlstm = forecast_network(config, models, generation, train_ds.n)
+        with _stage(timings, "dispatch"):
+            waiting["mlstm"] = send(pool, mlstm)
+            outcomes = {method: waiting[method]() for method in METHODS}
 
     return PipelineResult(
         config=config,
@@ -606,7 +671,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         demand=dispatch_demand,
         actual=dispatch_actual,
         timings=timings,
-        mask=models.mask,
+        mask=mask,
     )
 
 

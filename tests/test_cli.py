@@ -734,6 +734,30 @@ class TestErrorContract:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_forecast_exits_2_for_a_test_month_kmeans_holds_no_whole_day_of(
+        self, tmp_path, capsys
+    ):
+        """The test span starts at 2023-10-01T18: the mask knows October from
+        its 18 training hours, but kmeans knows a month only from whole days."""
+        p = tmp_path / "cfg.yaml"
+        p.write_text(
+            "data: {synth: {hours: 7296}}\n"
+            "split: {train_fraction: 0.9005}\n"
+            "network: {layers: [4]}\n"
+            "training: {epochs: 1, batch_size: 256}\n"
+        )
+        models = tmp_path / "models"
+        assert main(["train", "--config", str(p), "--out", str(models)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["forecast", "--config", str(p), "--models", str(models)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {models / 'kmeans.npz'}: test span: "
+            "no training days for month 10\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["dispatch", "evaluate"])
     @pytest.mark.parametrize("shifted", ["forecast", "actual"])
     def test_series_over_other_hours_exit_2_naming_the_file(

@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import ctypes
 import json
 import multiprocessing
@@ -408,6 +409,22 @@ class TestEvaluateDays:
         span = [series[: 24 * 2] for series in sampled_year]
         _evaluate_on(monkeypatch, {0, 1}, *span, PMIN_FLEET, 1000.0, 202.0)
 
+    def test_workers_yield_the_cpu_to_training(self, monkeypatch, sampled_year):
+        """A run trains the network in the parent while the workers solve the
+        baselines' days; at equal priority they took its CPU from it."""
+        parent = os.getpriority(os.PRIO_PROCESS, 0)
+        if parent >= 19:
+            pytest.skip("this process already runs at the lowest priority")
+
+        def checked_solve_da(case):
+            assert os.getpriority(os.PRIO_PROCESS, 0) > parent
+            return solve_da(case)
+
+        monkeypatch.setattr(pipeline, "solve_da", checked_solve_da)
+        span = [series[: 24 * 2] for series in sampled_year]
+        _evaluate_on(monkeypatch, {0, 1}, *span, PMIN_FLEET, 1000.0, 202.0)
+        assert os.getpriority(os.PRIO_PROCESS, 0) == parent
+
     def test_a_perfect_forecast_is_never_dearer(self, sampled_year):
         """For any day and forecast f, da_rt_cost(f) >= da_rt_cost(actual):
         the day-ahead schedule plus its real-time moves is feasible for the
@@ -434,4 +451,46 @@ class TestEvaluateDays:
             run_pipeline(PipelineConfig(**SMALL))
         assert info.value.stage == "dispatch"
         assert isinstance(info.value.cause, DispatchInternalError)
+        assert multiprocessing.active_children() == []
+
+
+class TestOnePoolPerRun:
+    @staticmethod
+    def _run(monkeypatch, cpus, config=PipelineConfig(**SMALL)):
+        """The run's result and the worker count of each pool it built."""
+        built = []
+
+        class CountedPool(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        return run_pipeline(config), built
+
+    def test_same_bytes_on_one_and_two_workers(self, monkeypatch):
+        one, one_built = self._run(monkeypatch, {0})
+        two, two_built = self._run(monkeypatch, {0, 1})
+        assert (one_built, two_built) == ([1], [2])
+        for method in METHODS:
+            a, b = one.outcomes[method], two.outcomes[method]
+            # repr tells -0.0 from 0.0 and compares NaN: equal text, equal bytes.
+            assert repr(a.report) == repr(b.report)
+            assert repr(a.daily) == repr(b.daily)
+            assert a.absorbed.tobytes() == b.absorbed.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_a_training_failure_with_baseline_days_in_flight(self, monkeypatch):
+        workers = []
+
+        def failing_train(*args, **kwargs):
+            workers.append(len(multiprocessing.active_children()))
+            raise RuntimeError("training broke")
+
+        monkeypatch.setattr(pipeline, "train", failing_train)
+        with pytest.raises(StageError, match="training broke") as info:
+            self._run(monkeypatch, {0, 1})
+        assert info.value.stage == "train_mlstm"
+        assert workers == [2]  # the baselines' days were sent before training
         assert multiprocessing.active_children() == []
