@@ -18,6 +18,10 @@ lower bounds), ``dispatch`` solves each method's forecast of the
 first ``DAYS`` whole days in ``run/discrepancy.csv`` one day at a time, under
 ``days/<method>/<day>/``. There forecast and actual differ, so real-time
 dispatch moves units and a change to the real-time columns shows.
+
+``evaluate`` then solves each method's whole dispatched span in
+``run/discrepancy.csv`` with the built-in fleet, under ``evaluate/<method>/``,
+so the metrics it prints are digested too.
 """
 
 import contextlib
@@ -68,6 +72,19 @@ def _run(out: Path, where: Path, *argv: str) -> None:
         raise SystemExit(f"pvdispatch {argv[0]} exited {code}")
     text = stdout.getvalue().replace(str(out), "<dir>")
     (where / "stdout.txt").write_text(text, encoding="utf-8")
+
+
+def _write_series(where: Path, rows: list[dict], method: str) -> list[Path]:
+    """The demand, ``method``'s forecast and the actual of ``rows`` of
+    ``run/discrepancy.csv``, one CSV each under ``where``."""
+    where.mkdir(parents=True)
+    stamps = np.array([r["timestamp"] for r in rows], dtype="datetime64[h]")
+    series = []
+    for column in ("demand", f"forecast_{method}", "actual"):
+        values = np.array([[float(r[column])] for r in rows])
+        series.append(where / f"{column}.csv")
+        write_csv(TimeSeriesDataset(stamps, values, (column,)), series[-1])
+    return series
 
 
 def _digested_bytes(out: Path, path: Path) -> bytes:
@@ -133,18 +150,15 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"run/discrepancy.csv has fewer than {DAYS} days")
     for method in METHODS:
         for day in range(DAYS):
-            hours = rows[24 * day : 24 * (day + 1)]
-            stamps = np.array([r["timestamp"] for r in hours], dtype="datetime64[h]")
             where = out / "days" / method / str(day)
-            where.mkdir(parents=True)
-            series = []
-            for column in ("demand", f"forecast_{method}", "actual"):
-                values = np.array([[float(r[column])] for r in hours])
-                series.append(where / f"{column}.csv")
-                write_csv(TimeSeriesDataset(stamps, values, (column,)), series[-1])
+            series = _write_series(where, rows[24 * day : 24 * (day + 1)], method)
             _run(out, where, "dispatch", "--demand", str(series[0]),
                  "--forecast", str(series[1]),
                  "--actual", str(series[2]), "--fleet", str(fleet), "--out", str(where))
+        where = out / "evaluate" / method
+        series = _write_series(where, rows, method)
+        _run(out, where, "evaluate", "--demand", str(series[0]),
+             "--forecast", str(series[1]), "--actual", str(series[2]))
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p != config):
         digest = hashlib.sha256(_digested_bytes(out, path)).hexdigest()

@@ -33,13 +33,14 @@ from .pipeline import (
     INPUT_ERRORS,
     METHODS,
     METRIC_ROWS,
-    FittedModels,
     PipelineConfig,
     StageError,
     emit_report,
     evaluate_days,
-    fit_models,
-    forecast_test,
+    fit_baselines,
+    fit_network,
+    forecast_baselines,
+    forecast_network,
     load_config,
     load_inputs,
     run_pipeline,
@@ -70,17 +71,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    out = Path(args.out or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     generation, _demand, _fleet = load_inputs(config)
     train_ds, _test_ds = split_chronological(generation, config.train_fraction)
-    models, history = fit_models(config, train_ds)
-    checkpoint.save_lstm(
-        out / "mlstm.npz", models.net, models.params, models.normalizer, models.mask
-    )
-    checkpoint.save_kmeans(out / "kmeans.npz", models.kmeans, models.mask)
-    checkpoint.save_monthly(out / "monthly.npz", models.monthly, models.mask)
-    save_mask_csv(models.mask, out / "dark_mask.csv")
+    timings: dict[str, float] = {}  # the stages' times, which train does not report
+    normalizer, mask, km, monthly = fit_baselines(config, train_ds, timings)
+    net, params, history = fit_network(config, train_ds, normalizer, timings)
+    out = Path(args.out or config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    checkpoint.save_lstm(out / "mlstm.npz", net, params, normalizer, mask)
+    checkpoint.save_kmeans(out / "kmeans.npz", km, mask)
+    checkpoint.save_monthly(out / "monthly.npz", monthly, mask)
+    save_mask_csv(mask, out / "dark_mask.csv")
     print(
         f"trained {len(history)} epochs, final MSE {history[-1]:.6g}; "
         f"checkpoints in {out}"
@@ -101,7 +102,6 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
             raise checkpoint.CheckpointError(
                 f"{models_dir / name}: dark mask differs from mlstm.npz's"
             )
-    models = FittedModels(net, params, normalizer, mask, km, monthly)
     generation, _demand, _fleet = load_inputs(config)
     train_ds, test_ds = split_chronological(generation, config.train_fraction)
     try:  # every forecast is masked, so the mask must know each test month
@@ -116,7 +116,10 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
         raise checkpoint.CheckpointError(
             f"{models_dir / 'kmeans.npz'}: test span: {exc}"
         ) from None
-    forecasts = forecast_test(config, models, generation, train_ds.n)
+    forecasts = forecast_baselines(config, km, monthly, mask, generation, train_ds.n)
+    forecasts["mlstm"] = forecast_network(
+        config, net, params, normalizer, mask, generation, train_ds.n
+    )
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "forecasts.csv"

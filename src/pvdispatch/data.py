@@ -413,13 +413,6 @@ def dark_slots(timestamps: np.ndarray, mask: DarkHourMask) -> np.ndarray:
     return mask.table[months - 1, timestamp_hours(timestamps)]
 
 
-def apply_dark_mask(series: TimeSeriesDataset, mask: DarkHourMask) -> TimeSeriesDataset:
-    """Zero every column of the series at every masked (month, hour) slot."""
-    dark = dark_slots(series.timestamps, mask)
-    values = np.where(dark[:, None], 0.0, series.values)
-    return TimeSeriesDataset(series.timestamps, values, series.feature_names)
-
-
 def load_mask_csv(path: str | Path) -> DarkHourMask:
     """Read an explicit mask override: header ``month,hour,dark``, one row
     per (month, hour), complete 12x24 coverage required."""

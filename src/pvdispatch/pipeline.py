@@ -45,7 +45,7 @@ from .data import (
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
-    apply_dark_mask,
+    dark_slots,
     derive_dark_mask,
     fit_normalizer,
     load_csv,
@@ -164,6 +164,14 @@ class PipelineConfig:
             ) from None
         if self.kmeans_clusters < 1:
             raise ConfigError("kmeans_clusters must be >= 1")
+        for key, seed in (  # numpy's generators take no negative seed
+            ("seed", self.seed),
+            ("network.seed", self.network_seed),
+            ("training.seed", self.training_seed),
+            ("baselines.kmeans_seed", self.kmeans_seed),
+        ):
+            if seed < 0:
+                raise ConfigError(f"{key}: {seed} must be >= 0")
         if not self.synth_enabled:
             for label, p in (
                 ("generation_csv", self.generation_csv),
@@ -310,19 +318,6 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config_from_dict(raw or {})
 
 
-@dataclass(frozen=True)
-class FittedModels:
-    """The three forecasters fitted on the training span, with the
-    normalizer and dark mask they share."""
-
-    net: NetworkConfig
-    params: NetworkParameters
-    normalizer: NormalizationParams
-    mask: DarkHourMask
-    kmeans: KMeansModel
-    monthly: MonthlyHourModel
-
-
 @dataclass
 class MethodOutcome:
     """Everything the pipeline produced for one forecast method."""
@@ -421,18 +416,6 @@ def fit_network(
     return net, params, history
 
 
-def fit_models(
-    config: PipelineConfig, train_ds: TimeSeriesDataset
-) -> tuple[FittedModels, list[float]]:
-    """Fit the normalizer, the dark mask and all three forecasters on the
-    training span; returns them and the network's per-epoch mean MSE. A
-    step that fails other than on bad input raises :class:`StageError`."""
-    timings: dict[str, float] = {}
-    normalizer, mask, km, monthly = fit_baselines(config, train_ds, timings)
-    net, params, history = fit_network(config, train_ds, normalizer, timings)
-    return FittedModels(net, params, normalizer, mask, km, monthly), history
-
-
 def with_lead_in(
     generation: TimeSeriesDataset, spec: WindowSpec, n_train: int
 ) -> TimeSeriesDataset:
@@ -457,47 +440,34 @@ def forecast_baselines(
     n_train: int,
 ) -> dict[str, TimeSeriesDataset]:
     """The k-means and monthly-hour forecasts of the test span (rows
-    ``n_train`` onward), dark slots forced to 0 MW."""
+    ``n_train`` onward), dark slots forced to 0 MW, as one-column datasets
+    named after the target feature."""
     test_ts = generation.timestamps[n_train:]
     names = (generation.feature_names[config.target_feature_j],)
     baselines = {
         "kmeans": kmeans_forecast_values(kmeans, test_ts),
         "monthly": monthly_forecast_values(monthly, test_ts),
     }
+    dark = dark_slots(test_ts, mask)
     return {
-        m: apply_dark_mask(TimeSeriesDataset(test_ts, mw[:, None], names), mask)
+        m: TimeSeriesDataset(test_ts, np.where(dark, 0.0, mw)[:, None], names)
         for m, mw in baselines.items()
     }
 
 
 def forecast_network(
     config: PipelineConfig,
-    models: FittedModels,
+    net: NetworkConfig,
+    params: NetworkParameters,
+    normalizer: NormalizationParams,
+    mask: DarkHourMask,
     generation: TimeSeriesDataset,
     n_train: int,
 ) -> TimeSeriesDataset:
     """The LSTM's forecast of the test span, dark slots forced to 0 MW."""
     spec = _window_spec(config)
     lead_in = with_lead_in(generation, spec, n_train)
-    return predict_series(
-        models.params, models.net, lead_in, spec, models.normalizer, models.mask
-    )
-
-
-def forecast_test(
-    config: PipelineConfig,
-    models: FittedModels,
-    generation: TimeSeriesDataset,
-    n_train: int,
-) -> dict[str, TimeSeriesDataset]:
-    """Forecast the test span (rows ``n_train`` onward) with each method,
-    dark slots forced to 0 MW, as one-column datasets named after the
-    target feature."""
-    forecasts = forecast_baselines(
-        config, models.kmeans, models.monthly, models.mask, generation, n_train
-    )
-    forecasts["mlstm"] = forecast_network(config, models, generation, n_train)
-    return forecasts
+    return predict_series(params, net, lead_in, spec, normalizer, mask)
 
 
 def _init_worker() -> None:
@@ -550,8 +520,7 @@ def _dispatch_day(d: int, case_fields: tuple) -> tuple[CaseMetrics, np.ndarray]:
 
 def _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor):
     """Send each complete day of the span to ``pool``, arguments as for
-    :func:`evaluate_days`; returns a function that waits for the days and
-    returns what :func:`evaluate_days` does."""
+    :func:`evaluate_days`; returns the iterator of the days' outcomes."""
     # Span-wide settings are checked once, here: a worker would blame day 0.
     check_voll(voll, fleet)
     check_emission_factor(emission_factor)
@@ -560,25 +529,28 @@ def _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor):
         (demand[sl], forecast[sl], actual[sl], fleet, voll, emission_factor)
         for sl in (slice(24 * d, 24 * (d + 1)) for d in range(n_days))
     ]
-    solved = pool.map(_dispatch_day, range(n_days), cases, chunksize=4)
+    return pool.map(_dispatch_day, range(n_days), cases, chunksize=4)
 
-    def tally() -> tuple[EvaluationReport, list[CaseMetrics], np.ndarray]:
-        days = list(solved)  # in calendar order, or the first bad day's error
-        daily = [metrics for metrics, _ in days]
-        absorbed = np.concatenate([day_absorbed for _, day_absorbed in days])
-        totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
-        for day in daily:
-            for key in totals:
-                totals[key] += getattr(day, key)
-        span = slice(0, 24 * n_days)
-        report = EvaluationReport(
-            **totals,
-            co2_kg=emission_factor * totals["gas_mwh"],
-            nmae=nmae(forecast[span], actual[span]),
-        )
-        return report, daily, absorbed
 
-    return tally
+def _tally(
+    days, forecast: np.ndarray, actual: np.ndarray, emission_factor: float
+) -> tuple[EvaluationReport, list[CaseMetrics], np.ndarray]:
+    """Wait for the ``days`` that :func:`_send_days` returned and total
+    them: what :func:`evaluate_days` returns."""
+    days = list(days)  # in calendar order, or the first bad day's error
+    daily = [metrics for metrics, _ in days]
+    absorbed = np.concatenate([day_absorbed for _, day_absorbed in days])
+    totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
+    for day in daily:
+        for key in totals:
+            totals[key] += getattr(day, key)
+    span = slice(0, 24 * len(daily))
+    report = EvaluationReport(
+        **totals,
+        co2_kg=emission_factor * totals["gas_mwh"],
+        nmae=nmae(forecast[span], actual[span]),
+    )
+    return report, daily, absorbed
 
 
 def evaluate_days(
@@ -600,8 +572,8 @@ def evaluate_days(
     results, or the first bad day's error, come back in calendar order.
     """
     with _dispatch_pool(len(demand) // 24) as pool:
-        tally = _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor)
-        return tally()
+        days = _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor)
+        return _tally(days, forecast, actual, emission_factor)
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -646,23 +618,29 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             config, kmeans, monthly, mask, generation, train_ds.n
         )
     span = dispatch_demand, dispatch_actual, fleet, config.voll, config.emission_factor
-
-    def send(pool, forecast: TimeSeriesDataset):  # returns a wait for the outcome
-        series = forecast.rows(day_slice.start, day_slice.stop)
-        tally = _send_days(pool, series.column(0), *span)
-        return lambda: MethodOutcome(series, *tally())
+    cut = {}  # each method's forecast of the dispatched days
+    days = {}  # each method's days, as sent to the pool
 
     # The workers solve the baselines' days while the network trains here.
     with _dispatch_pool(n_days) as pool:
         with _stage(timings, "dispatch"):
-            waiting = {method: send(pool, f) for method, f in forecasts.items()}
+            for method, forecast in forecasts.items():
+                cut[method] = forecast.rows(day_slice.start, day_slice.stop)
+                days[method] = _send_days(pool, cut[method].column(0), *span)
         net, params, _history = fit_network(config, train_ds, normalizer, timings)
-        models = FittedModels(net, params, normalizer, mask, kmeans, monthly)
         with _stage(timings, "forecast"):
-            mlstm = forecast_network(config, models, generation, train_ds.n)
+            mlstm = forecast_network(
+                config, net, params, normalizer, mask, generation, train_ds.n
+            )
         with _stage(timings, "dispatch"):
-            waiting["mlstm"] = send(pool, mlstm)
-            outcomes = {method: waiting[method]() for method in METHODS}
+            cut["mlstm"] = mlstm.rows(day_slice.start, day_slice.stop)
+            days["mlstm"] = _send_days(pool, cut["mlstm"].column(0), *span)
+            outcomes = {}
+            for m in METHODS:
+                tallied = _tally(
+                    days[m], cut[m].column(0), dispatch_actual, config.emission_factor
+                )
+                outcomes[m] = MethodOutcome(cut[m], *tallied)
 
     return PipelineResult(
         config=config,

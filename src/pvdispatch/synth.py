@@ -66,8 +66,11 @@ def synth_year(
     """Generate (PV generation dataset, demand dataset).
 
     Deterministic for a given seed; defaults produce exactly one year of
-    hourly rows (8760). A bad ``areas``, ``hours`` or ``start`` is a DataError.
+    hourly rows (8760). A bad ``seed``, ``areas``, ``hours`` or ``start`` is
+    a DataError.
     """
+    if seed < 0:
+        raise DataError(f"seed: must be >= 0, got {seed}")
     if areas < 1:
         raise DataError(f"areas: must be >= 1, got {areas}")
     if hours < 1:

@@ -21,10 +21,10 @@ from pvdispatch.lstm import NetworkConfig, init_params
 from pvdispatch.pipeline import (
     METHODS,
     METRIC_ROWS,
-    FittedModels,
     PipelineConfig,
     emit_report,
-    forecast_test,
+    forecast_baselines,
+    forecast_network,
     load_config,
     load_inputs,
     run_pipeline,
@@ -230,17 +230,19 @@ class TestTrainForecastCommands:
         assert lines[0] == "timestamp,actual,kmeans,monthly,mlstm"
         assert len(lines) > 300
 
-        # The file reads back, cell for cell, as what forecast_test gave.
+        # The file reads back, cell for cell, as what the forecast stages give.
         config = load_config(cfg)
         net, params, normalizer, mask = checkpoint.load_lstm(out / "mlstm.npz")
-        models = FittedModels(
-            net, params, normalizer, mask,
-            checkpoint.load_kmeans(out / "kmeans.npz")[0],
-            checkpoint.load_monthly(out / "monthly.npz")[0],
-        )
+        kmeans = checkpoint.load_kmeans(out / "kmeans.npz")[0]
+        monthly = checkpoint.load_monthly(out / "monthly.npz")[0]
         generation, _demand, _fleet = load_inputs(config)
         train_ds, test_ds = split_chronological(generation, config.train_fraction)
-        forecasts = forecast_test(config, models, generation, train_ds.n)
+        forecasts = forecast_baselines(
+            config, kmeans, monthly, mask, generation, train_ds.n
+        )
+        forecasts["mlstm"] = forecast_network(
+            config, net, params, normalizer, mask, generation, train_ds.n
+        )
         written = load_csv(out / "forecasts.csv")
         assert written.feature_names == ("actual", *METHODS)
         np.testing.assert_array_equal(written.timestamps, test_ds.timestamps)
@@ -251,6 +253,43 @@ class TestTrainForecastCommands:
             np.testing.assert_array_equal(
                 written.values[:, k], forecasts[method].column(0)
             )
+
+    def test_forecast_writes_the_forecasts_that_run_dispatches(self, tmp_path):
+        """On the hours that ``run`` dispatches, ``forecast`` from the
+        checkpoints that ``train`` wrote gives each method's forecast_<method>
+        column of discrepancy.csv, bit for bit."""
+        cfg = write_config(tmp_path, tmp_path / "run")
+        assert main(["run", "--config", str(cfg)]) == 0
+        models, fc = tmp_path / "models", tmp_path / "forecast"
+        assert main(["train", "--config", str(cfg), "--out", str(models)]) == 0
+        assert main(
+            ["forecast", "--config", str(cfg), "--models", str(models),
+             "--out", str(fc)]
+        ) == 0
+        dispatched = load_csv(tmp_path / "run" / "discrepancy.csv")
+        forecasts = load_csv(fc / "forecasts.csv")
+        hours = np.isin(forecasts.timestamps, dispatched.timestamps)
+        assert hours.sum() == dispatched.n
+        for method in METHODS:
+            run_column = dispatched.column(
+                dispatched.feature_names.index(f"forecast_{method}")
+            )
+            forecast_column = forecasts.column(forecasts.feature_names.index(method))
+            assert forecast_column[hours].tobytes() == run_column.tobytes()
+
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    def test_missing_input_leaves_no_output_directory(self, tmp_path, command):
+        absent = tmp_path / "absent.csv"
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(
+            f"data: {{generation_csv: '{absent}', demand_csv: '{absent}'}}\n"
+        )
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "forecast":
+            argv += ["--models", str(tmp_path / "models")]
+        assert main(argv) == 2
+        assert not out.exists()
 
 
 class TestEvaluateMatchesRun:
@@ -393,6 +432,10 @@ class TestErrorContract:
             ("network: {layers: [64.7, 32]}\n", "network.layers"),
             ("network: {layers: '64'}\n", "network.layers"),
             ("seed: 1.5\n", "seed"),
+            ("seed: -1\n", "seed"),
+            ("network: {seed: -1}\n", "network.seed"),
+            ("training: {seed: -1}\n", "training.seed"),
+            ("baselines: {kmeans_seed: -1}\n", "baselines.kmeans_seed"),
             ("dispatch: {voll: true}\n", "dispatch.voll"),
         ],
     )

@@ -11,7 +11,7 @@ from pvdispatch.data import (
     NormalizationParams,
     TimeSeriesDataset,
     WindowSpec,
-    apply_dark_mask,
+    dark_slots,
     denormalize_feature,
     derive_dark_mask,
     fit_normalizer,
@@ -314,41 +314,27 @@ class TestDarkMask:
         ds = self._ds_with_zero_hours([2], n=24 * 10, start="2023-06-01T00")
         mask = derive_dark_mask(ds, 0)
         assert not mask.month_defined[1]
-        fc = TimeSeriesDataset(
-            hourly_ts("2023-02-01T00", 24), np.ones((24, 1)), ("pv",)
-        )
         with pytest.raises(DataError, match="month 2"):
-            apply_dark_mask(fc, mask)
+            dark_slots(hourly_ts("2023-02-01T00", 24), mask)
 
-    def test_apply_zeroes_masked_slots(self):
+    def test_dark_slots_flag_masked_slots(self):
         ds = self._ds_with_zero_hours([5])
         mask = derive_dark_mask(ds, 0)
-        fc = TimeSeriesDataset(
-            hourly_ts("2023-01-03T00", 24), np.full((24, 1), 7.3), ("pv",)
-        )
-        out = apply_dark_mask(fc, mask)
-        assert out.values[5] == 0.0
-        assert out.values[6] == 7.3
+        dark = dark_slots(hourly_ts("2023-01-03T00", 24), mask)
+        assert dark[5]
+        assert not dark[6]
 
-    def test_apply_undefined_month_errors(self):
+    def test_dark_slots_undefined_month_errors(self):
         ds = self._ds_with_zero_hours([5], n=24 * 20)  # January only
         mask = derive_dark_mask(ds, 0)
-        fc = TimeSeriesDataset(
-            hourly_ts("2023-07-01T00", 24), np.ones((24, 1)), ("pv",)
-        )
         with pytest.raises(DataError, match="month 7"):
-            apply_dark_mask(fc, mask)
+            dark_slots(hourly_ts("2023-07-01T00", 24), mask)
 
-    def test_apply_zeroes_every_column_at_dark_slots_only(self):
+    def test_dark_slots_flag_dark_slots_only(self):
         mask = derive_dark_mask(self._ds_with_zero_hours([0, 5]), 0)
-        ts = hourly_ts("2023-01-03T00", 48)
-        values = np.column_stack([np.full(48, 7.3), np.arange(1.0, 49.0)])
-        out = apply_dark_mask(TimeSeriesDataset(ts, values, ("a", "b")), mask)
-        dark = np.isin(np.arange(48) % 24, [0, 5])
-        assert out.feature_names == ("a", "b")
-        np.testing.assert_array_equal(out.timestamps, ts)
-        assert (out.values[dark] == 0.0).all()
-        np.testing.assert_array_equal(out.values[~dark], values[~dark])
+        dark = dark_slots(hourly_ts("2023-01-03T00", 48), mask)
+        assert dark.shape == (48,)
+        np.testing.assert_array_equal(dark, np.isin(np.arange(48) % 24, [0, 5]))
 
     def test_mask_soundness_property(self):
         ds = make_ds(24 * 200, seed=13)

@@ -38,8 +38,10 @@ from pvdispatch.pipeline import (
     config_from_dict,
     emit_report,
     evaluate_days,
-    fit_models,
-    forecast_test,
+    fit_baselines,
+    fit_network,
+    forecast_baselines,
+    forecast_network,
     load_config,
     load_inputs,
     run_pipeline,
@@ -222,8 +224,15 @@ class TestForecastTest:
         config = PipelineConfig(**{**FAST, "epochs": 1})
         generation, _demand, _fleet = load_inputs(config)
         train_ds, _test_ds = split_chronological(generation, config.train_fraction)
-        models, _history = fit_models(config, train_ds)
-        forecasts = forecast_test(config, models, generation, train_ds.n)
+        timings = {}
+        normalizer, mask, kmeans, monthly = fit_baselines(config, train_ds, timings)
+        net, params, _history = fit_network(config, train_ds, normalizer, timings)
+        forecasts = forecast_baselines(
+            config, kmeans, monthly, mask, generation, train_ds.n
+        )
+        forecasts["mlstm"] = forecast_network(
+            config, net, params, normalizer, mask, generation, train_ds.n
+        )
         assert set(forecasts) == set(METHODS)
         for series in forecasts.values():
             assert isinstance(series, TimeSeriesDataset)

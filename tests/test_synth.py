@@ -80,3 +80,5 @@ class TestSynthYear:
             synth_year(seed=0, areas=0)
         with pytest.raises(ValueError):
             synth_year(seed=0, hours=0)
+        with pytest.raises(ValueError, match="seed"):
+            synth_year(seed=-1, hours=24)
