@@ -114,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
     _run(out, out / "run", "run", "--config", str(config), "--out", str(out / "run"))
     _run(out, out / "models", "train", "--config", str(config),
          "--out", str(out / "models"))
-    _run(out, out / "forecast", "forecast", "--config", str(config),
-         "--models", str(out / "models"), "--out", str(out / "forecast"))
+    _run(out, out / "forecast", "forecast", "--models", str(out / "models"),
+         "--out", str(out / "forecast"))
     _run(out, out / "synth", "synth", "--out", str(out / "synth"), "--seed", "5",
          "--hours", "48")
 

@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .baselines import kmeans_forecast_values
-from .data import DataError, dark_slots, load_single_column, save_mask_csv
-from .data import split_chronological, write_csv, write_table
+from .data import DataError, load_single_column, save_mask_csv, split_chronological
+from .data import timestamp_months, write_csv, write_table
 from .dispatch import (
     DispatchCase,
     EvaluationReport,
@@ -35,6 +34,7 @@ from .pipeline import (
     METRIC_ROWS,
     PipelineConfig,
     StageError,
+    check_test_months,
     emit_report,
     evaluate_days,
     fit_baselines,
@@ -57,11 +57,17 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _output_dir(path: str) -> Path:
+    if Path(path).exists() and not Path(path).is_dir():  # before any work is done
+        raise DataError(f"{path}: output path exists and is not a directory")
+    return Path(path)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
+    out = _output_dir(args.out)
     generation, demand = synth_year(
         seed=args.seed, areas=args.areas, hours=args.hours, start=args.start
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(generation, out / "generation.csv")
     write_csv(demand, out / "demand.csv")
@@ -71,17 +77,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    config_bytes = Path(args.config).read_bytes()  # kept as forecast's settings
+    out = _output_dir(args.out or config.output_dir)
     generation, _demand, _fleet = load_inputs(config)
-    train_ds, _test_ds = split_chronological(generation, config.train_fraction)
+    train_ds, test_ds = split_chronological(generation, config.train_fraction)
+    check_test_months(config, train_ds, test_ds)
     timings: dict[str, float] = {}  # the stages' times, which train does not report
     normalizer, mask, km, monthly = fit_baselines(config, train_ds, timings)
     net, params, history = fit_network(config, train_ds, normalizer, timings)
-    out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     checkpoint.save_lstm(out / "mlstm.npz", net, params, normalizer, mask)
     checkpoint.save_kmeans(out / "kmeans.npz", km, mask)
     checkpoint.save_monthly(out / "monthly.npz", monthly, mask)
     save_mask_csv(mask, out / "dark_mask.csv")
+    (out / "config.yaml").write_bytes(config_bytes)
     print(
         f"trained {len(history)} epochs, final MSE {history[-1]:.6g}; "
         f"checkpoints in {out}"
@@ -90,7 +99,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
     models_dir = Path(args.models)
     net, params, normalizer, mask = checkpoint.load_lstm(models_dir / "mlstm.npz")
     km, km_mask = checkpoint.load_kmeans(models_dir / "kmeans.npz")
@@ -102,25 +110,24 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
             raise checkpoint.CheckpointError(
                 f"{models_dir / name}: dark mask differs from mlstm.npz's"
             )
+    config = load_config(models_dir / "config.yaml")  # the one train ran with
+    out = _output_dir(args.out or config.output_dir)
     generation, _demand, _fleet = load_inputs(config)
     train_ds, test_ds = split_chronological(generation, config.train_fraction)
-    try:  # every forecast is masked, so the mask must know each test month
-        dark_slots(test_ds.timestamps, mask)
-    except DataError as exc:
-        raise checkpoint.CheckpointError(
-            f"{models_dir / 'mlstm.npz'}: test span: {exc}"
-        ) from None
-    try:  # kmeans knows a month only from its whole training days
-        kmeans_forecast_values(km, test_ds.timestamps)
-    except DataError as exc:
-        raise checkpoint.CheckpointError(
-            f"{models_dir / 'kmeans.npz'}: test span: {exc}"
-        ) from None
+    months = timestamp_months(test_ds.timestamps)
+    for name, known, lacks in (
+        ("mlstm.npz", mask.month_defined, "dark mask undefined"),  # masks all forecasts
+        ("kmeans.npz", km.month_modal >= 0, "no training days"),  # from whole days only
+    ):
+        unseen = months[~known[months - 1]]
+        if unseen.size:
+            raise checkpoint.CheckpointError(
+                f"{models_dir / name}: test span: {lacks} for month {unseen[0]}"
+            )
     forecasts = forecast_baselines(config, km, monthly, mask, generation, train_ds.n)
     forecasts["mlstm"] = forecast_network(
         config, net, params, normalizer, mask, generation, train_ds.n
     )
-    out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "forecasts.csv"
     header = ["timestamp", "actual", *METHODS]
@@ -142,6 +149,7 @@ def _read_series_and_fleet(args: argparse.Namespace):
 
 
 def _cmd_dispatch(args: argparse.Namespace) -> int:
+    out = _output_dir(args.out)
     demand, forecast, actual, fleet = _read_series_and_fleet(args)
     case = DispatchCase(
         demand=demand,
@@ -153,7 +161,6 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     )
     da = solve_da(case)
     rt = solve_rt(case, da)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "schedule.csv"
     names = [g.name for g in case.fleet]
@@ -194,6 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = replace(config, seed=args.seed)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
+    _output_dir(config.output_dir)
     result = run_pipeline(config)
     manifest = emit_report(result, config.output_dir)
     print(f"outputs in {config.output_dir}")
@@ -224,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("forecast", help="forecast the test span from checkpoints")
-    p.add_argument("--config", required=True)
-    p.add_argument("--models", required=True, help="checkpoint directory")
-    p.add_argument("--out", help="output directory (default: output_dir)")
+    p.add_argument("--models", required=True, help="train's output directory")
+    p.add_argument("--out", help="output directory (default: its output_dir)")
     p.set_defaults(func=_cmd_forecast)
 
     dispatch = sub.add_parser("dispatch", help="solve one DA+RT case from CSV series")

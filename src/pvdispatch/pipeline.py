@@ -416,6 +416,21 @@ def fit_network(
     return net, params, history
 
 
+def check_test_months(
+    config: PipelineConfig, train_ds: TimeSeriesDataset, test_ds: TimeSeriesDataset
+) -> None:
+    """Every forecaster must have seen each test month, kmeans a whole day of it."""
+    _, trained_months = daily_profiles(train_ds, config.target_feature_j)
+    test_months = timestamp_months(test_ds.timestamps)
+    unseen = ~np.isin(test_months, trained_months)
+    if unseen.any():
+        raise ConfigError(
+            f"split.train_fraction {config.train_fraction}: the test span "
+            f"reaches month {test_months[unseen.argmax()]}, of which the "
+            "training span holds no whole day"
+        )
+
+
 def with_lead_in(
     generation: TimeSeriesDataset, spec: WindowSpec, n_train: int
 ) -> TimeSeriesDataset:
@@ -600,17 +615,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         except DispatchError as exc:
             where = f"dispatch span from {dispatch_hours[0]}"
             raise DispatchError(f"{where}: {exc}") from None
-        # Every forecaster must have seen each month the test span reaches,
-        # and kmeans, the strictest, knows a month only from its whole days.
-        _, trained_months = daily_profiles(train_ds, config.target_feature_j)
-        test_months = timestamp_months(test_ds.timestamps)
-        unseen = ~np.isin(test_months, trained_months)
-        if unseen.any():
-            raise ConfigError(
-                f"split.train_fraction {config.train_fraction}: the test span "
-                f"reaches month {test_months[unseen.argmax()]}, of which the "
-                "training span holds no whole day"
-            )
+        check_test_months(config, train_ds, test_ds)
 
     normalizer, mask, kmeans, monthly = fit_baselines(config, train_ds, timings)
     with _stage(timings, "forecast"):

@@ -60,6 +60,26 @@ def write_series(path, values, start="2023-01-01T00"):
     return str(path)
 
 
+def write_models(models, config_text, month_modal=None):
+    """A models directory built by hand: untrained checkpoints over three
+    features that share a dark mask darkening no hour, a kmeans model that
+    knows the months ``month_modal`` holds (default: every month), and
+    ``config_text`` as ``config.yaml``, unless it is None."""
+    models.mkdir()
+    net = NetworkConfig(input_features=3, layer_sizes=(4,))
+    normalizer = NormalizationParams(np.zeros(3), np.ones(3))
+    mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
+    params = init_params(net)
+    checkpoint.save_lstm(models / "mlstm.npz", net, params, normalizer, mask)
+    modal = np.zeros(12, dtype=int) if month_modal is None else month_modal
+    kmeans = KMeansModel(np.ones((2, 24)), np.zeros(3, dtype=int), 0.0, modal)
+    checkpoint.save_kmeans(models / "kmeans.npz", kmeans, mask)
+    monthly = MonthlyHourModel(np.ones((12, 24)))
+    checkpoint.save_monthly(models / "monthly.npz", monthly, mask)
+    if config_text is not None:
+        (models / "config.yaml").write_text(config_text)
+
+
 class TestSynthCommand:
     def test_writes_csvs(self, tmp_path, capsys):
         rc = main(
@@ -221,10 +241,8 @@ class TestTrainForecastCommands:
         assert rc == 0
         for name in ("mlstm.npz", "kmeans.npz", "monthly.npz", "dark_mask.csv"):
             assert (out / name).exists()
-        rc = main(
-            ["forecast", "--config", str(cfg), "--models", str(out),
-             "--out", str(out)]
-        )
+        assert (out / "config.yaml").read_bytes() == cfg.read_bytes()
+        rc = main(["forecast", "--models", str(out), "--out", str(out)])
         assert rc == 0
         lines = (out / "forecasts.csv").read_text().strip().split("\n")
         assert lines[0] == "timestamp,actual,kmeans,monthly,mlstm"
@@ -257,37 +275,64 @@ class TestTrainForecastCommands:
     def test_forecast_writes_the_forecasts_that_run_dispatches(self, tmp_path):
         """On the hours that ``run`` dispatches, ``forecast`` from the
         checkpoints that ``train`` wrote gives each method's forecast_<method>
-        column of discrepancy.csv, bit for bit."""
+        column of discrepancy.csv, bit for bit. It reads the window, target
+        and split that train ran with, here none of them the default."""
         cfg = write_config(tmp_path, tmp_path / "run")
+        cfg.write_text(cfg.read_text().replace(
+            "lookback: 24, horizon: 12, target: 0", "lookback: 6, horizon: 1, target: 2"
+        ))
         assert main(["run", "--config", str(cfg)]) == 0
         models, fc = tmp_path / "models", tmp_path / "forecast"
         assert main(["train", "--config", str(cfg), "--out", str(models)]) == 0
-        assert main(
-            ["forecast", "--config", str(cfg), "--models", str(models),
-             "--out", str(fc)]
-        ) == 0
+        assert main(["forecast", "--models", str(models), "--out", str(fc)]) == 0
         dispatched = load_csv(tmp_path / "run" / "discrepancy.csv")
         forecasts = load_csv(fc / "forecasts.csv")
+        config = load_config(cfg)
+        generation, _demand, _fleet = load_inputs(config)
+        test_ds = split_chronological(generation, config.train_fraction)[1]
+        np.testing.assert_array_equal(forecasts.timestamps, test_ds.timestamps)
+        assert forecasts.column(0).tobytes() == test_ds.column(2).tobytes()
         hours = np.isin(forecasts.timestamps, dispatched.timestamps)
         assert hours.sum() == dispatched.n
-        for method in METHODS:
-            run_column = dispatched.column(
-                dispatched.feature_names.index(f"forecast_{method}")
-            )
-            forecast_column = forecasts.column(forecasts.feature_names.index(method))
+        for name in ("actual", *METHODS):
+            run_name = name if name == "actual" else f"forecast_{name}"
+            run_column = dispatched.column(dispatched.feature_names.index(run_name))
+            forecast_column = forecasts.column(forecasts.feature_names.index(name))
             assert forecast_column[hours].tobytes() == run_column.tobytes()
+
+    def test_forecast_takes_no_config_of_its_own(self, tmp_path, capsys):
+        """Its window, target, split and data are the ones train ran with."""
+        cfg = write_config(tmp_path, tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["forecast", "--config", str(cfg), "--models", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    def test_models_directory_without_its_config_exits_2_naming_it(
+        self, tmp_path, capsys
+    ):
+        models = tmp_path / "models"
+        write_models(models, None)
+        assert main(["forecast", "--models", str(models)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no such config file: {models / 'config.yaml'}\n"
+        )
 
     @pytest.mark.parametrize("command", ["train", "forecast"])
     def test_missing_input_leaves_no_output_directory(self, tmp_path, command):
         absent = tmp_path / "absent.csv"
-        cfg = tmp_path / "config.yaml"
+        models = tmp_path / "models"
+        models.mkdir()
+        cfg = models / "config.yaml"
         cfg.write_text(
             f"data: {{generation_csv: '{absent}', demand_csv: '{absent}'}}\n"
         )
         out = tmp_path / "out"
-        argv = [command, "--config", str(cfg), "--out", str(out)]
+        argv = [command, "--out", str(out)]
         if command == "forecast":
-            argv += ["--models", str(tmp_path / "models")]
+            argv += ["--models", str(models)]
+        else:
+            argv += ["--config", str(cfg)]
         assert main(argv) == 2
         assert not out.exists()
 
@@ -486,12 +531,12 @@ class TestErrorContract:
             "demand_csv": tmp_path / "d" / "demand.csv",
             key: tmp_path / "absent.csv",
         }
-        config = tmp_path / "cfg.yaml"
+        models = tmp_path / "models"
+        models.mkdir()
+        config = models / "config.yaml"
         config.write_text(
             "data: {" + ", ".join(f"{k}: '{v}'" for k, v in files.items()) + "}\n"
         )
-        models = tmp_path / "models"
-        models.mkdir()
         net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
         normalizer = NormalizationParams(np.zeros(3), np.ones(3))
         mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
@@ -501,11 +546,46 @@ class TestErrorContract:
         checkpoint.save_kmeans(models / "kmeans.npz", kmeans, mask)
         monthly = MonthlyHourModel(np.ones((12, 24)))
         checkpoint.save_monthly(models / "monthly.npz", monthly, mask)
-        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
-        argv += ["--models", str(models)] if command == "forecast" else []
+        argv = [command, "--out", str(tmp_path / "out")]
+        if command == "forecast":
+            argv += ["--models", str(models)]
+        else:
+            argv += ["--config", str(config)]
         capsys.readouterr()
         assert main(argv) == 2
         assert f"no such file: {tmp_path / 'absent.csv'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["synth", "dispatch", "train", "forecast", "run"]
+    )
+    def test_output_path_that_is_a_file_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """Checked before any work: train, forecast and run load no data.
+        train and forecast take the path from the config, the rest from --out."""
+        def synth_year(**kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(pipeline, "synth_year", synth_year)
+        afile = tmp_path / "afile"
+        afile.write_text("a file\n")
+        cfg = write_config(tmp_path, afile)
+        write_models(tmp_path / "models", cfg.read_text())
+        series = write_series(tmp_path / "s.csv", [10.0] * 24)
+        argv = {
+            "synth": ["synth", "--out", str(afile)],
+            "dispatch": ["dispatch", "--demand", series, "--forecast", series,
+                         "--actual", series, "--out", str(afile)],
+            "train": ["train", "--config", str(cfg)],
+            "forecast": ["forecast", "--models", str(tmp_path / "models")],
+            "run": ["run", "--config", str(cfg), "--out", str(afile)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {afile}: output path exists and is not a directory\n"
+        )
+        assert afile.read_text() == "a file\n"
 
     def test_bad_synth_setting_exits_2_naming_it(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "d"), "--hours", "0"])
@@ -768,8 +848,8 @@ class TestErrorContract:
         checkpoint.save_monthly(
             models / "monthly.npz", MonthlyHourModel(np.ones((12, 24))), mask
         )
-        cfg = write_config(tmp_path, tmp_path / "out")
-        rc = main(["forecast", "--config", str(cfg), "--models", str(models)])
+        write_config(models, tmp_path / "out")
+        rc = main(["forecast", "--models", str(models)])
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {models / 'mlstm.npz'}: test span: "
@@ -778,10 +858,13 @@ class TestErrorContract:
         assert not (tmp_path / "out").exists()
 
     def test_forecast_exits_2_for_a_test_month_kmeans_holds_no_whole_day_of(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
         """The test span starts at 2023-10-01T18: the mask knows October from
-        its 18 training hours, but kmeans knows a month only from whole days."""
+        its 18 training hours, but kmeans knows a month only from whole days.
+        ``train`` rejects such a split before training; ``forecast`` names
+        ``kmeans.npz`` on a models directory built by hand."""
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
         p = tmp_path / "cfg.yaml"
         p.write_text(
             "data: {synth: {hours: 7296}}\n"
@@ -790,11 +873,18 @@ class TestErrorContract:
             "training: {epochs: 1, batch_size: 256}\n"
         )
         models = tmp_path / "models"
-        assert main(["train", "--config", str(p), "--out", str(models)]) == 0
-        capsys.readouterr()
+        assert main(["train", "--config", str(p), "--out", str(models)]) == 2
+        assert capsys.readouterr().err == (
+            "error: split.train_fraction 0.9005: the test span reaches month 10, "
+            "of which the training span holds no whole day\n"
+        )
+        assert not models.exists()
+
+        modal = np.zeros(12, dtype=int)
+        modal[9] = -1  # no whole training day in October
+        write_models(models, p.read_text(), modal)
         out = tmp_path / "out"
-        argv = ["forecast", "--config", str(p), "--models", str(models)]
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main(["forecast", "--models", str(models), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {models / 'kmeans.npz'}: test span: "
             "no training days for month 10\n"
@@ -822,10 +912,7 @@ class TestErrorContract:
         assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, tmp_path / "out")
-        rc = main(
-            ["forecast", "--config", str(cfg), "--models", str(tmp_path / "absent")]
-        )
+        rc = main(["forecast", "--models", str(tmp_path / "absent")])
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
 
@@ -873,8 +960,8 @@ class TestErrorContract:
                 arrays["layer0_w_rec"] = np.zeros((32, 5))
             with path.open("wb") as fh:
                 np.savez(fh, **arrays)
-        cfg = write_config(tmp_path, tmp_path / "out")
-        rc = main(["forecast", "--config", str(cfg), "--models", str(models)])
+        write_config(models, tmp_path / "out")
+        rc = main(["forecast", "--models", str(models)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
@@ -900,8 +987,8 @@ class TestErrorContract:
         checkpoint.save_kmeans(models / "kmeans.npz", kmeans, masks["kmeans.npz"])
         monthly = MonthlyHourModel(np.ones((12, 24)))
         checkpoint.save_monthly(models / "monthly.npz", monthly, masks["monthly.npz"])
-        cfg = write_config(tmp_path, tmp_path / "out")
-        rc = main(["forecast", "--config", str(cfg), "--models", str(models)])
+        write_config(models, tmp_path / "out")
+        rc = main(["forecast", "--models", str(models)])
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {models / name}: dark mask differs from mlstm.npz's\n"
