@@ -58,8 +58,10 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _output_dir(path: str) -> Path:
-    if Path(path).exists() and not Path(path).is_dir():  # before any work is done
-        raise DataError(f"{path}: output path exists and is not a directory")
+    # Before any work is done: the path's nearest existing part must be a directory.
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"{existing}: output path exists and is not a directory")
     return Path(path)
 
 

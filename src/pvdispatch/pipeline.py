@@ -400,6 +400,19 @@ def fit_baselines(
     return normalizer, mask, km, monthly
 
 
+def training_setup(
+    config: PipelineConfig,
+    train_ds: TimeSeriesDataset,
+    normalizer: NormalizationParams,
+) -> tuple[tuple[np.ndarray, np.ndarray], NetworkConfig, TrainingConfig]:
+    """What :func:`fit_network` trains on: the normalized training windows,
+    the network and the training settings, as ``lstm.train_epochs`` takes them."""
+    net = _network_config(config, train_ds.n_features)
+    train_norm = replace(train_ds, values=normalize(train_ds.values, normalizer))
+    windows = window_arrays(train_norm, _window_spec(config))
+    return windows, net, _training_config(config)
+
+
 def fit_network(
     config: PipelineConfig,
     train_ds: TimeSeriesDataset,
@@ -409,10 +422,8 @@ def fit_network(
     """The LSTM trained on the normalized training span, and its per-epoch
     mean MSE; timed as the ``train_mlstm`` stage."""
     with _stage(timings, "train_mlstm"):
-        net = _network_config(config, train_ds.n_features)
-        train_norm = replace(train_ds, values=normalize(train_ds.values, normalizer))
-        windows = window_arrays(train_norm, _window_spec(config))
-        params, history = train(windows, net, _training_config(config))
+        windows, net, tc = training_setup(config, train_ds, normalizer)
+        params, history = train(windows, net, tc)
     return net, params, history
 
 
@@ -429,21 +440,6 @@ def check_test_months(
             f"reaches month {test_months[unseen.argmax()]}, of which the "
             "training span holds no whole day"
         )
-
-
-def with_lead_in(
-    generation: TimeSeriesDataset, spec: WindowSpec, n_train: int
-) -> TimeSeriesDataset:
-    """Rows ``n_train - (lookback_p + horizon_m - 1)`` onward: the test span
-    and the lead-in its first window reads, so that the windows of
-    :func:`~pvdispatch.lstm.predict_series` target exactly the test span."""
-    start = n_train - (spec.lookback_p + spec.horizon_m - 1)
-    if start < 0:
-        raise DataError(
-            f"the {n_train} training hours are shorter than the "
-            f"{spec.lookback_p + spec.horizon_m - 1}-hour forecast lead-in"
-        )
-    return generation.rows(start)
 
 
 def forecast_baselines(
@@ -479,10 +475,17 @@ def forecast_network(
     generation: TimeSeriesDataset,
     n_train: int,
 ) -> TimeSeriesDataset:
-    """The LSTM's forecast of the test span, dark slots forced to 0 MW."""
+    """The LSTM's forecast of the test span (rows ``n_train`` onward), dark slots
+    forced to 0 MW; its first window reads the training hours before it as lead-in."""
     spec = _window_spec(config)
-    lead_in = with_lead_in(generation, spec, n_train)
-    return predict_series(params, net, lead_in, spec, normalizer, mask)
+    lead_in = spec.lookback_p + spec.horizon_m - 1
+    if n_train < lead_in:
+        raise DataError(
+            f"the {n_train} training hours are shorter than the "
+            f"{lead_in}-hour forecast lead-in"
+        )
+    rows = generation.rows(n_train - lead_in)
+    return predict_series(params, net, rows, spec, normalizer, mask)
 
 
 def _init_worker() -> None:

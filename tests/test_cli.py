@@ -319,21 +319,23 @@ class TestTrainForecastCommands:
         )
 
     @pytest.mark.parametrize("command", ["train", "forecast"])
-    def test_missing_input_leaves_no_output_directory(self, tmp_path, command):
+    def test_missing_input_leaves_no_output_directory(
+        self, tmp_path, capsys, command
+    ):
+        """forecast gets past its checkpoints to the input file it lacks."""
         absent = tmp_path / "absent.csv"
         models = tmp_path / "models"
-        models.mkdir()
-        cfg = models / "config.yaml"
-        cfg.write_text(
-            f"data: {{generation_csv: '{absent}', demand_csv: '{absent}'}}\n"
+        write_models(
+            models, f"data: {{generation_csv: '{absent}', demand_csv: '{absent}'}}\n"
         )
         out = tmp_path / "out"
         argv = [command, "--out", str(out)]
         if command == "forecast":
             argv += ["--models", str(models)]
         else:
-            argv += ["--config", str(cfg)]
+            argv += ["--config", str(models / "config.yaml")]
         assert main(argv) == 2
+        assert "absent.csv" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -562,30 +564,33 @@ class TestErrorContract:
         self, tmp_path, capsys, monkeypatch, command
     ):
         """Checked before any work: train, forecast and run load no data.
-        train and forecast take the path from the config, the rest from --out."""
+        train and forecast take the path from the config, the rest from --out.
+        An output path beneath the file names the file too."""
         def synth_year(**kwargs):
             raise AssertionError("a stage ran")
 
         monkeypatch.setattr(pipeline, "synth_year", synth_year)
         afile = tmp_path / "afile"
         afile.write_text("a file\n")
-        cfg = write_config(tmp_path, afile)
-        write_models(tmp_path / "models", cfg.read_text())
         series = write_series(tmp_path / "s.csv", [10.0] * 24)
-        argv = {
-            "synth": ["synth", "--out", str(afile)],
-            "dispatch": ["dispatch", "--demand", series, "--forecast", series,
-                         "--actual", series, "--out", str(afile)],
-            "train": ["train", "--config", str(cfg)],
-            "forecast": ["forecast", "--models", str(tmp_path / "models")],
-            "run": ["run", "--config", str(cfg), "--out", str(afile)],
-        }[command]
-        capsys.readouterr()
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: {afile}: output path exists and is not a directory\n"
-        )
-        assert afile.read_text() == "a file\n"
+        for k, out in enumerate([str(afile), str(afile / "sub")]):
+            cfg = write_config(tmp_path, out)
+            models = tmp_path / f"models{k}"
+            write_models(models, cfg.read_text())
+            argv = {
+                "synth": ["synth", "--out", out],
+                "dispatch": ["dispatch", "--demand", series, "--forecast", series,
+                             "--actual", series, "--out", out],
+                "train": ["train", "--config", str(cfg)],
+                "forecast": ["forecast", "--models", str(models)],
+                "run": ["run", "--config", str(cfg), "--out", out],
+            }[command]
+            capsys.readouterr()
+            assert main(argv) == 2, out
+            assert capsys.readouterr().err == (
+                f"error: {afile}: output path exists and is not a directory\n"
+            )
+            assert afile.read_text() == "a file\n"
 
     def test_bad_synth_setting_exits_2_naming_it(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "d"), "--hours", "0"])

@@ -1,11 +1,13 @@
 """Every script under ``scripts/`` imports cleanly, so a script that names a
 removed function fails here instead of on its next manual run, and
-``scan_lstm.py`` runs one epoch; every committed config under ``configs/``
-runs up to training; ``output_digests.py`` digests what each command prints,
-and only what is the same in every run."""
+``scan_lstm.py`` prints, on a small config, the NMAEs that ``run`` reports;
+every committed config under ``configs/`` runs up to training;
+``output_digests.py`` digests what each command prints, and only what is the
+same in every run."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -32,14 +34,45 @@ def test_script_imports_without_running(path):
     assert callable(import_script(path).main)
 
 
-def test_scan_lstm_runs_one_epoch(monkeypatch, capsys):
-    """Importing is not enough: the scan must also run against today's API."""
+SCAN_CONFIG = """\
+seed: 5
+data:
+  synth: {hours: 960, start: '2023-01-01T00', areas: 3}
+split: {train_fraction: 0.9}  # 36 training days, then 4 whole test days
+network: {layers: [4]}
+training: {epochs: 2, batch_size: 128}
+baselines: {kmeans_clusters: 4}
+"""
+
+
+def test_scan_lstm_prints_the_nmaes_that_run_reports(tmp_path, capsys):
+    """The scan runs the pipeline's stages on the config it is given: on a
+    test span of whole days from midnight, its baseline and last-epoch NMAEs
+    are ``run``'s, at the precision it prints."""
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(SCAN_CONFIG, encoding="utf-8")
     scan = import_script(ROOT / "scripts" / "scan_lstm.py")
-    monkeypatch.setattr("sys.argv", ["scan_lstm.py", "11", "1"])
-    scan.main()
-    out = capsys.readouterr().out
-    assert out.startswith("monthly NMAE ")
-    assert "\nepoch   1 train_mse " in out
+    assert scan.main([str(config_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" NMAE ")[0] for line in lines[:2]] == ["kmeans", "monthly"]
+    assert [line[:9] for line in lines[2:]] == ["epoch   1", "epoch   2"]
+    for line in lines[2:]:
+        assert re.fullmatch(
+            r"epoch +\d+ train_mse \d\.\d{5} mlstm NMAE \d\.\d{4} \[\d+s\]", line
+        ), line
+    printed = {
+        "kmeans": lines[0].split(" NMAE ")[1],
+        "monthly": lines[1].split(" NMAE ")[1],
+        "mlstm": lines[-1].split(" NMAE ")[1].split()[0],
+    }
+    reports = pipeline.run_pipeline(load_config(config_path)).reports
+    assert printed == {m: f"{reports[m].nmae:.4f}" for m in pipeline.METHODS}
+
+
+def test_scan_lstm_takes_at_most_one_config(capsys):
+    scan = import_script(ROOT / "scripts" / "scan_lstm.py")
+    assert scan.main(["a.yaml", "b.yaml"]) == 2
+    assert "scan_lstm.py [CONFIG]" in capsys.readouterr().err
 
 
 def test_output_digests_keeps_stdout_without_the_output_path(tmp_path):

@@ -1,7 +1,7 @@
 """Checks on the package's source and the README that no behaviour test
-makes: the line width the code is written to, module privacy, the
-documented config defaults, and the modules the CLI loads at start-up. A
-breach fails here instead of in review."""
+makes: the line width the code is written to, module privacy (which the
+scripts keep too), the documented config defaults, and the modules the CLI
+loads at start-up. A breach fails here instead of in review."""
 
 import ast
 import subprocess
@@ -39,29 +39,47 @@ def test_no_source_line_is_longer_than_88_characters():
     assert not too_long, too_long
 
 
+def _underscore_uses(path: Path, package: str) -> list[str]:
+    """In ``path``, ``from <package>.x import _y``, and ``x._y`` on a module
+    ``x`` bound by ``from <package> import x``; ``package`` is "." for the
+    package's own relative imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = "." * node.level + (node.module or "")
+        if source == package:
+            modules.update(a.asname or a.name for a in node.names)
+        if source == package or source.startswith(package.rstrip(".") + "."):
+            found += [
+                f"{path.name}:{node.lineno}: {a.name}"
+                for a in node.names
+                if _private(a.name)
+            ]
+    found += [
+        f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and _private(node.attr)
+    ]
+    return found
+
+
 def test_no_module_uses_another_modules_underscore_name():
     """Neither ``from .x import _y`` nor ``x._y`` on a sibling module."""
-    found = []
-    for path in _sources():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        siblings = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
-                if node.module is None:  # from . import module
-                    siblings.update(a.asname or a.name for a in node.names)
-                found += [
-                    f"{path.name}:{node.lineno}: {a.name}"
-                    for a in node.names
-                    if _private(a.name)
-                ]
-        found += [
-            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in siblings
-            and _private(node.attr)
-        ]
+    found = [use for path in _sources() for use in _underscore_uses(path, ".")]
+    assert not found, found
+
+
+def test_no_script_uses_an_underscore_name_of_the_package():
+    """Scripts build on the public stage API: neither ``from pvdispatch.x
+    import _y`` nor ``x._y`` on a module of the package."""
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert scripts, f"no scripts under {ROOT / 'scripts'}"
+    found = [use for path in scripts for use in _underscore_uses(path, "pvdispatch")]
     assert not found, found
 
 
