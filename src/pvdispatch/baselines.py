@@ -16,6 +16,9 @@ import numpy as np
 
 from .data import DataError, TimeSeriesDataset, timestamp_hours, timestamp_months
 
+KMEANS_MAX_ITERS = 300
+KMEANS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class KMeansModel:
@@ -93,16 +96,14 @@ def kmeans_fit(
     profiles: np.ndarray,
     k: int,
     seed: int = 0,
-    max_iters: int = 300,
-    tol: float = 1e-9,
     months: np.ndarray | None = None,
 ) -> KMeansModel:
     """Lloyd's algorithm over daily profiles.
 
-    Stops on an assignment fixpoint, an inertia improvement below ``tol``,
-    or ``max_iters``. An emptied cluster is repaired by promoting the point
-    farthest from its current centroid. Inertia is checked to be
-    non-increasing on every iteration.
+    Stops on an assignment fixpoint, an inertia improvement below
+    ``KMEANS_TOL``, or ``KMEANS_MAX_ITERS``. An emptied cluster is repaired
+    by promoting the point farthest from its current centroid. Inertia is
+    checked to be non-increasing on every iteration.
     """
     profiles = np.asarray(profiles, dtype=float)
     if profiles.ndim != 2:
@@ -126,7 +127,7 @@ def kmeans_fit(
     assign = assign_to(centroids)
     inertia = _inertia(profiles, centroids, assign)
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         iterations += 1
         new_centroids = centroids.copy()
         for j in range(k):
@@ -152,7 +153,7 @@ def kmeans_fit(
                 f"inertia increased {inertia} -> {new_inertia}; Lloyd step broken"
             )
         converged = bool(np.array_equal(new_assign, assign)) or (
-            inertia - new_inertia < tol
+            inertia - new_inertia < KMEANS_TOL
         )
         centroids, assign, inertia = new_centroids, new_assign, new_inertia
         if converged:

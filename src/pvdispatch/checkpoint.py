@@ -102,6 +102,9 @@ def load_lstm(
     path: str | Path,
 ) -> tuple[NetworkConfig, NetworkParameters, NormalizationParams, DarkHourMask]:
     with _read(path, "lstm") as (meta, arrays, mask):
+        if meta.get("cell_activation", "relu") != "relu":  # older files had a choice
+            cell = meta["cell_activation"]
+            raise CheckpointError(f"{path}: {cell!r} cells are no longer run; retrain")
         config = NetworkConfig(**{f.name: meta[f.name] for f in fields(NetworkConfig)})
         layers = []
         for i in range(len(config.layer_sizes)):

@@ -34,7 +34,7 @@ from .pipeline import (
     METRIC_ROWS,
     PipelineConfig,
     StageError,
-    check_test_months,
+    check_split,
     emit_report,
     evaluate_days,
     fit_baselines,
@@ -83,7 +83,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out = _output_dir(args.out or config.output_dir)
     generation, _demand, _fleet = load_inputs(config)
     train_ds, test_ds = split_chronological(generation, config.train_fraction)
-    check_test_months(config, train_ds, test_ds)
+    check_split(config, train_ds, test_ds)
     timings: dict[str, float] = {}  # the stages' times, which train does not report
     normalizer, mask, km, monthly = fit_baselines(config, train_ds, timings)
     net, params, history = fit_network(config, train_ds, normalizer, timings)

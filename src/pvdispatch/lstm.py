@@ -4,17 +4,17 @@ Cell equations per timestep and layer, gate order (i, f, g, o):
 
     i = sigmoid(W_i x + U_i h_prev + b_i)      input gate
     f = sigmoid(W_f x + U_f h_prev + b_f)      forget gate
-    g = act(W_g x + U_g h_prev + b_g)          candidate
+    g = relu(W_g x + U_g h_prev + b_g)         candidate
     o = sigmoid(W_o x + U_o h_prev + b_o)      output gate
     c = f * c_prev + i * g
-    h = o * act(c)
+    h = o * relu(c)
 
-``act`` is the configured cell activation (rectifier by default, replacing
-the usual tanh in both the candidate transform and the cell-output
-transform); the three gates stay logistic, as ``0.5 * tanh(0.5 * x) + 0.5``
-in place over each step's whole (B, 4H) block. The first layer feeds its full
-hidden sequence to the second; only the final hidden state of the top layer
-passes through inverted dropout (training mode only) and a linear head.
+The rectifier replaces the usual tanh in both the candidate transform and
+the cell-output transform; the three gates stay logistic, as
+``0.5 * tanh(0.5 * x) + 0.5`` in place over each step's whole (B, 4H) block.
+The first layer feeds its full hidden sequence to the second; only the final
+hidden state of the top layer passes through inverted dropout (training mode
+only) and a linear head.
 
 Training is plain backpropagation through time with Adam updates on the
 batch-mean squared error, in float32: :func:`train_epochs` casts the
@@ -67,11 +67,8 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-# (activation, derivative expressed in terms of the activation output)
-_ACTIVATIONS = {
-    "relu": (relu, lambda y: (y > 0).astype(y.dtype)),
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-}
+def _relu_grad(y: np.ndarray) -> np.ndarray:
+    return (y > 0).astype(y.dtype)
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class NetworkConfig:
     input_features: int
     layer_sizes: tuple[int, ...] = (64, 32)
     dropout_rate: float = 0.2
-    cell_activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -93,11 +89,6 @@ class NetworkConfig:
             raise ValueError("layer_sizes must be non-empty, all >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.cell_activation not in _ACTIVATIONS:
-            raise ValueError(
-                f"unknown cell_activation {self.cell_activation!r}; "
-                f"choose from {sorted(_ACTIVATIONS)}"
-            )
 
 
 @dataclass
@@ -178,7 +169,6 @@ class TrainingConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    shuffle: bool = True
     # Per-epoch multiplicative step-size decay; 1.0 keeps plain Adam.
     lr_decay: float = 1.0
 
@@ -238,18 +228,17 @@ def _cell_step(
     c: np.ndarray,
     c_act: np.ndarray,
     h: np.ndarray,
-    act: Callable,
     squash: Callable,
 ) -> None:
     """One step of the cell equations, in place: ``squash`` (the gate sigmoid)
-    and ``act`` fill the gate-major (4, B, H) ``gates`` from the (B, 4H) ``pre``;
-    c, act(c) and h go to ``c`` (which may be ``c_prev``), ``c_act`` and ``h``."""
+    and ``relu`` fill the gate-major (4, B, H) ``gates`` from the (B, 4H) ``pre``;
+    c, relu(c) and h go to ``c`` (which may be ``c_prev``), ``c_act`` and ``h``."""
     b, h_dim = c_prev.shape
     squash(pre.reshape(b, 4, h_dim).transpose(1, 0, 2), out=gates)
-    act(pre[:, 2 * h_dim : 3 * h_dim], out=gates[2])
+    relu(pre[:, 2 * h_dim : 3 * h_dim], out=gates[2])
     np.multiply(gates[1], c_prev, out=c)
     c += gates[0] * gates[2]
-    act(c, out=c_act)
+    relu(c, out=c_act)
     np.multiply(gates[3], c_act, out=h)
 
 
@@ -272,17 +261,16 @@ def forward_batch(
     Returns per-sample scalar predictions and the activation cache consumed
     by :func:`backward`. Each layer caches ``(x_seq, gates, cells_act,
     cells, hidden)``: the (p, B, D) input sequence, the activated gates
-    (p, 4, B, H) in (i, f, g, o) order, ``act(c)`` (p, B, H), and the cell
+    (p, 4, B, H) in (i, f, g, o) order, ``relu(c)`` (p, B, H), and the cell
     and hidden states (p + 1, B, H), whose row 0 is the zero initial state.
     The input projection of all p steps, bias added, is one stacked matmul;
-    each step applies ``sigmoid`` once to its (B, 4H) block and ``act`` to g.
+    each step applies ``sigmoid`` once to its (B, 4H) block and ``relu`` to g.
     Inputs, cache and predictions take the parameters' dtype.
     """
     dt = params.dense_w.dtype
     inputs = np.asarray(inputs, dtype=dt)
     _check_window_shapes(params, config, inputs)
     b, p, _ = inputs.shape
-    act, _ = _ACTIVATIONS[config.cell_activation]
 
     layer_caches = []
     x_seq = inputs.transpose(1, 0, 2)  # (p, B, D)
@@ -299,7 +287,7 @@ def forward_batch(
             x_proj[t] += hidden[t] @ w_rec_t
             _cell_step(
                 x_proj[t], gates[t], cells[t], cells[t + 1], cells_act[t],
-                hidden[t + 1], act, sigmoid,
+                hidden[t + 1], sigmoid,
             )
         del x_proj  # free it before the next layer's projection
         layer_caches.append((x_seq, gates, cells_act, cells, hidden))
@@ -319,7 +307,6 @@ def forward_batch(
         "keep": keep,
         "rate": rate,
         "predictions": predictions,
-        "activation": config.cell_activation,
     }
     return predictions, cache
 
@@ -332,7 +319,6 @@ def _predict_windows(
     _check_window_shapes(params, config, inputs)
     b, p, _ = inputs.shape
     dt = params.dense_w.dtype
-    act, _ = _ACTIVATIONS[config.cell_activation]
     x_seq = inputs.transpose(1, 0, 2)  # (p, B, D)
     for layer in params.layers:
         gates = np.empty((4, b, layer.hidden), dt)
@@ -344,7 +330,7 @@ def _predict_windows(
             pre = x_seq[t] @ layer.w_in.T
             pre += layer.bias
             pre += out[t] @ layer.w_rec.T
-            _cell_step(pre, gates, c, c, c_act, out[t + 1], act, _inference_sigmoid)
+            _cell_step(pre, gates, c, c, c_act, out[t + 1], _inference_sigmoid)
         x_seq = out[1:]
     return _dense_head(params, x_seq[-1])
 
@@ -370,7 +356,6 @@ def backward(
     b = cache["predictions"].shape[0]
     if labels.shape != (b,):
         raise ValueError(f"labels must have shape ({b},)")
-    _, dact = _ACTIVATIONS[cache["activation"]]
 
     d_pred = 2.0 * (cache["predictions"] - labels) / b  # (B,)
     grads = params.zeros_like()
@@ -395,9 +380,9 @@ def backward(
         fac = np.empty_like(gates)
         np.multiply(g * i, 1.0 - i, out=fac[:, 0])
         np.multiply(cells[:-1] * f, 1.0 - f, out=fac[:, 1])
-        np.multiply(i, dact(g), out=fac[:, 2])
+        np.multiply(i, _relu_grad(g), out=fac[:, 2])
         np.multiply(cells_act * o, 1.0 - o, out=fac[:, 3])
-        dc_dh = o * dact(cells_act)
+        dc_dh = o * _relu_grad(cells_act)
         # The bottom layer's input is the data, which takes no gradient.
         dx_seq = None if layer is params.layers[0] else np.zeros_like(x_seq)
         dh_rec = np.zeros((b, h_dim), dt)
@@ -462,7 +447,7 @@ def train_epochs(
     rng = np.random.Generator(np.random.PCG64(tc.seed))
     for epoch in range(tc.epochs):
         state.lr = float(tc.learning_rate * tc.lr_decay**epoch)
-        order = rng.permutation(n) if tc.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         # A diverging step overflows; the finiteness checks report it.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -131,16 +131,16 @@ class PipelineConfig:
     # split
     train_fraction: float = _setting(0.75, "split.train_fraction")
     # network / training
-    layer_sizes: tuple[int, ...] = _setting((64, 32), "network.layers")
-    dropout_rate: float = _setting(0.2, "network.dropout")
-    cell_activation: str = _setting("relu", "network.activation")
+    layer_sizes: tuple[int, ...] = _setting(NetworkConfig.layer_sizes, "network.layers")
+    dropout_rate: float = _setting(NetworkConfig.dropout_rate, "network.dropout")
     network_seed: int = _setting(1, "network.seed")
-    epochs: int = _setting(50, "training.epochs")
-    batch_size: int = _setting(32, "training.batch_size")
-    learning_rate: float = _setting(1e-3, "training.learning_rate")
-    lr_decay: float = _setting(1.0, "training.lr_decay")
+    epochs: int = _setting(TrainingConfig.epochs, "training.epochs")
+    batch_size: int = _setting(TrainingConfig.batch_size, "training.batch_size")
+    learning_rate: float = _setting(
+        TrainingConfig.learning_rate, "training.learning_rate"
+    )
+    lr_decay: float = _setting(TrainingConfig.lr_decay, "training.lr_decay")
     training_seed: int = _setting(2, "training.seed")
-    shuffle: bool = _setting(True, "training.shuffle")
     # baselines
     kmeans_clusters: int = _setting(10, "baselines.kmeans_clusters")
     kmeans_seed: int = _setting(3, "baselines.kmeans_seed")
@@ -193,7 +193,6 @@ def _network_config(config: PipelineConfig, input_features: int) -> NetworkConfi
         input_features=input_features,
         layer_sizes=config.layer_sizes,
         dropout_rate=config.dropout_rate,
-        cell_activation=config.cell_activation,
         seed=config.network_seed,
     )
 
@@ -204,7 +203,6 @@ def _training_config(config: PipelineConfig) -> TrainingConfig:
         batch_size=config.batch_size,
         learning_rate=config.learning_rate,
         seed=config.training_seed,
-        shuffle=config.shuffle,
         lr_decay=config.lr_decay,
     )
 
@@ -372,7 +370,9 @@ def load_inputs(
         generation = load_csv(config.generation_csv)
         what = "demand series must align with the generation series"
         demand = load_single_column(config.demand_csv, generation, what)
-    generation.column(config.target_feature_j)  # fails early on a missing target
+    j, n = config.target_feature_j, generation.n_features
+    if j >= n:
+        raise ConfigError(f"window.target: {j} is out of range for {n} features")
     fleet = load_fleet_csv(config.fleet_csv) if config.fleet_csv else default_fleet()
     check_voll(config.voll, fleet)  # against the fleet, before any model is fitted
     return generation, demand, fleet
@@ -427,11 +427,22 @@ def fit_network(
     return net, params, history
 
 
-def check_test_months(
+def check_split(
     config: PipelineConfig, train_ds: TimeSeriesDataset, test_ds: TimeSeriesDataset
 ) -> None:
-    """Every forecaster must have seen each test month, kmeans a whole day of it."""
+    """The training span must hold a window, k whole days and a day per test month."""
+    p, m = config.lookback_p, config.horizon_m
+    if train_ds.n < p + m:
+        raise ConfigError(
+            f"window.lookback: {p} plus window.horizon {m} need {p + m} "
+            f"training hours, the split leaves {train_ds.n}"
+        )
     _, trained_months = daily_profiles(train_ds, config.target_feature_j)
+    if trained_months.size < config.kmeans_clusters:
+        raise ConfigError(
+            f"baselines.kmeans_clusters: {config.kmeans_clusters} clusters need as "
+            f"many whole training days, the split leaves {trained_months.size}"
+        )
     test_months = timestamp_months(test_ds.timestamps)
     unseen = ~np.isin(test_months, trained_months)
     if unseen.any():
@@ -618,7 +629,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         except DispatchError as exc:
             where = f"dispatch span from {dispatch_hours[0]}"
             raise DispatchError(f"{where}: {exc}") from None
-        check_test_months(config, train_ds, test_ds)
+        check_split(config, train_ds, test_ds)
 
     normalizer, mask, kmeans, monthly = fit_baselines(config, train_ds, timings)
     with _stage(timings, "forecast"):
@@ -712,12 +723,6 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict:
             "package_version": __version__,
             "numpy_version": np.__version__,
             "config": asdict(result.config),
-            "seeds": {
-                "global": result.config.seed,
-                "network": result.config.network_seed,
-                "training": result.config.training_seed,
-                "kmeans": result.config.kmeans_seed,
-            },
             "timings_s": {k: round(v, 6) for k, v in result.timings.items()},
             "outputs": {p.name: _sha256(p) for p in written},
         }

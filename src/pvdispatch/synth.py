@@ -12,33 +12,25 @@ the daylight window produce exactly zero PV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataError, TimeSeriesDataset, timestamp_hours
 
-
-@dataclass(frozen=True)
-class SynthParams:
-    """Shape parameters for the synthetic series.
-
-    The default weather state persists on a synoptic timescale (multi-day
-    cloud regimes), which is what makes recent observations informative
-    about the next day.
-    """
-
-    area_capacity_mw: tuple[float, ...] = (40.0, 32.0, 36.0)
-    cloud_persistence: float = 0.995  # hourly AR(1) coefficient of the weather state
-    cloud_sharpness: float = 1.0  # logistic slope mapping the state into (0, 1)
-    area_noise_scale: float = 0.06
-    min_day_length_h: float = 8.0
-    max_day_length_h: float = 16.0
-    envelope_floor: float = 0.30  # winter amplitude relative to summer
-    demand_base_mw: float = 72.0
-    demand_diurnal_mw: float = 20.0
-    demand_weekly_mw: float = 5.0
-    demand_noise_mw: float = 2.5
+# Shape of the synthetic series. The weather state persists on a synoptic
+# timescale (multi-day cloud regimes), which is what makes recent
+# observations informative about the next day.
+AREA_CAPACITY_MW = (40.0, 32.0, 36.0)  # repeated for more areas
+CLOUD_PERSISTENCE = 0.995  # hourly AR(1) coefficient of the weather state
+CLOUD_SHARPNESS = 1.0  # logistic slope mapping the state into (0, 1)
+AREA_NOISE_SCALE = 0.06
+MIN_DAY_LENGTH_H = 8.0
+MAX_DAY_LENGTH_H = 16.0
+ENVELOPE_FLOOR = 0.30  # winter amplitude relative to summer
+DEMAND_BASE_MW = 72.0
+DEMAND_DIURNAL_MW = 20.0
+DEMAND_WEEKLY_MW = 5.0
+DEMAND_NOISE_MW = 2.5
 
 
 def _day_of_year(timestamps: np.ndarray) -> np.ndarray:
@@ -61,7 +53,6 @@ def synth_year(
     areas: int = 3,
     hours: int = 8760,
     start: str = "2023-01-01T00",
-    params: SynthParams | None = None,
 ) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
     """Generate (PV generation dataset, demand dataset).
 
@@ -81,7 +72,6 @@ def synth_year(
         first = np.datetime64("NaT", "h")
     if np.isnat(first):
         raise DataError(f"start: {start!r} is not an instant YYYY-MM-DDTHH")
-    sp = params or SynthParams()
     rng = np.random.Generator(np.random.PCG64(seed))
     timestamps = first + np.arange(hours, dtype=np.int64)
     hour_of_day = timestamp_hours(timestamps)
@@ -89,8 +79,8 @@ def synth_year(
 
     # Daylight geometry: day length peaks near the June solstice (doy 172).
     season = np.cos(2.0 * math.pi * (doy - 172) / 365.0)
-    half = 0.5 * (sp.max_day_length_h - sp.min_day_length_h)
-    day_len = 0.5 * (sp.max_day_length_h + sp.min_day_length_h) + half * season
+    half = 0.5 * (MAX_DAY_LENGTH_H - MIN_DAY_LENGTH_H)
+    day_len = 0.5 * (MAX_DAY_LENGTH_H + MIN_DAY_LENGTH_H) + half * season
     sunrise = 12.0 - day_len / 2.0
     sunset = 12.0 + day_len / 2.0
     hour_center = hour_of_day + 0.5
@@ -98,21 +88,21 @@ def synth_year(
     phase = np.where(in_daylight, (hour_center - sunrise) / day_len, 0.0)
     clear_sky = np.where(in_daylight, np.sin(math.pi * phase), 0.0)
 
-    envelope = sp.envelope_floor + (1.0 - sp.envelope_floor) * 0.5 * (1.0 + season)
+    envelope = ENVELOPE_FLOOR + (1.0 - ENVELOPE_FLOOR) * 0.5 * (1.0 + season)
 
     # Shared weather state: AR(1) latent squashed into (0, 1).
-    phi = sp.cloud_persistence
+    phi = CLOUD_PERSISTENCE
     innov = rng.standard_normal(hours) * math.sqrt(max(1.0 - phi * phi, 1e-12))
     z = _ar1(phi, rng.standard_normal(), innov)
-    shared_cloud = 1.0 / (1.0 + np.exp(-sp.cloud_sharpness * z))
+    shared_cloud = 1.0 / (1.0 + np.exp(-CLOUD_SHARPNESS * z))
 
-    capacities = np.resize(np.asarray(sp.area_capacity_mw, dtype=float), areas)
+    capacities = np.resize(np.asarray(AREA_CAPACITY_MW, dtype=float), areas)
     values = np.empty((hours, areas))
     for a in range(areas):
         wobble = rng.standard_normal(hours)
         smooth = _ar1(0.9, wobble[0], math.sqrt(1 - 0.81) * wobble)
         area_cloud = np.clip(
-            shared_cloud * (1.0 + sp.area_noise_scale * smooth), 0.03, 1.0
+            shared_cloud * (1.0 + AREA_NOISE_SCALE * smooth), 0.03, 1.0
         )
         values[:, a] = capacities[a] * clear_sky * envelope * area_cloud
     values = np.maximum(values, 0.0)
@@ -127,10 +117,10 @@ def synth_year(
     noise_in = rng.standard_normal(hours)
     noise = _ar1(0.85, noise_in[0], math.sqrt(1 - 0.7225) * noise_in)
     demand_vals = (
-        sp.demand_base_mw
-        + sp.demand_diurnal_mw * diurnal
-        + sp.demand_weekly_mw * weekday
-        + sp.demand_noise_mw * noise
+        DEMAND_BASE_MW
+        + DEMAND_DIURNAL_MW * diurnal
+        + DEMAND_WEEKLY_MW * weekday
+        + DEMAND_NOISE_MW * noise
     )
     demand_vals = np.maximum(demand_vals, 1.0)
     demand = TimeSeriesDataset(timestamps, demand_vals[:, None], ("demand",))

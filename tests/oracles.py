@@ -386,12 +386,6 @@ def masked_logistic(x: np.ndarray) -> np.ndarray:
     return out
 
 
-_REFERENCE_ACTIVATIONS = {
-    "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(y.dtype)),
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-}
-
-
 def to_vector(params: NetworkParameters) -> np.ndarray:
     """Every parameter array, flattened and joined in ``leaves()`` order."""
     return np.concatenate([leaf.ravel() for leaf in params.leaves()])
@@ -422,7 +416,6 @@ def reference_forward_batch(
     dt = params.dense_w.dtype
     inputs = np.asarray(inputs, dtype=dt)
     b, p, _ = inputs.shape
-    act, _ = _REFERENCE_ACTIVATIONS[config.cell_activation]
     layer_caches = []
     x_seq = inputs.transpose(1, 0, 2)
     for layer in params.layers:
@@ -434,10 +427,10 @@ def reference_forward_batch(
             pre = x_seq[t] @ layer.w_in.T + layer.bias + h_prev @ layer.w_rec.T
             i_t = reference_sigmoid(pre[:, :h_dim])
             f_t = reference_sigmoid(pre[:, h_dim : 2 * h_dim])
-            g_t = act(pre[:, 2 * h_dim : 3 * h_dim])
+            g_t = np.maximum(pre[:, 2 * h_dim : 3 * h_dim], 0.0)
             o_t = reference_sigmoid(pre[:, 3 * h_dim :])
             c_t = f_t * c_prev + i_t * g_t
-            r_t = act(c_t)
+            r_t = np.maximum(c_t, 0.0)
             h_t = o_t * r_t
             for k, v in zip("ifgocrh", (i_t, f_t, g_t, o_t, c_t, r_t, h_t)):
                 lc[k][t] = v
@@ -456,7 +449,7 @@ def reference_forward_batch(
     predictions = h_drop @ params.dense_w + params.dense_b[0]
     cache = {
         "layers": layer_caches, "h_drop": h_drop, "keep": keep, "rate": rate,
-        "predictions": predictions, "activation": config.cell_activation,
+        "predictions": predictions,
     }
     return predictions, cache
 
@@ -468,7 +461,6 @@ def reference_backward(
     in the parameters' dtype."""
     dt = params.dense_w.dtype
     labels = np.asarray(labels, dtype=dt)
-    _, dact = _REFERENCE_ACTIVATIONS[cache["activation"]]
     b = labels.shape[0]
     d_pred = 2.0 * (cache["predictions"] - labels) / b
     grads = params.zeros_like()
@@ -498,10 +490,10 @@ def reference_backward(
             r_t = lc["r"][t]
             c_prev = lc["c"][t - 1] if t > 0 else np.zeros((b, h_dim), dt)
             h_prev = lc["h"][t - 1] if t > 0 else np.zeros((b, h_dim), dt)
-            dc = dh * (o_t * dact(r_t)) + dc_carry
+            dc = dh * (o_t * (r_t > 0).astype(dt)) + dc_carry
             da[:, :h_dim] = dc * (g_t * i_t * (1.0 - i_t))
             da[:, h_dim : 2 * h_dim] = dc * (c_prev * f_t * (1.0 - f_t))
-            da[:, 2 * h_dim : 3 * h_dim] = dc * (i_t * dact(g_t))
+            da[:, 2 * h_dim : 3 * h_dim] = dc * (i_t * (g_t > 0).astype(dt))
             da[:, 3 * h_dim :] = dh * (r_t * o_t * (1.0 - o_t))
             g.w_in += da.T @ lc["x"][t]
             g.w_rec += da.T @ h_prev

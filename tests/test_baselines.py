@@ -122,7 +122,7 @@ class TestRepDay:
     def test_tie_breaks_to_lowest_cluster_index(self):
         profiles = np.vstack([np.zeros((2, 24)), np.full((2, 24), 10.0)])
         months = np.array([6, 6, 6, 6])
-        model = kmeans_fit(profiles, 2, seed=0, months=months, max_iters=50)
+        model = kmeans_fit(profiles, 2, seed=0, months=months)
         counts = np.bincount(model.assignments, minlength=2)
         assert counts[0] == counts[1] == 2
         chosen = rep_day(model, 6)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,33 @@ class TestLstmCheckpoint:
             checkpoint.load_lstm(path)
         assert str(err.value).startswith(f"{path}: ")
         assert "mask_table" in str(err.value)
+
+    @pytest.mark.parametrize("cell", ["relu", "tanh"])
+    def test_earlier_file_loads_only_with_relu_cells(self, tmp_path, cell):
+        """Earlier version-1 files record the cell activation they trained."""
+        cfg = NetworkConfig(input_features=1, layer_sizes=(2,))
+        path = tmp_path / "mlstm.npz"
+        checkpoint.save_lstm(
+            path, cfg, init_params(cfg),
+            NormalizationParams(np.array([0.0]), np.array([1.0])),
+            derive_dark_mask(small_dataset(), 0),
+        )
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        assert meta["format_version"] == 1 and "cell_activation" not in meta
+        meta["cell_activation"] = cell
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        with path.open("wb") as fh:
+            np.savez(fh, **arrays)
+        if cell == "relu":
+            assert checkpoint.load_lstm(path)[0] == cfg
+        else:
+            with pytest.raises(CheckpointError) as err:
+                checkpoint.load_lstm(path)
+            assert str(err.value) == (
+                f"{path}: 'tanh' cells are no longer run; retrain"
+            )
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = NetworkConfig(input_features=1, layer_sizes=(2,))

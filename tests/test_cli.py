@@ -457,7 +457,9 @@ class TestErrorContract:
             ("training: {epoch: 5}\n", "training.epoch"),
             ("data: {synth: {hour: 48}}\n", "data.synth.hour"),
             ("trainig: {epochs: 5}\n", "trainig"),
-            ("training: {shuffle: 'no'}\n", "training.shuffle"),
+            ("data: {synth: {enabled: 'no'}}\n", "data.synth.enabled"),
+            ("network: {activation: tanh}\n", "network.activation"),
+            ("training: {shuffle: false}\n", "training.shuffle"),
             ("data: {synth: {enabled: 1}}\n", "data.synth.enabled"),
             (
                 "data: {synth: {hours: 48}, generation_csv: g.csv}\n",
@@ -484,6 +486,7 @@ class TestErrorContract:
             ("training: {seed: -1}\n", "training.seed"),
             ("baselines: {kmeans_seed: -1}\n", "baselines.kmeans_seed"),
             ("dispatch: {voll: true}\n", "dispatch.voll"),
+            ("window: {target: 3}\n", "window.target"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(
@@ -504,7 +507,11 @@ class TestErrorContract:
             for name in ("demand", "forecast", "actual")
         }
         config = tmp_path / "cfg.yaml"
-        config.write_text(f"data: {{synth: {{hours: 96}}, mask_csv: '{folder}'}}\n")
+        # Two clusters, so that the split check passes on three training days.
+        config.write_text(
+            f"data: {{synth: {{hours: 96}}, mask_csv: '{folder}'}}\n"
+            "baselines: {kmeans_clusters: 2}\n"
+        )
         if loader in ("demand", "fleet"):
             paths[loader] = folder
             argv = ["evaluate"] + [f"--{name}={path}" for name, path in paths.items()]
@@ -538,6 +545,7 @@ class TestErrorContract:
         config = models / "config.yaml"
         config.write_text(
             "data: {" + ", ".join(f"{k}: '{v}'" for k, v in files.items()) + "}\n"
+            "baselines: {kmeans_clusters: 2}\n"  # the split check passes: 3 whole days
         )
         net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
         normalizer = NormalizationParams(np.zeros(3), np.ones(3))
@@ -834,6 +842,37 @@ class TestErrorContract:
             f"error: split.train_fraction {fraction}: the test span reaches "
             f"month {month}, of which the training span holds no whole day\n"
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize(
+        "yaml_text, message",
+        [
+            # The defaults' split leaves 6570 training hours, 273 whole days.
+            (
+                "window: {lookback: 9000}\n",
+                "window.lookback: 9000 plus window.horizon 12 need 9012 training "
+                "hours, the split leaves 6570",
+            ),
+            (
+                "baselines: {kmeans_clusters: 400}\n",
+                "baselines.kmeans_clusters: 400 clusters need as many whole "
+                "training days, the split leaves 273",
+            ),
+        ],
+    )
+    def test_a_training_span_too_short_stops_train_and_run_before_fitting(
+        self, tmp_path, capsys, monkeypatch, command, yaml_text, message
+    ):
+        def must_not_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(pipeline, "train", must_not_fit)
+        monkeypatch.setattr(pipeline, "kmeans_fit", must_not_fit)
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml_text)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_forecast_exits_2_for_a_test_month_the_checkpoint_never_saw(

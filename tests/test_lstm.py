@@ -275,20 +275,6 @@ class TestBackward:
         numeric = numeric_gradient(params, cfg, inputs, labels, True, 77)
         assert gradients_match(analytic, numeric)
 
-    def test_tanh_variant_gradient(self):
-        cfg = NetworkConfig(
-            input_features=2, layer_sizes=(3,), dropout_rate=0.0,
-            cell_activation="tanh",
-        )
-        params = jostled_params(cfg, 13)
-        rng = np.random.Generator(np.random.PCG64(13))
-        inputs = rng.uniform(0, 1, (2, 5, 2))
-        labels = rng.uniform(0, 1, 2)
-        _, cache = forward_batch(params, cfg, inputs)
-        analytic = to_vector(backward(params, cache, labels))
-        numeric = numeric_gradient(params, cfg, inputs, labels, False, 0)
-        assert gradients_match(analytic, numeric)
-
 
 class TestReferenceLoops:
     """The stacked gate cache gives the bytes of the per-gate reference loops."""
@@ -317,15 +303,9 @@ class TestReferenceLoops:
 
     @pytest.mark.parametrize("batch", [1, 17])
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("layers", [(5,), (6, 4), (7, 5, 3)])
-    def test_predictions_and_gradients_byte_identical(
-        self, layers, activation, dropout, batch
-    ):
-        cfg = NetworkConfig(
-            input_features=3, layer_sizes=layers, dropout_rate=dropout,
-            cell_activation=activation,
-        )
+    def test_predictions_and_gradients_byte_identical(self, layers, dropout, batch):
+        cfg = NetworkConfig(input_features=3, layer_sizes=layers, dropout_rate=dropout)
         params = jostled_params(cfg, len(layers))
         rng = np.random.Generator(np.random.PCG64(batch))
         inputs = rng.uniform(0, 1, (batch, 6, 3))
@@ -435,15 +415,9 @@ class TestFloat32:
         assert all(np.isfinite(a).all() for a in arrays)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_predictions_and_gradients_match_reference_bytes(
-        self, activation, dropout
-    ):
+    def test_predictions_and_gradients_match_reference_bytes(self, dropout):
         """No float64 intermediate: a promoted step would move the bytes."""
-        cfg = NetworkConfig(
-            input_features=3, layer_sizes=(6, 4), dropout_rate=dropout,
-            cell_activation=activation,
-        )
+        cfg = NetworkConfig(input_features=3, layer_sizes=(6, 4), dropout_rate=dropout)
         params = jostled_params(cfg, 2).map(lambda a: a.astype(np.float32))
         rng = np.random.Generator(np.random.PCG64(3))
         inputs = rng.uniform(0, 1, (17, 6, 3))
@@ -626,9 +600,8 @@ class TestPredictSeries:
 
     @pytest.mark.parametrize("batch", [1, 17, 181, PREDICT_CHUNK])
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("layers", [(5,), (6, 4), (7, 5, 3)])
-    def test_matches_forward_batch_bytes(self, layers, activation, dropout, batch):
+    def test_matches_forward_batch_bytes(self, layers, dropout, batch):
         # One full chunk and one of `batch` windows. The identity normalizer
         # and a positive head bias keep the raw predictions unscaled and
         # unclipped, so they can be compared with forward_batch's directly.
@@ -637,10 +610,7 @@ class TestPredictSeries:
         n_samples = PREDICT_CHUNK + batch
         ds = self._dataset(n=n_samples + spec.lookback_p, f=3, seed=batch)
         ds = TimeSeriesDataset(ds.timestamps, ds.values / 8.0, ds.feature_names)
-        cfg = NetworkConfig(
-            input_features=3, layer_sizes=layers, dropout_rate=dropout,
-            cell_activation=activation,
-        )
+        cfg = NetworkConfig(input_features=3, layer_sizes=layers, dropout_rate=dropout)
         identity = NormalizationParams(np.zeros(3), np.ones(3))
         p = spec.lookback_p
         windows = np.stack([ds.values[k : k + p] for k in range(n_samples)])

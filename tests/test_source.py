@@ -4,8 +4,10 @@ scripts keep too), the documented config defaults, and the modules the CLI
 loads at start-up. A breach fails here instead of in review."""
 
 import ast
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -88,6 +90,22 @@ def test_readme_config_block_loads_to_the_defaults():
     section = readme.split("\n## Configuration file\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert config_from_dict(yaml.safe_load(block)) == PipelineConfig()
+    # The block shows every key and no other; a commented-out key counts.
+    uncommented = re.sub(r"^(\s*)# (\w+: )", r"\1\2", block, flags=re.MULTILINE)
+    shown = set(_key_paths(yaml.safe_load(uncommented)))
+    assert shown == {f.metadata["yaml"] for f in fields(PipelineConfig)}
+
+
+def _key_paths(raw: dict, prefix: str = "") -> list[str]:
+    """The dotted path of every leaf key in a nested mapping."""
+    paths = []
+    for key, value in raw.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            paths += _key_paths(value, f"{path}.")
+        else:
+            paths.append(path)
+    return paths
 
 
 def test_cli_start_up_leaves_the_worker_pool_modules_unloaded():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pvdispatch.data import timestamp_hours, timestamp_months
-from pvdispatch.synth import SynthParams, synth_year
+from pvdispatch.synth import synth_year
 
 
 class TestSynthYear:
@@ -62,16 +62,8 @@ class TestSynthYear:
         assert str(gen.timestamps[0]) == "2022-10-01T00"
         assert timestamp_months(gen.timestamps)[0] == 10
 
-    def test_custom_params_change_output(self):
-        g1, _ = synth_year(seed=0, hours=240)
-        g2, _ = synth_year(
-            seed=0, hours=240, params=SynthParams(area_capacity_mw=(80.0,))
-        )
-        assert g2.values.max() > g1.values.max()
-
     def test_values_within_capacity(self):
-        params = SynthParams(area_capacity_mw=(40.0, 32.0, 36.0))
-        gen, _ = synth_year(seed=9, params=params)
+        gen, _ = synth_year(seed=9)
         for a, cap in enumerate((40.0, 32.0, 36.0)):
             assert gen.values[:, a].max() <= cap + 1e-9
 
