@@ -301,14 +301,19 @@ class TestReferenceLoops:
             assert ((y >= 0.0) & (y <= 1.0)).all()
             assert np.abs(y - masked_logistic(xd)).max() <= tol
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("steps", [1, 6])
     @pytest.mark.parametrize("batch", [1, 17])
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
     @pytest.mark.parametrize("layers", [(5,), (6, 4), (7, 5, 3)])
-    def test_predictions_and_gradients_byte_identical(self, layers, dropout, batch):
+    def test_predictions_and_gradients_byte_identical(
+        self, layers, dropout, batch, steps, dtype
+    ):
+        # One step has no recurrent carry: h and c start from zeros only.
         cfg = NetworkConfig(input_features=3, layer_sizes=layers, dropout_rate=dropout)
-        params = jostled_params(cfg, len(layers))
+        params = jostled_params(cfg, len(layers)).map(lambda a: a.astype(dtype))
         rng = np.random.Generator(np.random.PCG64(batch))
-        inputs = rng.uniform(0, 1, (batch, 6, 3))
+        inputs = rng.uniform(0, 1, (batch, steps, 3))
         labels = rng.uniform(0, 1, batch)
         training = dropout > 0.0
         preds, cache = forward_batch(params, cfg, inputs, training, 31)
