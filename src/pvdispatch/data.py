@@ -132,11 +132,13 @@ class WindowSpec:
 
     def __post_init__(self) -> None:
         if self.lookback_p < 1:
-            raise DataError("lookback_p must be >= 1")
+            raise DataError(f"lookback_p: {self.lookback_p} must be >= 1")
         if self.horizon_m < 1:
-            raise DataError("horizon_m must be >= 1")
+            raise DataError(f"horizon_m: {self.horizon_m} must be >= 1")
         if self.target_feature_j < 0:
-            raise DataError("target_feature_j must be >= 0")
+            raise DataError(
+                f"target_feature_j: {self.target_feature_j} must be >= 0"
+            )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ in either direction (negative revisions earn VOLL credits):
 
 One builder makes both programs: the real-time one is the market of the
 flexible units around their day-ahead schedule, and the day-ahead one is
-the market of every unit around a zero commitment.
+the market of every unit around a zero commitment. From day to day only
+the bounds and right-hand sides move. So each market, fixed by its units,
+horizon, renewable sign and VOLL, builds its costs, read-only matrices and
+standard form once per process; a day writes only its vectors, and its
+solve reuses the market's work memory, so two threads must not dispatch
+at once.
 
 Metric accounting: gas-fired energy is the combined output of gas-flagged
 units, CO2 is the emission factor times that energy, cost is the sum of
@@ -35,14 +40,16 @@ the mean actual.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import check_mw, read_csv_rows, write_table
-from .lp import LinearProgram, LpSolution, LpStatus, check_solution, solve_lp
+from .lp import LinearProgram, LpSolution, LpStatus, StandardForm
+from .lp import check_solution, solve_lp
 
 
 class DispatchError(ValueError):
@@ -250,6 +257,40 @@ def nmae(forecast: np.ndarray, actual: np.ndarray) -> float:
     return float(np.abs(forecast - actual).mean()) / mean_actual
 
 
+@functools.lru_cache(maxsize=8)
+def _market(
+    units: tuple[GeneratorSpec, ...], t_n: int, rnw_sign: float, voll: float
+) -> tuple[LinearProgram, StandardForm]:
+    """What no day moves, built once per market: :func:`_market_lp` with zero
+    rhs and bounds, whose read-only costs and matrices all days share, and
+    their standard form."""
+    n_u = len(units) * t_n
+    cost = np.repeat([float(g.cost) for g in units], t_n)
+    c = np.concatenate([cost, np.zeros(t_n), np.full(t_n, voll)])
+
+    # Entries are assigned into zeros, so every untouched one stays +0.0.
+    hours = np.arange(t_n)
+    a_eq = np.zeros((t_n, n_u + 2 * t_n))
+    a_eq[np.tile(hours, len(units)), np.arange(n_u)] = 1.0
+    a_eq[hours, n_u + hours] = rnw_sign
+    a_eq[hours, n_u + t_n + hours] = 1.0
+
+    # Accumulated, not assigned: at T = 1 an hour is its own predecessor,
+    # and its +1 and -1 must cancel to +0.0.
+    col = np.arange(n_u)
+    prev = np.roll(col.reshape(len(units), t_n), 1, axis=1).ravel()
+    a_ub = np.zeros((2 * n_u, c.size))
+    a_ub[2 * col, col] += 1.0
+    a_ub[2 * col, prev] -= 1.0
+    a_ub[2 * col + 1, col] -= 1.0
+    a_ub[2 * col + 1, prev] += 1.0
+    for array in (c, a_eq, a_ub):
+        array.setflags(write=False)
+    zeros = np.zeros(c.size)
+    lp = LinearProgram(c, a_eq, zeros[:t_n], a_ub, np.zeros(2 * n_u), zeros, zeros)
+    return lp, StandardForm(lp.A_eq, lp.A_ub, np.isfinite(lp.upper))
+
+
 def _market_lp(
     units: tuple[GeneratorSpec, ...],
     committed: np.ndarray,
@@ -261,7 +302,9 @@ def _market_lp(
     b_eq: np.ndarray,
 ) -> LinearProgram:
     """The program both markets share: U ``units`` over T hours, moving
-    around a ``committed`` (U, T) schedule.
+    around a ``committed`` (U, T) schedule. Only the bounds and right-hand
+    sides are computed here; the costs and matrices are those of the
+    :func:`_market` of ``units``, T, ``rnw_sign`` and ``voll``.
 
     Variable layout: unit moves u[k,t] in [pmin - committed, pmax -
     committed] grouped by unit, then a renewable column r[t] in [0,
@@ -271,42 +314,19 @@ def _market_lp(
     down row u[k,t-1] - u[k,t] <= ramp + base[k,t], where base[k,t] is the
     committed move into hour t and hour 0 wraps to the last hour.
     """
-    u_n, t_n = committed.shape
-    n_u = u_n * t_n
-    n = n_u + 2 * t_n
-    cost, pmin, pmax, ramp = np.array(
-        [[getattr(g, key) for g in units] for key in ("cost", "pmin", "pmax", "ramp")],
+    t_n = committed.shape[1]
+    pmin, pmax, ramp = np.array(
+        [[getattr(g, key) for g in units] for key in ("pmin", "pmax", "ramp")],
         dtype=float,
     )[..., None]
     base = committed - np.roll(committed, 1, axis=1)
-
-    c = np.concatenate([np.repeat(cost, t_n), np.zeros(t_n), np.full(t_n, voll)])
     lo = np.concatenate([(pmin - committed).ravel(), np.zeros(t_n), ls_lower])
     up = np.concatenate([(pmax - committed).ravel(), rnw_upper, ls_upper])
-
-    # Entries are assigned into zeros, so every untouched one stays +0.0.
-    hours = np.arange(t_n)
-    a_eq = np.zeros((t_n, n))
-    a_eq[np.tile(hours, u_n), np.arange(n_u)] = 1.0
-    a_eq[hours, n_u + hours] = rnw_sign
-    a_eq[hours, n_u + t_n + hours] = 1.0
-
-    # Accumulated, not assigned: at T = 1 an hour is its own predecessor,
-    # and its +1 and -1 must cancel to +0.0.
-    col = np.arange(n_u)
-    prev = np.roll(col.reshape(u_n, t_n), 1, axis=1).ravel()
-    a_ub = np.zeros((2 * n_u, n))
-    a_ub[2 * col, col] += 1.0
-    a_ub[2 * col, prev] -= 1.0
-    a_ub[2 * col + 1, col] -= 1.0
-    a_ub[2 * col + 1, prev] += 1.0
-    b_ub = np.empty(2 * n_u)
+    b_ub = np.empty(2 * base.size)
     b_ub[0::2] = (ramp - base).ravel()
     b_ub[1::2] = (ramp + base).ravel()
-
-    return LinearProgram(
-        c=c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub, lower=lo, upper=up
-    )
+    market, _ = _market(units, t_n, rnw_sign, voll)
+    return replace(market, b_eq=b_eq, b_ub=b_ub, lower=lo, upper=up)
 
 
 def _market_columns(
@@ -334,11 +354,11 @@ def build_da_lp(case: DispatchCase) -> LinearProgram:
     )
 
 
-def _solve_audited(lp: LinearProgram, market: str) -> LpSolution:
-    """Solve a dispatch program and audit the answer. Every case that
-    :class:`DispatchCase` admits is feasible, so anything but an optimal,
-    feasible point is a solver fault."""
-    sol = solve_lp(lp)
+def _solve_audited(lp: LinearProgram, form: StandardForm, market: str) -> LpSolution:
+    """Solve a dispatch program through its market's standard form and audit
+    the answer. Every case that :class:`DispatchCase` admits is feasible, so
+    anything but an optimal, feasible point is a solver fault."""
+    sol = solve_lp(lp, form)
     if sol.status is not LpStatus.OPTIMAL:
         raise DispatchInternalError(
             f"{market} dispatch came back {sol.status.value}; the formulation "
@@ -354,7 +374,8 @@ def _solve_audited(lp: LinearProgram, market: str) -> LpSolution:
 
 def solve_da(case: DispatchCase) -> DaSolution:
     """Solve the day-ahead program and unpack the schedule."""
-    sol = _solve_audited(build_da_lp(case), "day-ahead")
+    _, form = _market(case.fleet, case.horizon, 1.0, case.voll)
+    sol = _solve_audited(build_da_lp(case), form, "day-ahead")
     p, rnw, ls = _market_columns(sol.x, len(case.fleet))
     return DaSolution(p, rnw, ls, float(sol.objective), sol.iterations)
 
@@ -382,8 +403,9 @@ def build_rt_lp(case: DispatchCase, da: DaSolution) -> LinearProgram:
 
 def solve_rt(case: DispatchCase, da: DaSolution) -> RtSolution:
     """Solve the real-time adjustment program against actual renewables."""
-    sol = _solve_audited(build_rt_lp(case, da), "real-time")
     flex = [v for v, g in enumerate(case.fleet) if g.rt_available]
+    _, form = _market(tuple(case.fleet[v] for v in flex), case.horizon, -1.0, case.voll)
+    sol = _solve_audited(build_rt_lp(case, da), form, "real-time")
     moves, spill, ls_rt = _market_columns(sol.x, len(flex))
     delta = np.zeros((len(case.fleet), case.horizon))
     delta[flex] = moves

@@ -22,6 +22,13 @@ the end so feasibility residuals do not inherit tableau roundoff. A
 program with no constraint row at all takes the same path: its empty
 tableau is optimal or unbounded at the first pricing.
 
+Programs that share ``A_eq``, ``A_ub`` and the set of finite upper bounds
+share the matrix, so a :class:`StandardForm` builds it once and a solve
+computes only ``b``. The form also holds the work memory that each solve
+through it overwrites: the tableau, the rows a pivot updates and the refine
+step's basis matrix. So its solves run one at a time, and no array a solve
+returns is a view of it. ``solve_lp(lp)`` alone builds a form for one solve.
+
 Dispatch instances here are a few hundred rows, so a dense tableau is
 adequate and easy to audit. A pivot updates only the rows with a nonzero
 entry in the entering column; that is exact, since every other row would
@@ -180,44 +187,68 @@ def check_solution(
     ]
 
 
-def _to_standard_form(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    """``a y = b, y >= 0``; ``y = x - lower`` comes first, then the slacks."""
-    n = lp.n_vars
-    shifted = np.nonzero(lp.lower)[0]
+class StandardForm:
+    """The matrix ``a`` of ``a y = b, y >= 0``, built once for all programs
+    with these ``A_eq`` and ``A_ub`` and these ``boxed`` variables (finite
+    upper bound), and the work memory that their solves reuse, one at a time.
+    ``y = x - lower`` comes first, then the slacks."""
 
-    def shift_rhs(a_orig: np.ndarray, b_orig: np.ndarray) -> np.ndarray:
-        # An axis-0 subtract.reduce takes the rows from the first one in
-        # order: one column at a time, in column order, as the rounding of
+    def __init__(self, A_eq: np.ndarray, A_ub: np.ndarray, boxed: np.ndarray):
+        self.A_eq, self.A_ub, self.boxed = A_eq, A_ub, boxed
+        # A variable with a finite upper bound keeps y <= upper - lower as a
+        # row, after the A_ub rows; every inequality row gets its own slack.
+        n, columns = boxed.size, np.nonzero(boxed)[0]
+        n_eq, k = A_eq.shape[0], A_ub.shape[0]
+        n_ub = k + columns.size
+        a = np.zeros((n_eq + n_ub, n + n_ub))
+        a[:n_eq, :n] = A_eq
+        a[n_eq : n_eq + k, :n] = A_ub
+        a[n_eq + k + np.arange(columns.size), columns] = 1.0
+        a[n_eq + np.arange(n_ub), n + np.arange(n_ub)] = 1.0
+        a.setflags(write=False)
+        self.a = a
+        self._columns = a[: n_eq + k, :n].T.copy()  # a column of A per row
+        # The widest tableau, with an artificial column for every row, and
+        # twice as much for a pivot's rows, the row stacks that cost rows are
+        # reduced from and the refine step's basis matrix. A page is touched
+        # only once a solve reaches it.
+        m, n_total = a.shape
+        self._tableau = np.empty((m + 1) * (n_total + m + 1))
+        self._work = np.empty(2 * self._tableau.size)
+
+    def fits(self, lp: LinearProgram) -> bool:
+        theirs = (lp.A_eq, lp.A_ub, np.isfinite(lp.upper))
+        return all(map(np.array_equal, (self.A_eq, self.A_ub, self.boxed), theirs))
+
+    def rhs(self, lp: LinearProgram) -> np.ndarray:
+        """``b`` of ``lp``: its rows' rhs shifted by ``lower``, then the
+        ``upper - lower`` of each boxed variable."""
+        shifted = np.nonzero(lp.lower)[0]
+        # Shifted one column at a time, in column order, as the rounding of
         # b depends on the order of the subtractions.
-        return np.subtract.reduce(
-            np.vstack([b_orig, (a_orig[:, shifted] * lp.lower[shifted]).T])
-        )
+        b_rows = np.concatenate([lp.b_eq, lp.b_ub])
+        b_rows = self._subtract_rows(b_rows, self._columns, shifted, lp.lower[shifted])
+        return np.concatenate([b_rows, (lp.upper - lp.lower)[self.boxed]])
 
-    # A variable with a finite upper bound keeps y <= upper - lower as a row,
-    # after the A_ub rows; every inequality row gets its own slack column.
-    boxed = np.nonzero(np.isfinite(lp.upper))[0]
-    n_eq, k = lp.A_eq.shape[0], lp.A_ub.shape[0]
-    n_ub = k + boxed.size
-    a = np.zeros((n_eq + n_ub, n + n_ub))
-    a[:n_eq, :n] = lp.A_eq
-    a[n_eq : n_eq + k, :n] = lp.A_ub
-    a[n_eq + k + np.arange(boxed.size), boxed] = 1.0
-    a[n_eq + np.arange(n_ub), n + np.arange(n_ub)] = 1.0
-    b = np.concatenate(
-        [
-            shift_rhs(lp.A_eq, lp.b_eq),
-            shift_rhs(lp.A_ub, lp.b_ub),
-            lp.upper[boxed] - lp.lower[boxed],
-        ]
-    )
-    return a, b
+    def _subtract_rows(self, first, source, rows, scale=None, out=None):
+        """``first`` minus each of ``source``'s ``rows`` (times its ``scale``)
+        in turn. An axis-0 subtract.reduce takes the rows from the first one
+        in order, so the result has the bits of a loop of ``first -= row``."""
+        stack = self._work[: (rows.size + 1) * first.size]
+        stack = stack.reshape(rows.size + 1, first.size)
+        stack[0] = first
+        np.take(source, rows, axis=0, out=stack[1:], mode="clip")  # unbuffered
+        if scale is not None:
+            stack[1:] *= scale[:, None]
+        return np.subtract.reduce(stack, out=out)
 
 
 class _Simplex:
     """Iteration count and pricing state shared by the two phases."""
 
-    def __init__(self, max_iters: int):
+    def __init__(self, max_iters: int, work: np.ndarray):
         self.max_iters = max_iters
+        self.work = work  # room for two copies of the tableau
         self.iterations = 0
         self.bland = False
         self._stall = 0
@@ -260,29 +291,41 @@ class _Simplex:
                     f"simplex exceeded {self.max_iters} iterations"
                 )
 
-    @staticmethod
-    def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    def _pivot(self, tableau: np.ndarray, row: int, col: int) -> None:
         tableau[row] /= tableau[row, col]
         factors = tableau[:, col].copy()
         factors[row] = 0.0
         rows = factors.nonzero()[0]
-        tableau[rows] -= np.outer(factors[rows], tableau[row])
+        # The rows are updated in the work memory, then put back.
+        width = tableau.shape[1]
+        update, moved = self.work[: 2 * rows.size * width].reshape(2, -1, width)
+        np.multiply.outer(factors[rows], tableau[row], out=update)
+        np.take(tableau, rows, axis=0, out=moved, mode="clip")
+        moved -= update
+        tableau[rows] = moved
         tableau[:, col] = 0.0
         tableau[row, col] = 1.0
 
 
-def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
+def solve_lp(
+    lp: LinearProgram, form: StandardForm | None = None, max_iters: int = 20000
+) -> LpSolution:
     """Two-phase primal simplex.
 
     Optimal solutions satisfy the equality rows within ``_TOL``-scale
     residuals and the inequality rows and bounds up to the same order;
     exceeding ``max_iters`` raises :class:`IterationLimitError` instead of
-    mislabeling the program.
+    mislabeling the program. ``form`` is a :class:`StandardForm` built for
+    programs like ``lp``; without one, one is built for this solve.
     """
-    a, b = _to_standard_form(lp)
+    if form is None:
+        form = StandardForm(lp.A_eq, lp.A_ub, np.isfinite(lp.upper))
+    elif not form.fits(lp):
+        raise LpError("the standard form was built for another program")
+    a, b = form.a, form.rhs(lp)
     m, n_total = a.shape
     n_eq = lp.A_eq.shape[0]
-    engine = _Simplex(max_iters)
+    engine = _Simplex(max_iters, form._work)
 
     # Phase 1: an inequality row whose slack kept its +1 sign starts with
     # that slack basic; equality rows and sign-flipped rows get artificials.
@@ -291,20 +334,19 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
     n_art = art_rows.size
     basis = np.arange(m) + (lp.n_vars - n_eq)
     basis[art_rows] = n_total + np.arange(n_art)
-    tableau = np.zeros((m + 1, n_total + n_art + 1))
+    width = n_total + n_art + 1
+    tableau = form._tableau[: (m + 1) * width].reshape(m + 1, width)
     tableau[:m, :n_total] = a
     tableau[:m, -1] = b
-    # Rows are sign-fixed so every rhs is nonnegative; the artificial 1s go
-    # in afterwards, so every other artificial entry stays +0.0.
-    tableau[:m, :n_total][negated] *= -1.0
-    tableau[:m, -1][negated] *= -1.0
+    # Rows are sign-fixed so every rhs is nonnegative; the artificial columns
+    # are cleared afterwards, so each entry but the 1s is +0.0.
+    np.negative(tableau[:m], out=tableau[:m], where=negated[:, None])
+    tableau[:m, n_total:-1] = 0.0
     tableau[art_rows, n_total + np.arange(n_art)] = 1.0
 
-    # An axis-0 subtract.reduce takes the rows from the first one in order,
-    # so each cost row below has the bits of a loop of `cost -= row`.
-    cost = np.zeros(n_total + n_art + 1)
+    cost = np.zeros(width)
     cost[n_total : n_total + n_art] = 1.0
-    tableau[-1] = np.subtract.reduce(np.vstack([cost, tableau[art_rows]]))
+    form._subtract_rows(cost, tableau, art_rows, out=tableau[-1])
     outcome = engine.run(tableau, basis, n_total + n_art)
     if outcome != "optimal":
         raise LpError("phase 1 reported unbounded; this cannot happen")
@@ -334,9 +376,7 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
     cost[: lp.n_vars] = lp.c
     c_basic = cost[basis]
     priced = c_basic.nonzero()[0]
-    tableau[-1] = np.subtract.reduce(
-        np.vstack([cost, c_basic[priced, None] * tableau[priced]])
-    )
+    form._subtract_rows(cost, tableau, priced, c_basic[priced], out=tableau[-1])
     outcome = engine.run(tableau, basis, n_total)
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, engine.iterations)
@@ -347,7 +387,8 @@ def solve_lp(lp: LinearProgram, max_iters: int = 20000) -> LpSolution:
     # shed accumulated pivot roundoff.
     if m == a.shape[0]:
         try:
-            basis_mat = a[:, basis]
+            basis_mat = form._work[: m * m].reshape(m, m)
+            np.take(a, basis, axis=1, out=basis_mat, mode="clip")
             refined = np.linalg.solve(basis_mat, b)
             scale = 1.0 + np.abs(b).max(initial=0.0)
             residual = np.abs(basis_mat @ refined - b).max(initial=0.0)

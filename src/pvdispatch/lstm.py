@@ -84,11 +84,11 @@ class NetworkConfig:
         sizes = tuple(int(h) for h in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if self.input_features < 1:
-            raise ValueError("input_features must be >= 1")
+            raise ValueError(f"input_features: {self.input_features} must be >= 1")
         if not sizes or any(h < 1 for h in sizes):
-            raise ValueError("layer_sizes must be non-empty, all >= 1")
+            raise ValueError(f"layer_sizes: {list(sizes)} must be non-empty, all >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise ValueError(f"dropout_rate: {self.dropout_rate} must be in [0, 1)")
 
 
 @dataclass
@@ -174,15 +174,15 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs: {self.epochs} must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size: {self.batch_size} must be >= 1")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate: {self.learning_rate} must be finite and > 0"
             )
         if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must be in (0, 1]")
+            raise ValueError(f"lr_decay: {self.lr_decay} must be in (0, 1]")
 
 
 def init_params(config: NetworkConfig) -> NetworkParameters:

@@ -154,38 +154,53 @@ class PipelineConfig:
     output_dir: str = _setting("runs/out", "output_dir")
 
     def __post_init__(self) -> None:
+        # Each error names its setting by the YAML key, as "key: problem".
         if not 0 < self.voll < math.inf:  # against the fleet once it is loaded
-            raise ConfigError(f"voll: {self.voll} must be finite and > 0")
+            raise ConfigError(
+                f"{_yaml_key('voll')}: {self.voll} must be finite and > 0"
+            )
         try:
             check_emission_factor(self.emission_factor)
-        except DispatchError:  # in the config's "field: problem" form
+        except DispatchError:
             raise ConfigError(
-                f"emission_factor: {self.emission_factor} must be finite and > 0"
+                f"{_yaml_key('emission_factor')}: {self.emission_factor} "
+                "must be finite and > 0"
             ) from None
-        if self.kmeans_clusters < 1:
-            raise ConfigError("kmeans_clusters must be >= 1")
-        for key, seed in (  # numpy's generators take no negative seed
-            ("seed", self.seed),
-            ("network.seed", self.network_seed),
-            ("training.seed", self.training_seed),
-            ("baselines.kmeans_seed", self.kmeans_seed),
+        # k-means needs a cluster, and numpy's generators take no negative seed.
+        for name, least in (
+            ("kmeans_clusters", 1),
+            ("seed", 0),
+            ("network_seed", 0),
+            ("training_seed", 0),
+            ("kmeans_seed", 0),
         ):
-            if seed < 0:
-                raise ConfigError(f"{key}: {seed} must be >= 0")
+            if getattr(self, name) < least:
+                raise ConfigError(
+                    f"{_yaml_key(name)}: {getattr(self, name)} must be >= {least}"
+                )
         if not self.synth_enabled:
-            for label, p in (
-                ("generation_csv", self.generation_csv),
-                ("demand_csv", self.demand_csv),
-            ):
-                if p is None:
-                    raise ConfigError(f"{label} required when synth is disabled")
-        # Constructor-level checks, surfaced before any stage runs.
+            for name in ("generation_csv", "demand_csv"):
+                if getattr(self, name) is None:
+                    raise ConfigError(
+                        f"{_yaml_key(name)}: required when "
+                        f"{_yaml_key('synth_enabled')} is false"
+                    )
+        # Constructor-level checks, surfaced before any stage runs. Each
+        # message starts "field: ", and those fields are this config's too.
         try:
             _window_spec(self)
             _network_config(self, input_features=1)
             _training_config(self)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            name, _, problem = str(exc).partition(": ")
+            raise ConfigError(f"{_yaml_key(name)}: {problem}") from None
+
+
+def _yaml_key(name: str) -> str:
+    """The YAML key of the :class:`PipelineConfig` field ``name``; ``name``
+    itself if no field has it."""
+    setting = PipelineConfig.__dataclass_fields__.get(name)
+    return setting.metadata["yaml"] if setting else name
 
 
 def _network_config(config: PipelineConfig, input_features: int) -> NetworkConfig:
@@ -360,12 +375,15 @@ def load_inputs(
 ) -> tuple[TimeSeriesDataset, TimeSeriesDataset, tuple[GeneratorSpec, ...]]:
     """The generation and demand series and the fleet that ``config`` names."""
     if config.synth_enabled:
-        generation, demand = synth_year(
-            seed=config.seed,
-            areas=config.synth_areas,
-            hours=config.synth_hours,
-            start=config.synth_start,
-        )
+        names = {"seed": "seed"}  # synth_year's argument -> config field
+        names.update((arg, f"synth_{arg}") for arg in ("areas", "hours", "start"))
+        try:
+            generation, demand = synth_year(
+                **{arg: getattr(config, name) for arg, name in names.items()}
+            )
+        except DataError as exc:  # "arg: problem", the arg named by its YAML key
+            arg, _, problem = str(exc).partition(": ")
+            raise DataError(f"{_yaml_key(names.get(arg, arg))}: {problem}") from None
     else:
         generation = load_csv(config.generation_csv)
         what = "demand series must align with the generation series"
@@ -499,41 +517,66 @@ def forecast_network(
     return predict_series(params, net, rows, spec, normalizer, mask)
 
 
+# OpenBLAS's thread-count functions, "{}" being "get" or "set", as numpy 2's
+# and 1's wheels, then distributions, name them.
+_OPENBLAS_NAMES = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def _openblas_threads() -> list[tuple]:
+    """The (get, set) thread-count functions of each OpenBLAS this process
+    has loaded, found through ``/proc/self/maps``."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        libraries = {line.split()[-1] for line in maps if "openblas" in line}
+    found = []
+    for library in map(ctypes.CDLL, libraries):
+        for name in _OPENBLAS_NAMES:
+            get, set_ = name.format("get"), name.format("set")
+            if hasattr(library, get) and hasattr(library, set_):
+                get, set_ = getattr(library, get), getattr(library, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+    return found
+
+
 def _init_worker() -> None:
     """Lower a dispatch worker's priority, so that training in the parent
     keeps its CPU, and run BLAS on one thread: beside workers that fill the
     CPUs, spin-waiting OpenBLAS threads stalled them several times over."""
-    import ctypes
-
     os.nice(10)
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        libraries = {line.split()[-1] for line in maps if "openblas" in line}
-    for library in map(ctypes.CDLL, libraries):
-        for name in (  # as numpy 2's and 1's wheels, then distributions, name it
-            "scipy_openblas_set_num_threads64_",
-            "openblas_set_num_threads64_",
-            "openblas_set_num_threads",
-        ):
-            if hasattr(library, name):
-                getattr(library, name)(ctypes.c_int(1))
+    for _, set_threads in _openblas_threads():
+        set_threads(1)
 
 
 @contextlib.contextmanager
 def _dispatch_pool(n_days: int):
     """Forked workers for spans of ``n_days`` days, one per CPU this process
     may use but no more than there are days; on leaving, the days not yet
-    started are cancelled."""
+    started are cancelled. While it is open this process's BLAS runs on one
+    thread too, as a second one competed with a worker for a CPU and slowed
+    the training beside the pool; on leaving, the old count comes back."""
     from concurrent.futures import ProcessPoolExecutor  # here: slow to import
     from multiprocessing import get_context
 
     if n_days == 0:
         raise DataError("evaluation needs at least one complete 24-hour day")
     workers = min(len(os.sched_getaffinity(0)), n_days)
+    saved = [(set_threads, get()) for get, set_threads in _openblas_threads()]
     pool = ProcessPoolExecutor(workers, get_context("fork"), _init_worker)
     try:
+        for set_threads, _ in saved:
+            set_threads(1)
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)  # after a failed day, start no more
+        for set_threads, count in saved:
+            set_threads(count)
 
 
 def _dispatch_day(d: int, case_fields: tuple) -> tuple[CaseMetrics, np.ndarray]:

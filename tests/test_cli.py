@@ -465,15 +465,15 @@ class TestErrorContract:
                 "data: {synth: {hours: 48}, generation_csv: g.csv}\n",
                 "data.generation_csv",
             ),
-            ("data: {synth: {hours: 0}}\n", "hours"),
-            ("data: {synth: {areas: 0}}\n", "areas"),
-            ("data: {synth: {start: 'x'}}\n", "start"),
-            ("dispatch: {voll: inf}\n", "voll"),
-            ("dispatch: {voll: -5}\n", "voll"),
-            ("dispatch: {emission_factor: nan}\n", "emission_factor"),
-            ("dispatch: {emission_factor: 0}\n", "emission_factor"),
-            ("training: {learning_rate: nan}\n", "learning_rate"),
-            ("training: {learning_rate: .inf}\n", "learning_rate"),
+            ("data: {synth: {hours: 0}}\n", "data.synth.hours"),
+            ("data: {synth: {areas: 0}}\n", "data.synth.areas"),
+            ("data: {synth: {start: 'x'}}\n", "data.synth.start"),
+            ("dispatch: {voll: inf}\n", "dispatch.voll"),
+            ("dispatch: {voll: -5}\n", "dispatch.voll"),
+            ("dispatch: {emission_factor: nan}\n", "dispatch.emission_factor"),
+            ("dispatch: {emission_factor: 0}\n", "dispatch.emission_factor"),
+            ("training: {learning_rate: nan}\n", "training.learning_rate"),
+            ("training: {learning_rate: .inf}\n", "training.learning_rate"),
             ("dispatch: {horizon: 24}\n", "dispatch.horizon"),
             ("training: {epochs: 2.9}\n", "training.epochs"),
             ("training: {epochs: true}\n", "training.epochs"),
@@ -487,6 +487,16 @@ class TestErrorContract:
             ("baselines: {kmeans_seed: -1}\n", "baselines.kmeans_seed"),
             ("dispatch: {voll: true}\n", "dispatch.voll"),
             ("window: {target: 3}\n", "window.target"),
+            ("window: {target: -1}\n", "window.target"),
+            ("window: {lookback: 0}\n", "window.lookback"),
+            ("window: {horizon: 0}\n", "window.horizon"),
+            ("network: {dropout: 1.5}\n", "network.dropout"),
+            ("network: {layers: [0]}\n", "network.layers"),
+            ("baselines: {kmeans_clusters: 0}\n", "baselines.kmeans_clusters"),
+            ("training: {epochs: 0}\n", "training.epochs"),
+            ("training: {batch_size: 0}\n", "training.batch_size"),
+            ("training: {lr_decay: 2}\n", "training.lr_decay"),
+            ("data: {synth: {enabled: false}}\n", "data.generation_csv"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(

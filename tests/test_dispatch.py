@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from oracles import (
     reference_da_lp,
     reference_rt_lp,
 )
+from pvdispatch import dispatch
 from pvdispatch.dispatch import (
     MW_LIMIT,
     VOLL_COST_RATIO,
@@ -28,7 +32,7 @@ from pvdispatch.dispatch import (
     solve_da,
     solve_rt,
 )
-from pvdispatch.lp import check_solution, LpSolution, LpStatus, solve_lp
+from pvdispatch.lp import LpError, LpSolution, LpStatus, check_solution, solve_lp
 
 
 def case_t1(demand, forecast, actual=None, fleet=None, voll=1000.0):
@@ -401,6 +405,103 @@ class TestBuildersMatchReference:
         rng = np.random.Generator(np.random.PCG64(606))
         for _ in range(40):
             assert_builders_match_reference(random_dispatch_case(rng))
+
+
+def days_of_one_fleet(rng, n: int, horizon: int = 24) -> list[DispatchCase]:
+    """``n`` days of one random fleet: demand, forecast and actual all move
+    from day to day."""
+    first = random_dispatch_case(rng, horizon)
+    pmin_total = sum(g.pmin for g in first.fleet)
+    days = []
+    for _ in range(n):
+        demand = first.demand * rng.uniform(0.8, 1.2, horizon)
+        actual = first.actual * rng.uniform(0.5, 1.5)
+        days.append(
+            DispatchCase(
+                demand=np.maximum(demand, pmin_total),
+                forecast=actual * rng.uniform(0.7, 1.3, horizon),
+                actual=actual,
+                fleet=first.fleet,
+            )
+        )
+    return days
+
+
+def solved_day_bytes(case: DispatchCase) -> tuple:
+    da = solve_da(case)
+    return day_bytes(da, solve_rt(case, da))
+
+
+def day_bytes(da, rt) -> tuple:
+    # repr tells -0.0 from 0.0, so equal text is equal bytes.
+    arrays = (da.p, da.rnw, da.ls, rt.delta, rt.spill, rt.ls_rt)
+    scalars = (da.objective, da.iterations, rt.objective, rt.iterations)
+    return tuple(a.tobytes() for a in arrays) + (repr(scalars),)
+
+
+class TestMarkets:
+    """Each (units, horizon, renewable sign, voll) market builds its matrices
+    and standard form once per process, and its solves reuse one work memory."""
+
+    def test_a_day_does_not_depend_on_the_days_solved_before(self):
+        rng = np.random.Generator(np.random.PCG64(2028))
+        span = days_of_one_fleet(rng, 6)
+        days = [
+            *span,
+            *(replace(case, voll=2.5 * case.voll) for case in span[:2]),
+            *days_of_one_fleet(rng, 2),  # a second fleet
+            *days_of_one_fleet(rng, 2, horizon=48),
+        ]
+
+        def solved_in(order) -> list[tuple]:
+            """Each day's bytes, solving from no market in this order."""
+            dispatch._market.cache_clear()
+            solved = {d: solved_day_bytes(days[d]) for d in order}
+            return [solved[d] for d in range(len(days))]
+
+        n = len(span)
+        forward = solved_in(range(len(days)))
+        backward = solved_in(reversed(range(len(days))))
+        others_first = [d for pair in zip(range(n, len(days)), range(n)) for d in pair]
+        assert forward == backward == solved_in(others_first)
+
+    def test_a_returned_solution_is_not_overwritten_by_later_solves(self):
+        first, *later = days_of_one_fleet(np.random.Generator(np.random.PCG64(5)), 4)
+        da = solve_da(first)
+        rt = solve_rt(first, da)
+        kept = day_bytes(da, rt)
+        for case in later:
+            solve_rt(case, solve_da(case))
+        assert day_bytes(da, rt) == kept
+
+    def test_the_shared_arrays_are_read_only(self):
+        case = days_of_one_fleet(np.random.Generator(np.random.PCG64(6)), 1)[0]
+        da_lp, rt_lp = build_da_lp(case), build_rt_lp(case, solve_da(case))
+        for lp in (da_lp, rt_lp):
+            for name in ("c", "A_eq", "A_ub"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(lp, name)[0, ...] = 7.0
+
+    def test_a_form_solves_only_programs_with_its_matrices(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        case, other = random_dispatch_case(rng), random_dispatch_case(rng, 12)
+        _, form = dispatch._market(case.fleet, case.horizon, 1.0, case.voll)
+        with pytest.raises(LpError, match="another program"):
+            solve_lp(build_da_lp(other), form)
+
+    def test_a_second_day_of_a_fleet_allocates_no_large_array(self):
+        """The first day builds the market; the second allocates only
+        vectors and numpy's iterator buffers. Building the matrices, standard
+        form and tableau for every program traced 2.6 MiB a day."""
+        first, second = days_of_one_fleet(np.random.Generator(np.random.PCG64(8)), 2)
+        solve_rt(first, solve_da(first))
+        tracemalloc.start()
+        try:
+            solve_rt(second, solve_da(second))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 def _highs_objective(linprog, lp) -> float:

@@ -320,11 +320,11 @@ class TestDegenerateAndStress:
         pivots = []
         pivot = _Simplex._pivot
 
-        def spy(tableau, row, col):
+        def spy(self, tableau, row, col):
             pivots.append(float(tableau[row, col]))
-            pivot(tableau, row, col)
+            pivot(self, tableau, row, col)
 
-        monkeypatch.setattr(_Simplex, "_pivot", staticmethod(spy))
+        monkeypatch.setattr(_Simplex, "_pivot", spy)
         lp = LinearProgram(
             c=[2.0, -1.0, 1.0],
             A_eq=[[-1e-6, -5.0, 0.0], [1.0, 1.0, 1.0]],
@@ -363,7 +363,7 @@ class TestPivot:
             tableau[row, col] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
             expected = tableau.copy()
             _dense_pivot(expected, row, col)
-            _Simplex._pivot(tableau, row, col)
+            _Simplex(1, np.empty(2 * tableau.size))._pivot(tableau, row, col)
             assert np.array_equal(tableau, expected)
 
     def test_dispatch_day_matches_dense_reference(self, monkeypatch):
@@ -451,8 +451,8 @@ class TestReferenceSimplex:
     def test_dispatch_days_byte_identical(self, monkeypatch):
         solved = []
 
-        def record(lp):
-            solved.append((lp, solve_lp(lp)))
+        def record(lp, form):
+            solved.append((lp, solve_lp(lp, form)))
             return solved[-1][1]
 
         monkeypatch.setattr(dispatch, "solve_lp", record)

@@ -501,3 +501,36 @@ class TestOnePoolPerRun:
         assert info.value.stage == "train_mlstm"
         assert workers == [2]  # the baselines' days were sent before training
         assert multiprocessing.active_children() == []
+
+    def test_the_command_runs_blas_on_one_thread_beside_the_pool(self, monkeypatch):
+        """A second BLAS thread in the command competed with the workers for
+        a CPU and slowed the training beside them. The old count comes back
+        when the pool closes, after a run and after a failure."""
+        before = _blas_threads()
+        if not before:
+            pytest.skip("no loaded OpenBLAS exports its thread-count getter")
+        setters = [set_threads for _, set_threads in pipeline._openblas_threads()]
+        try:
+            for set_threads in setters:
+                set_threads(2)
+            wide = _blas_threads()
+            if wide == [1] * len(wide):
+                pytest.skip("OpenBLAS runs on one thread at most here")
+            during = []
+            train = pipeline.train
+
+            def spy(*args, **kwargs):
+                during.append(_blas_threads())
+                return train(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, "train", spy)
+            self._run(monkeypatch, {0, 1})
+            assert during == [[1] * len(wide)]
+            assert _blas_threads() == wide
+            with pytest.raises(RuntimeError, match="broke"):
+                with pipeline._dispatch_pool(1):
+                    raise RuntimeError("broke")
+            assert _blas_threads() == wide
+        finally:
+            for set_threads, count in zip(setters, before):
+                set_threads(count)
