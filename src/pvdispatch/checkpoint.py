@@ -2,9 +2,10 @@
 
 One ``.npz`` container per model. Arrays round-trip bit-exactly; scalar
 configuration travels as a JSON sidecar string inside the archive. The
-``kind`` field distinguishes the recurrent forecaster from the two
-baseline families so a single loader can dispatch on file content. Every
-file carries the dark mask its model's forecasts are masked with.
+``kind`` field names the model, the recurrent forecaster or one of the two
+baseline families; each model has its own loader, which rejects a file of
+another kind. Every file carries the dark mask its model's forecasts are
+masked with.
 """
 
 from __future__ import annotations

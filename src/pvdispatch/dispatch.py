@@ -29,7 +29,7 @@ the market of every unit around a zero commitment. From day to day only
 the bounds and right-hand sides move. So each market, fixed by its units,
 horizon, renewable sign and VOLL, builds its costs, read-only matrices and
 standard form once per process; a day writes only its vectors, and its
-solve reuses the market's work memory, so two threads must not dispatch
+solve reuses the form's refine buffer, so two threads must not dispatch
 at once.
 
 Metric accounting: gas-fired energy is the combined output of gas-flagged

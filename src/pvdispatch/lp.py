@@ -24,10 +24,11 @@ tableau is optimal or unbounded at the first pricing.
 
 Programs that share ``A_eq``, ``A_ub`` and the set of finite upper bounds
 share the matrix, so a :class:`StandardForm` builds it once and a solve
-computes only ``b``. The form also holds the work memory that each solve
-through it overwrites: the tableau, the rows a pivot updates and the refine
-step's basis matrix. So its solves run one at a time, and no array a solve
-returns is a view of it. ``solve_lp(lp)`` alone builds a form for one solve.
+computes only ``b``. The form holds the matrix, a copy of its ``A`` rows
+laid out for gathering their columns, and the refine step's basis matrix,
+which each solve through it overwrites. So its solves run one at a time,
+and no array a solve returns is a view of it. ``solve_lp(lp)`` alone builds
+a form for one solve.
 
 Dispatch instances here are a few hundred rows, so a dense tableau is
 adequate and easy to audit. A pivot updates only the rows with a nonzero
@@ -190,7 +191,8 @@ def check_solution(
 class StandardForm:
     """The matrix ``a`` of ``a y = b, y >= 0``, built once for all programs
     with these ``A_eq`` and ``A_ub`` and these ``boxed`` variables (finite
-    upper bound), and the work memory that their solves reuse, one at a time.
+    upper bound), with a row-gather copy of its ``A`` columns for ``b`` and
+    the refine step's basis buffer, which their solves reuse one at a time.
     ``y = x - lower`` comes first, then the slacks."""
 
     def __init__(self, A_eq: np.ndarray, A_ub: np.ndarray, boxed: np.ndarray):
@@ -208,13 +210,9 @@ class StandardForm:
         a.setflags(write=False)
         self.a = a
         self._columns = a[: n_eq + k, :n].T.copy()  # a column of A per row
-        # The widest tableau, with an artificial column for every row, and
-        # twice as much for a pivot's rows, the row stacks that cost rows are
-        # reduced from and the refine step's basis matrix. A page is touched
-        # only once a solve reaches it.
-        m, n_total = a.shape
-        self._tableau = np.empty((m + 1) * (n_total + m + 1))
-        self._work = np.empty(2 * self._tableau.size)
+        # The refine step gathers its basis columns here; reused, it faults
+        # in no fresh pages (take's "clip" mode writes to it unbuffered).
+        self._basis = np.empty((a.shape[0], a.shape[0]))
 
     def fits(self, lp: LinearProgram) -> bool:
         theirs = (lp.A_eq, lp.A_ub, np.isfinite(lp.upper))
@@ -225,30 +223,19 @@ class StandardForm:
         ``upper - lower`` of each boxed variable."""
         shifted = np.nonzero(lp.lower)[0]
         # Shifted one column at a time, in column order, as the rounding of
-        # b depends on the order of the subtractions.
+        # b depends on the order of the subtractions: an axis-0
+        # subtract.reduce takes the rows from the first one in order.
+        scaled = self._columns[shifted] * lp.lower[shifted, None]
         b_rows = np.concatenate([lp.b_eq, lp.b_ub])
-        b_rows = self._subtract_rows(b_rows, self._columns, shifted, lp.lower[shifted])
+        b_rows = np.subtract.reduce(np.vstack([b_rows, scaled]))
         return np.concatenate([b_rows, (lp.upper - lp.lower)[self.boxed]])
-
-    def _subtract_rows(self, first, source, rows, scale=None, out=None):
-        """``first`` minus each of ``source``'s ``rows`` (times its ``scale``)
-        in turn. An axis-0 subtract.reduce takes the rows from the first one
-        in order, so the result has the bits of a loop of ``first -= row``."""
-        stack = self._work[: (rows.size + 1) * first.size]
-        stack = stack.reshape(rows.size + 1, first.size)
-        stack[0] = first
-        np.take(source, rows, axis=0, out=stack[1:], mode="clip")  # unbuffered
-        if scale is not None:
-            stack[1:] *= scale[:, None]
-        return np.subtract.reduce(stack, out=out)
 
 
 class _Simplex:
     """Iteration count and pricing state shared by the two phases."""
 
-    def __init__(self, max_iters: int, work: np.ndarray):
+    def __init__(self, max_iters: int):
         self.max_iters = max_iters
-        self.work = work  # room for two copies of the tableau
         self.iterations = 0
         self.bland = False
         self._stall = 0
@@ -296,13 +283,7 @@ class _Simplex:
         factors = tableau[:, col].copy()
         factors[row] = 0.0
         rows = factors.nonzero()[0]
-        # The rows are updated in the work memory, then put back.
-        width = tableau.shape[1]
-        update, moved = self.work[: 2 * rows.size * width].reshape(2, -1, width)
-        np.multiply.outer(factors[rows], tableau[row], out=update)
-        np.take(tableau, rows, axis=0, out=moved, mode="clip")
-        moved -= update
-        tableau[rows] = moved
+        tableau[rows] -= np.outer(factors[rows], tableau[row])
         tableau[:, col] = 0.0
         tableau[row, col] = 1.0
 
@@ -325,7 +306,7 @@ def solve_lp(
     a, b = form.a, form.rhs(lp)
     m, n_total = a.shape
     n_eq = lp.A_eq.shape[0]
-    engine = _Simplex(max_iters, form._work)
+    engine = _Simplex(max_iters)
 
     # Phase 1: an inequality row whose slack kept its +1 sign starts with
     # that slack basic; equality rows and sign-flipped rows get artificials.
@@ -334,19 +315,20 @@ def solve_lp(
     n_art = art_rows.size
     basis = np.arange(m) + (lp.n_vars - n_eq)
     basis[art_rows] = n_total + np.arange(n_art)
-    width = n_total + n_art + 1
-    tableau = form._tableau[: (m + 1) * width].reshape(m + 1, width)
+    tableau = np.zeros((m + 1, n_total + n_art + 1))
     tableau[:m, :n_total] = a
     tableau[:m, -1] = b
-    # Rows are sign-fixed so every rhs is nonnegative; the artificial columns
-    # are cleared afterwards, so each entry but the 1s is +0.0.
-    np.negative(tableau[:m], out=tableau[:m], where=negated[:, None])
-    tableau[:m, n_total:-1] = 0.0
+    # Rows are sign-fixed so every rhs is nonnegative; the artificial 1s go
+    # in afterwards, so every other artificial entry stays +0.0.
+    tableau[:m, :n_total][negated] *= -1.0
+    tableau[:m, -1][negated] *= -1.0
     tableau[art_rows, n_total + np.arange(n_art)] = 1.0
 
-    cost = np.zeros(width)
+    # An axis-0 subtract.reduce takes the rows from the first one in order,
+    # so each cost row below has the bits of a loop of `cost -= row`.
+    cost = np.zeros(n_total + n_art + 1)
     cost[n_total : n_total + n_art] = 1.0
-    form._subtract_rows(cost, tableau, art_rows, out=tableau[-1])
+    tableau[-1] = np.subtract.reduce(np.vstack([cost, tableau[art_rows]]))
     outcome = engine.run(tableau, basis, n_total + n_art)
     if outcome != "optimal":
         raise LpError("phase 1 reported unbounded; this cannot happen")
@@ -376,7 +358,9 @@ def solve_lp(
     cost[: lp.n_vars] = lp.c
     c_basic = cost[basis]
     priced = c_basic.nonzero()[0]
-    form._subtract_rows(cost, tableau, priced, c_basic[priced], out=tableau[-1])
+    tableau[-1] = np.subtract.reduce(
+        np.vstack([cost, c_basic[priced, None] * tableau[priced]])
+    )
     outcome = engine.run(tableau, basis, n_total)
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, engine.iterations)
@@ -387,8 +371,7 @@ def solve_lp(
     # shed accumulated pivot roundoff.
     if m == a.shape[0]:
         try:
-            basis_mat = form._work[: m * m].reshape(m, m)
-            np.take(a, basis, axis=1, out=basis_mat, mode="clip")
+            basis_mat = np.take(a, basis, axis=1, out=form._basis, mode="clip")
             refined = np.linalg.solve(basis_mat, b)
             scale = 1.0 + np.abs(b).max(initial=0.0)
             residual = np.abs(basis_mat @ refined - b).max(initial=0.0)

@@ -155,6 +155,11 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         # Each error names its setting by the YAML key, as "key: problem".
+        if not 0 < self.train_fraction < 1:
+            raise ConfigError(
+                f"{_yaml_key('train_fraction')}: {self.train_fraction} "
+                "must be in (0, 1)"
+            )
         if not 0 < self.voll < math.inf:  # against the fleet once it is loaded
             raise ConfigError(
                 f"{_yaml_key('voll')}: {self.voll} must be finite and > 0"
@@ -545,22 +550,17 @@ def _openblas_threads() -> list[tuple]:
     return found
 
 
-def _init_worker() -> None:
-    """Lower a dispatch worker's priority, so that training in the parent
-    keeps its CPU, and run BLAS on one thread: beside workers that fill the
-    CPUs, spin-waiting OpenBLAS threads stalled them several times over."""
-    os.nice(10)
-    for _, set_threads in _openblas_threads():
-        set_threads(1)
-
-
 @contextlib.contextmanager
 def _dispatch_pool(n_days: int):
     """Forked workers for spans of ``n_days`` days, one per CPU this process
-    may use but no more than there are days; on leaving, the days not yet
-    started are cancelled. While it is open this process's BLAS runs on one
-    thread too, as a second one competed with a worker for a CPU and slowed
-    the training beside the pool; on leaving, the old count comes back."""
+    may use but no more than there are days, each at nice 10 so that
+    training in the parent keeps its CPU; on leaving, the days not yet
+    started are cancelled. While the pool is open this process's BLAS runs
+    on one thread, as a second one competed with a worker for a CPU and
+    slowed the training beside the pool; on leaving, the old count comes
+    back. A fork pool forks its workers at its first submit, after that
+    pin, so they inherit the one thread: beside workers that fill the CPUs,
+    spin-waiting OpenBLAS threads stalled them several times over."""
     from concurrent.futures import ProcessPoolExecutor  # here: slow to import
     from multiprocessing import get_context
 
@@ -568,7 +568,7 @@ def _dispatch_pool(n_days: int):
         raise DataError("evaluation needs at least one complete 24-hour day")
     workers = min(len(os.sched_getaffinity(0)), n_days)
     saved = [(set_threads, get()) for get, set_threads in _openblas_threads()]
-    pool = ProcessPoolExecutor(workers, get_context("fork"), _init_worker)
+    pool = ProcessPoolExecutor(workers, get_context("fork"), os.nice, (10,))
     try:
         for set_threads, _ in saved:
             set_threads(1)
@@ -661,7 +661,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         first_midnight = int(np.argmax(timestamp_hours(test_ds.timestamps) == 0))
         n_days = (test_ds.n - first_midnight) // 24
         if n_days == 0:
-            raise DataError("evaluation needs at least one complete 24-hour day")
+            raise ConfigError(
+                f"split.train_fraction: {config.train_fraction} leaves no "
+                "complete 24-hour day to dispatch in the test span from "
+                f"{test_ds.timestamps[0]}"
+            )
         day_slice = slice(first_midnight, first_midnight + 24 * n_days)
         dispatch_hours = test_ds.timestamps[day_slice]
         dispatch_actual = test_ds.column(config.target_feature_j)[day_slice]

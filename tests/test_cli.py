@@ -497,6 +497,7 @@ class TestErrorContract:
             ("training: {batch_size: 0}\n", "training.batch_size"),
             ("training: {lr_decay: 2}\n", "training.lr_decay"),
             ("data: {synth: {enabled: false}}\n", "data.generation_csv"),
+            ("split: {train_fraction: 1.5}\n", "split.train_fraction"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(
@@ -815,15 +816,23 @@ class TestErrorContract:
         assert err.startswith("error: dispatch span from 2023-01-04T00: hour ")
         assert "demand" in err and "below the fleet's total pmin 90 MW" in err
 
+    @pytest.mark.parametrize(
+        "yaml_text, fraction, first_hour",
+        [
+            ("data: {synth: {hours: 48}}\n", 0.75, "2023-01-02T12"),
+            ("split: {train_fraction: 0.99999}\n", 0.99999, "2023-12-31T23"),
+        ],
+    )
     def test_test_span_without_a_whole_day_stops_a_run_before_training(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, yaml_text, fraction, first_hour
     ):
         monkeypatch.setattr(pipeline, "train", _must_not_train)
         p = tmp_path / "cfg.yaml"
-        p.write_text("data: {synth: {hours: 48}}\n")
+        p.write_text(yaml_text)
         assert main(["run", "--config", str(p)]) == 2
         assert capsys.readouterr().err == (
-            "error: evaluation needs at least one complete 24-hour day\n"
+            f"error: split.train_fraction: {fraction} leaves no complete 24-hour "
+            f"day to dispatch in the test span from {first_hour}\n"
         )
 
     @pytest.mark.parametrize(

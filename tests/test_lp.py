@@ -363,7 +363,7 @@ class TestPivot:
             tableau[row, col] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
             expected = tableau.copy()
             _dense_pivot(expected, row, col)
-            _Simplex(1, np.empty(2 * tableau.size))._pivot(tableau, row, col)
+            _Simplex(1)._pivot(tableau, row, col)
             assert np.array_equal(tableau, expected)
 
     def test_dispatch_day_matches_dense_reference(self, monkeypatch):

@@ -80,11 +80,11 @@ def fast_result():
 
 
 class TestValidation:
-    def test_train_fraction_one_rejected_before_stages(self, monkeypatch):
-        cfg = PipelineConfig(**{**FAST, "train_fraction": 1.0})
-        monkeypatch.setattr(pipeline, "train", _must_not_train)
-        with pytest.raises(DataError, match="train_fraction must be in"):
-            run_pipeline(cfg)
+    def test_train_fraction_one_rejected_before_stages(self):
+        with pytest.raises(
+            ConfigError, match=r"^split\.train_fraction: 1\.0 must be in \(0, 1\)$"
+        ):
+            PipelineConfig(**{**FAST, "train_fraction": 1.0})
 
     def test_missing_files_rejected(self, tmp_path, monkeypatch):
         cfg = PipelineConfig(
