@@ -22,6 +22,11 @@ dispatch moves units and a change to the real-time columns shows.
 ``evaluate`` then solves each method's whole dispatched span in
 ``run/discrepancy.csv`` with the built-in fleet, under ``evaluate/<method>/``,
 so the metrics it prints are digested too.
+
+One error path is digested as well: ``evaluate`` on the first ``DAYS`` days
+of ``run/discrepancy.csv`` with the demand of hour ``BAD_HOUR`` raised past
+``MW_LIMIT``, under ``errors/evaluate/``. Its exit code and stderr go to
+``stderr.txt``, so a refactor shows when error text moves.
 """
 
 import contextlib
@@ -36,10 +41,11 @@ import numpy as np
 
 from pvdispatch.cli import main as cli
 from pvdispatch.data import TimeSeriesDataset, load_csv, write_csv
-from pvdispatch.dispatch import GeneratorSpec, default_fleet, save_fleet_csv
+from pvdispatch.dispatch import MW_LIMIT, GeneratorSpec, default_fleet, save_fleet_csv
 from pvdispatch.pipeline import METHODS
 
 DAYS = 3
+BAD_HOUR = 30  # of the error path's span: hour 6 of its second day
 
 PMIN_FLEET = (
     GeneratorSpec("G1", cost=20.0, pmax=50.0, pmin=15.0, ramp=20.0),
@@ -72,6 +78,18 @@ def _run(out: Path, where: Path, *argv: str) -> None:
         raise SystemExit(f"pvdispatch {argv[0]} exited {code}")
     text = stdout.getvalue().replace(str(out), "<dir>")
     (where / "stdout.txt").write_text(text, encoding="utf-8")
+
+
+def _run_failing(out: Path, where: Path, *argv: str) -> None:
+    """Run one command that must fail, and keep its exit code and stderr
+    in ``where``."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli(list(argv))
+    if code == 0:
+        raise SystemExit(f"pvdispatch {argv[0]} exited 0")
+    text = f"exit {code}\n" + stderr.getvalue().replace(str(out), "<dir>")
+    (where / "stderr.txt").write_text(text, encoding="utf-8")
 
 
 def _write_series(where: Path, rows: list[dict], method: str) -> list[Path]:
@@ -159,6 +177,13 @@ def main(argv: list[str] | None = None) -> int:
         series = _write_series(where, rows, method)
         _run(out, where, "evaluate", "--demand", str(series[0]),
              "--forecast", str(series[1]), "--actual", str(series[2]))
+
+    bad = [dict(row) for row in rows[: 24 * DAYS]]
+    bad[BAD_HOUR]["demand"] = str(float(bad[BAD_HOUR]["demand"]) + 2 * MW_LIMIT)
+    where = out / "errors" / "evaluate"
+    series = _write_series(where, bad, "mlstm")
+    _run_failing(out, where, "evaluate", "--demand", str(series[0]),
+                 "--forecast", str(series[1]), "--actual", str(series[2]))
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p != config):
         digest = hashlib.sha256(_digested_bytes(out, path)).hexdigest()

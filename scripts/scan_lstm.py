@@ -17,7 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-from pvdispatch.data import split_chronological
 from pvdispatch.dispatch import nmae
 from pvdispatch.lstm import train_epochs
 from pvdispatch.pipeline import (
@@ -26,6 +25,7 @@ from pvdispatch.pipeline import (
     forecast_network,
     load_config,
     load_inputs,
+    split_spans,
     training_setup,
 )
 
@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     config = load_config(argv[0] if argv else EXPERIMENT)
     generation, _demand, _fleet = load_inputs(config)
-    train_ds, test_ds = split_chronological(generation, config.train_fraction)
+    train_ds, test_ds = split_spans(config, generation)
     actual = test_ds.column(config.target_feature_j)
     normalizer, mask, kmeans, monthly = fit_baselines(config, train_ds, {})
     baselines = forecast_baselines(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .data import DataError, load_single_column, save_mask_csv, split_chronological
+from .data import DataError, load_single_column, save_mask_csv
 from .data import timestamp_months, write_csv, write_table
 from .dispatch import (
     DispatchCase,
@@ -44,6 +44,7 @@ from .pipeline import (
     load_config,
     load_inputs,
     run_pipeline,
+    split_spans,
 )
 from .synth import synth_year
 
@@ -82,7 +83,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config_bytes = Path(args.config).read_bytes()  # kept as forecast's settings
     out = _output_dir(args.out or config.output_dir)
     generation, _demand, _fleet = load_inputs(config)
-    train_ds, test_ds = split_chronological(generation, config.train_fraction)
+    train_ds, test_ds = split_spans(config, generation)
     check_split(config, train_ds, test_ds)
     timings: dict[str, float] = {}  # the stages' times, which train does not report
     normalizer, mask, km, monthly = fit_baselines(config, train_ds, timings)
@@ -115,7 +116,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     config = load_config(models_dir / "config.yaml")  # the one train ran with
     out = _output_dir(args.out or config.output_dir)
     generation, _demand, _fleet = load_inputs(config)
-    train_ds, test_ds = split_chronological(generation, config.train_fraction)
+    train_ds, test_ds = split_spans(config, generation)
     months = timestamp_months(test_ds.timestamps)
     for name, known, lacks in (
         ("mlstm.npz", mask.month_defined, "dark mask undefined"),  # masks all forecasts

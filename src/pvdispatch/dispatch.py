@@ -143,7 +143,7 @@ def check_dispatch_series(
     ``MW_LIMIT``, and ``demand`` covers the fleet's total pmin every hour."""
     for label, values in {"demand": demand, **series}.items():
         check_mw(values, label, DispatchError)
-        h = int(values.argmax())
+        h = int(np.argmax(values > MW_LIMIT))  # the first hour above, if any
         if values[h] > MW_LIMIT:
             raise DispatchError(
                 f"{label}: {values[h]:g} MW at hour {h} is above the "

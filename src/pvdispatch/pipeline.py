@@ -3,11 +3,11 @@
 The pipeline splits the hourly history chronologically, fits the
 normalizer, dark mask, and all three forecasters on the training span
 only, forecasts the test span, and solves a day-ahead and a real-time
-dispatch for every complete calendar day of the test span: worker
-processes solve the baselines' days while the network trains. Metrics are
-aggregated per forecast method into the six-row report table; the
-discrepancy file carries per-hour forecast/actual/absorbed series for
-external plotting.
+dispatch for every complete calendar day of the test span: each method's
+span is checked here, then worker processes solve its days, the
+baselines' while the network trains. Metrics are aggregated per forecast
+method into the six-row report table; the discrepancy file carries
+per-hour forecast/actual/absorbed series for external plotting.
 
 All randomness flows from seeds in the configuration, so a fixed config
 reproduces byte-identical metric files.
@@ -333,6 +333,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+    if not isinstance(raw, (dict, type(None))):  # None: an empty document
+        kind = type(raw).__name__
+        raise ConfigError(f"{path}: config root must be a mapping, got {kind}")
     return config_from_dict(raw or {})
 
 
@@ -450,6 +453,20 @@ def fit_network(
     return net, params, history
 
 
+def split_spans(
+    config: PipelineConfig, generation: TimeSeriesDataset
+) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
+    """The training and test spans of ``generation``, split chronologically
+    at ``config``'s training fraction, which must leave a training hour."""
+    try:
+        return split_chronological(generation, config.train_fraction)
+    except DataError:  # a fraction below 1 always leaves a test hour
+        raise ConfigError(
+            f"{_yaml_key('train_fraction')}: {config.train_fraction} of "
+            f"{generation.n} hours leaves the training span empty"
+        ) from None
+
+
 def check_split(
     config: PipelineConfig, train_ds: TimeSeriesDataset, test_ds: TimeSeriesDataset
 ) -> None:
@@ -554,7 +571,8 @@ def _openblas_threads() -> list[tuple]:
 def _dispatch_pool(n_days: int):
     """Forked workers for spans of ``n_days`` days, one per CPU this process
     may use but no more than there are days, each at nice 10 so that
-    training in the parent keeps its CPU; on leaving, the days not yet
+    training in the parent keeps its CPU; they only solve, as
+    :func:`_send_days` checks each span first. On leaving, the days not yet
     started are cancelled. While the pool is open this process's BLAS runs
     on one thread, as a second one competed with a worker for a CPU and
     slowed the training beside the pool; on leaving, the old count comes
@@ -579,50 +597,45 @@ def _dispatch_pool(n_days: int):
             set_threads(count)
 
 
-def _dispatch_day(d: int, case_fields: tuple) -> tuple[CaseMetrics, np.ndarray]:
-    """Day ``d`` of a span: its metrics and absorbed renewable (actual - spill)."""
-    try:
-        case = DispatchCase(*case_fields)
-    except DispatchError as exc:
-        raise DispatchError(f"day {d} of the span: {exc}") from None
+def _dispatch_day(case_fields: tuple) -> tuple[CaseMetrics, np.ndarray]:
+    """One day's metrics and absorbed renewable (actual - spill)."""
+    case = DispatchCase(*case_fields)
     da = solve_da(case)
     rt = solve_rt(case, da)
     return case_metrics(case, da, rt), case.actual - rt.spill
 
 
 def _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor):
-    """Send each complete day of the span to ``pool``, arguments as for
-    :func:`evaluate_days`; returns the iterator of the days' outcomes."""
-    # Span-wide settings are checked once, here: a worker would blame day 0.
+    """Check the span, then send each of its complete days to ``pool``,
+    arguments as for :func:`evaluate_days`; returns a function that waits
+    for the days and returns what :func:`evaluate_days` returns."""
+    # Checked here, once, so a bad span fails before any day is sent.
     check_voll(voll, fleet)
     check_emission_factor(emission_factor)
-    n_days = len(demand) // 24
+    span = slice(0, 24 * (len(demand) // 24))
+    demand, forecast, actual = demand[span], forecast[span], actual[span]
+    check_dispatch_series(fleet, demand, forecast=forecast, actual=actual)
     cases = [
         (demand[sl], forecast[sl], actual[sl], fleet, voll, emission_factor)
-        for sl in (slice(24 * d, 24 * (d + 1)) for d in range(n_days))
+        for sl in (slice(h, h + 24) for h in range(0, span.stop, 24))
     ]
-    return pool.map(_dispatch_day, range(n_days), cases, chunksize=4)
+    days = pool.map(_dispatch_day, cases, chunksize=4)
 
+    def wait() -> tuple[EvaluationReport, list[CaseMetrics], np.ndarray]:
+        solved = list(days)  # in calendar order, or the first failed day's error
+        daily = [metrics for metrics, _ in solved]
+        totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
+        for day in daily:
+            for key in totals:
+                totals[key] += getattr(day, key)
+        report = EvaluationReport(
+            **totals,
+            co2_kg=emission_factor * totals["gas_mwh"],
+            nmae=nmae(forecast, actual),
+        )
+        return report, daily, np.concatenate([absorbed for _, absorbed in solved])
 
-def _tally(
-    days, forecast: np.ndarray, actual: np.ndarray, emission_factor: float
-) -> tuple[EvaluationReport, list[CaseMetrics], np.ndarray]:
-    """Wait for the ``days`` that :func:`_send_days` returned and total
-    them: what :func:`evaluate_days` returns."""
-    days = list(days)  # in calendar order, or the first bad day's error
-    daily = [metrics for metrics, _ in days]
-    absorbed = np.concatenate([day_absorbed for _, day_absorbed in days])
-    totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
-    for day in daily:
-        for key in totals:
-            totals[key] += getattr(day, key)
-    span = slice(0, 24 * len(daily))
-    report = EvaluationReport(
-        **totals,
-        co2_kg=emission_factor * totals["gas_mwh"],
-        nmae=nmae(forecast[span], actual[span]),
-    )
-    return report, daily, absorbed
+    return wait
 
 
 def evaluate_days(
@@ -640,12 +653,13 @@ def evaluate_days(
     (actual minus spill) per dispatched hour. A trailing partial day is
     left out. NMAE is NaN when the actual series is all zero.
 
-    Forked workers, one per CPU this process may use, solve the days; the
-    results, or the first bad day's error, come back in calendar order.
+    The span is checked first, naming its first bad hour; forked workers,
+    one per CPU this process may use, then solve the days, whose results,
+    or the first failed day's error, come back in calendar order.
     """
     with _dispatch_pool(len(demand) // 24) as pool:
-        days = _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor)
-        return _tally(days, forecast, actual, emission_factor)
+        wait = _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor)
+        return wait()
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -656,7 +670,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         generation, demand_ds, fleet = load_inputs(config)
 
     with _stage(timings, "split"):
-        train_ds, test_ds = split_chronological(generation, config.train_fraction)
+        train_ds, test_ds = split_spans(config, generation)
         # Dispatch whole calendar days, from the first midnight of the span.
         first_midnight = int(np.argmax(timestamp_hours(test_ds.timestamps) == 0))
         n_days = (test_ds.n - first_midnight) // 24
@@ -684,29 +698,25 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             config, kmeans, monthly, mask, generation, train_ds.n
         )
     span = dispatch_demand, dispatch_actual, fleet, config.voll, config.emission_factor
-    cut = {}  # each method's forecast of the dispatched days
-    days = {}  # each method's days, as sent to the pool
+    pending = {}  # each method's forecast of the dispatched days, and its wait
 
     # The workers solve the baselines' days while the network trains here.
     with _dispatch_pool(n_days) as pool:
         with _stage(timings, "dispatch"):
             for method, forecast in forecasts.items():
-                cut[method] = forecast.rows(day_slice.start, day_slice.stop)
-                days[method] = _send_days(pool, cut[method].column(0), *span)
+                cut = forecast.rows(day_slice.start, day_slice.stop)
+                pending[method] = cut, _send_days(pool, cut.column(0), *span)
         net, params, _history = fit_network(config, train_ds, normalizer, timings)
         with _stage(timings, "forecast"):
             mlstm = forecast_network(
                 config, net, params, normalizer, mask, generation, train_ds.n
             )
         with _stage(timings, "dispatch"):
-            cut["mlstm"] = mlstm.rows(day_slice.start, day_slice.stop)
-            days["mlstm"] = _send_days(pool, cut["mlstm"].column(0), *span)
-            outcomes = {}
-            for m in METHODS:
-                tallied = _tally(
-                    days[m], cut[m].column(0), dispatch_actual, config.emission_factor
-                )
-                outcomes[m] = MethodOutcome(cut[m], *tallied)
+            cut = mlstm.rows(day_slice.start, day_slice.stop)
+            pending["mlstm"] = cut, _send_days(pool, cut.column(0), *span)
+            outcomes = {
+                m: MethodOutcome(cut, *wait()) for m, (cut, wait) in pending.items()
+            }
 
     return PipelineResult(
         config=config,

@@ -691,11 +691,11 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "scaled, factor, flags, field",
         [
-            # Outside the range the solver's answers were checked in; a
-            # series is blamed on its first bad day, a setting on the span.
-            ("demand", 3e5, [], "day 0 of the span: demand: "),
-            ("actual", 3e7, [], "day 0 of the span: actual: "),
-            ("actual", 1e12, [], "day 0 of the span: actual: "),
+            # Outside the range the solver's answers were checked in; the
+            # span is checked before any day is sent.
+            ("demand", 3e5, [], "demand: "),
+            ("actual", 3e7, [], "actual: "),
+            ("actual", 1e12, [], "actual: "),
             ("demand", 1.0, ["--voll", "1e17"], "voll 1e+17 "),
             ("demand", 1.0, ["--emission-factor", "-1"], "emission_factor -1.0 "),
         ],
@@ -719,17 +719,20 @@ class TestErrorContract:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}")
 
-    def test_the_first_bad_day_in_calendar_order_is_named(
+    def test_a_bad_span_exits_2_naming_its_first_hour_before_any_day_is_solved(
         self, tmp_path, capsys, monkeypatch
     ):
+        def solve_da(case):
+            raise DispatchInternalError("a day was solved")
+
+        # Forked workers see the patch: a solved day would exit 3.
+        monkeypatch.setattr(pipeline, "solve_da", solve_da)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         main(["synth", "--out", str(tmp_path / "d"), "--hours", str(24 * 8),
               "--areas", "1", "--seed", "0"])
         demand = load_csv(tmp_path / "d" / "demand.csv").column(0).copy()
         pv = load_csv(tmp_path / "d" / "generation.csv").column(0)
         # Days 3 and 4 of eight ask for more than the dispatch range allows.
-        # The two workers take the days in chunks of four: the one given
-        # days 4-7 fails at once, the other only after solving days 0-2.
         demand[24 * 3 : 24 * 5] *= 3e5
         argv = ["evaluate"] + [
             f"--{name}={write_series(tmp_path / f'{name}.csv', values)}"
@@ -737,8 +740,31 @@ class TestErrorContract:
         ]
         capsys.readouterr()
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: day 3 of the span: demand: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: demand: ")
+        assert err.endswith(" MW at hour 72 is above the 100000 MW limit\n")
         assert multiprocessing.active_children() == []
+
+    def test_an_out_of_range_hour_after_the_last_whole_day_is_not_dispatched(
+        self, tmp_path, capsys
+    ):
+        main(["synth", "--out", str(tmp_path / "d"), "--hours", "53",
+              "--areas", "1", "--seed", "0"])
+        demand = load_csv(tmp_path / "d" / "demand.csv").column(0).copy()
+        pv = load_csv(tmp_path / "d" / "generation.csv").column(0)
+        demand[50] *= 3e5  # in the trailing partial day, which is left out
+        printed = []
+        for hours in (53, 48):
+            argv = ["evaluate"] + [
+                f"--{name}={write_series(tmp_path / f'{name}.csv', values[:hours])}"
+                for name, values in (
+                    ("demand", demand), ("forecast", pv), ("actual", pv)
+                )
+            ]
+            capsys.readouterr()
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_a_solver_failure_in_a_worker_exits_3_naming_the_stage(
         self, tmp_path, capsys, monkeypatch
@@ -833,6 +859,35 @@ class TestErrorContract:
         assert capsys.readouterr().err == (
             f"error: split.train_fraction: {fraction} leaves no complete 24-hour "
             f"day to dispatch in the test span from {first_hour}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_a_split_that_leaves_no_training_hour_exits_2_naming_the_key(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        p = tmp_path / "cfg.yaml"
+        p.write_text("data: {synth: {hours: 96}}\nsplit: {train_fraction: 0.00001}\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: split.train_fraction: 1e-05 of 96 hours leaves the training "
+            "span empty\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "yaml_text, kind",
+        [("[]\n", "list"), ("0\n", "int"), ("false\n", "bool"),
+         ("''\n", "str"), ("[1]\n", "list")],
+    )
+    def test_a_config_root_that_is_not_a_mapping_exits_2_naming_the_file(
+        self, tmp_path, capsys, yaml_text, kind
+    ):
+        p = tmp_path / "r.yaml"
+        p.write_text(yaml_text)
+        assert main(["run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {p}: config root must be a mapping, got {kind}\n"
         )
 
     @pytest.mark.parametrize(

@@ -567,10 +567,14 @@ class TestNumericRange:
 
     @pytest.mark.parametrize("label", ["demand", "forecast", "actual"])
     def test_series_above_the_limit_is_named(self, label):
-        series = dict(demand=[80.0, 90.0], forecast=[5.0, 6.0], actual=[5.0, 6.0])
-        series[label] = [series[label][0], 1.5 * MW_LIMIT]
-        with pytest.raises(DispatchError, match=f"^{label}: 150000 MW at hour 1 "):
-            DispatchCase(fleet=default_fleet(), **series)
+        series = dict(
+            demand=[80.0, 90.0, 85.0], forecast=[5.0, 6.0, 7.0], actual=[5.0, 6.0, 7.0]
+        )
+        # Then a later, larger figure: the first hour above the limit is named.
+        for later in (series[label][2], 3.0 * MW_LIMIT):
+            series[label] = [series[label][0], 1.5 * MW_LIMIT, later]
+            with pytest.raises(DispatchError, match=f"^{label}: 150000 MW at hour 1 "):
+                DispatchCase(fleet=default_fleet(), **series)
 
     @pytest.mark.parametrize("costs", [(20.0, 25.0, 30.0), (0.0, 0.0, 0.0)])
     def test_voll_beyond_the_ratio_to_the_dearest_cost_is_named(self, costs):
