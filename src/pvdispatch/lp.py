@@ -32,8 +32,15 @@ a form for one solve.
 
 Dispatch instances here are a few hundred rows, so a dense tableau is
 adequate and easy to audit. A pivot updates only the rows with a nonzero
-entry in the entering column; that is exact, since every other row would
-have had zero times the pivot row subtracted from it. The ratio test
+entry in the entering column, and in them only the columns where the
+pivot row is nonzero. That is exact: every other entry ``t`` would have had
+``f * (+-0)`` subtracted from it, which keeps its value and can change at
+most the sign of a zero (``-0.0 - -0.0`` is ``+0.0``). The sign of a zero
+moves no comparison, ``nonzero``, ``argmin`` or ``|.|`` argmax, makes no
+later entry nonzero, and never reaches ``x``: the basic values are refined
+from the untouched ``a`` and ``b``, or read from the rhs column and made
+``+0.0`` by ``y + 0.0``. So the pivots, ``x``, the objective and the
+iteration count are those of the full-width update. The ratio test
 divides only the eligible rows, those whose entering-column entry exceeds
 the pivot tolerance. The artificial columns stay in the tableau after
 phase 1 but are not priced in phase 2; pivots still update them, which
@@ -137,6 +144,7 @@ class LpSolution:
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    basis: np.ndarray | None = None  # final basic columns; None if rows dropped
 
 
 @dataclass(frozen=True)
@@ -243,8 +251,8 @@ class _Simplex:
     def run(self, tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> str:
         """Pivot until optimal or unbounded, pricing the first ``n_cols``
         columns only. Returns "optimal"/"unbounded"."""
+        reduced, body, rhs = tableau[-1, :n_cols], tableau[:-1], tableau[:-1, -1]
         while True:
-            reduced = tableau[-1, :n_cols]
             if self.bland:
                 negs = (reduced < -_TOL).nonzero()[0]
                 if negs.size == 0:
@@ -254,12 +262,12 @@ class _Simplex:
                 enter = int(reduced.argmin())
                 if reduced[enter] >= -_TOL:
                     return "optimal"
-            col = tableau[:-1, enter]
+            col = body[:, enter]
             rows = (col > _PIVOT_TOL).nonzero()[0]
             if rows.size == 0:
                 return "unbounded"
-            ratios = tableau[rows, -1] / col[rows]
-            best = ratios.min()
+            ratios = rhs[rows] / col[rows]
+            best = np.minimum.reduce(ratios)
             # Tie-break on the smallest basis index (Bland-style) so the
             # pivot sequence is deterministic.
             tied = rows[ratios <= best + _TOL * (1.0 + best)]
@@ -279,11 +287,12 @@ class _Simplex:
                 )
 
     def _pivot(self, tableau: np.ndarray, row: int, col: int) -> None:
-        tableau[row] /= tableau[row, col]
+        prow = tableau[row]
+        prow /= prow[col]
         factors = tableau[:, col].copy()
         factors[row] = 0.0
-        rows = factors.nonzero()[0]
-        tableau[rows] -= np.outer(factors[rows], tableau[row])
+        rows, cols = factors.nonzero()[0], prow.nonzero()[0]
+        tableau[rows[:, None], cols] -= factors[rows, None] * prow[cols]
         tableau[:, col] = 0.0
         tableau[row, col] = 1.0
 
@@ -390,5 +399,6 @@ def solve_lp(
     # shedding bound is -da.ls); y + 0.0 keeps such an x at +0.0.
     x = lp.lower + (y[: lp.n_vars] + 0.0)
     return LpSolution(
-        LpStatus.OPTIMAL, x, float(lp.c @ x), engine.iterations
+        LpStatus.OPTIMAL, x, float(lp.c @ x), engine.iterations,
+        basis if m == a.shape[0] else None,
     )

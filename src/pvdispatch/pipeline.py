@@ -612,6 +612,11 @@ def _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor):
     # Checked here, once, so a bad span fails before any day is sent.
     check_voll(voll, fleet)
     check_emission_factor(emission_factor)
+    if not len(demand) == len(forecast) == len(actual):
+        raise DispatchError(
+            f"series lengths differ: demand {len(demand)}, forecast "
+            f"{len(forecast)}, actual {len(actual)}"
+        )
     span = slice(0, 24 * (len(demand) // 24))
     demand, forecast, actual = demand[span], forecast[span], actual[span]
     check_dispatch_series(fleet, demand, forecast=forecast, actual=actual)

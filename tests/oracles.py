@@ -6,6 +6,10 @@ inequality rows and bound facets) yields a candidate basic point; feasible
 candidates are collected and the best objective wins. It shares no code
 with the simplex path it audits.
 
+The exact lower bound turns the duals of a solver's final basis into a
+bound on every feasible objective, summed without rounding, so an answer
+whose objective meets it is proven optimal however large the program.
+
 The reference builders assemble the day-ahead and real-time programs one
 (unit, hour) entry at a time, the plain reading of the formulation in
 :mod:`pvdispatch.dispatch`, so the vectorised builders can be checked
@@ -38,7 +42,9 @@ and back, so gradient checks can perturb one weight at a time.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -120,6 +126,65 @@ def enumerate_vertices(lp: LinearProgram, feas_tol: float = 1e-7):
     if best_obj is None:
         return "infeasible", None, None
     return "optimal", best_obj, best_x
+
+
+_EXP = 1074  # every finite float times 2**1074 is an int
+
+
+def _ints(values: np.ndarray) -> list[int]:
+    """Each float of ``values`` times ``2**_EXP``, an int without rounding."""
+    return [
+        n << _EXP >> d.bit_length() - 1
+        for n, d in map(float.as_integer_ratio, values.tolist())
+    ]
+
+
+def exact_dot(u: np.ndarray, v: np.ndarray) -> Fraction:
+    """``u . v`` of two float arrays, without rounding."""
+    return Fraction(sum(map(operator.mul, _ints(u), _ints(v))), 1 << 2 * _EXP)
+
+
+def exact_lower_bound(lp: LinearProgram, basis: np.ndarray) -> Fraction | float:
+    """A lower bound on the objective of every feasible point of ``lp``, with
+    no rounding in it, from the duals of a standard-form ``basis``.
+
+    ``basis`` holds column indices of ``a y = b, y >= 0`` as
+    :class:`pvdispatch.lp.StandardForm` lays it out (and as the reference
+    form below does): ``y = x - lower``, then one slack per inequality row
+    and per finite upper bound. The duals solve ``B^T pi = c_B`` in float.
+    Those of the equality rows are ``y_eq``, those of the ``A_ub`` rows,
+    clipped at 0, are ``y_ub``; the rows ``y <= upper - lower`` are left
+    to the box term. With ``r = c - A_eq^T y_eq - A_ub^T y_ub``, every
+    feasible ``x`` has
+
+        c.x >= b_eq.y_eq + b_ub.y_ub + sum_j min(r_j lower_j, r_j upper_j)
+
+    whatever the duals (Neumaier & Shcherbina 2004, Math. Program. 99(2)),
+    and the duals of an optimal basis make it tight. Every float is an int
+    times ``2**-1074``, so the bound is summed as ints in such units, without
+    rounding, and returned as a :class:`fractions.Fraction`. A negative
+    ``r_j`` on a variable with no upper bound gives no bound, ``-inf``.
+    """
+    sf = _reference_standard_form(lp)
+    duals = np.linalg.solve(sf.a[:, basis].T, sf.c[basis])
+    n_eq, n_rows = lp.A_eq.shape[0], lp.A_eq.shape[0] + lp.A_ub.shape[0]
+    y = np.concatenate([duals[:n_eq], np.minimum(duals[n_eq:n_rows], 0.0)])
+    a = np.vstack([lp.A_eq, lp.A_ub])
+    y_ints = _ints(y)
+    # r in units of 2**-2148, those of a product of two floats.
+    reduced = [c << _EXP for c in _ints(lp.c)]
+    rows, cols = np.nonzero(a * (y != 0.0)[:, None])
+    for i, j, a_ij in zip(rows.tolist(), cols.tolist(), _ints(a[rows, cols])):
+        reduced[j] -= a_ij * y_ints[i]
+    boxed = np.isfinite(lp.upper)
+    upper = _ints(np.where(boxed, lp.upper, 0.0))
+    box = 0  # sum_j min(r_j lower_j, r_j upper_j), in units of 2**-3222
+    for r, low, up, has_up in zip(reduced, _ints(lp.lower), upper, boxed.tolist()):
+        if r < 0 and not has_up:
+            return -np.inf
+        box += r * (low if r > 0 else up)
+    b = np.concatenate([lp.b_eq, lp.b_ub])
+    return exact_dot(b, y) + Fraction(box, 1 << 3 * _EXP)
 
 
 def random_box_lp(rng: np.random.Generator, max_vars: int = 6) -> LinearProgram:

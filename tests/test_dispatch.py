@@ -1,5 +1,6 @@
 import resource
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     enumerate_vertices,
+    exact_dot,
+    exact_lower_bound,
     merit_order_cost,
     random_benign_case,
     random_dispatch_case,
@@ -33,6 +36,7 @@ from pvdispatch.dispatch import (
     solve_rt,
 )
 from pvdispatch.lp import LpError, LpSolution, LpStatus, check_solution, solve_lp
+from pvdispatch.synth import synth_year
 
 
 def case_t1(demand, forecast, actual=None, fleet=None, voll=1000.0):
@@ -551,6 +555,100 @@ class TestHighsOracle:
             )
         # The sample must reach each feature for the agreement to cover it.
         assert min(seen.values()) >= 50, seen
+
+
+# The dispatch-year fleet: G1 and G3 run at pmin > 0, and G2 and G3 move in
+# real time.
+YEAR_FLEET = (
+    GeneratorSpec("G1", cost=20.0, pmax=50.0, pmin=15.0, ramp=20.0),
+    GeneratorSpec("G2", cost=25.0, pmax=50.0, pmin=0.0, ramp=20.0, rt_available=True),
+    GeneratorSpec(
+        "G3", cost=30.0, pmax=30.0, pmin=5.0, ramp=30.0,
+        rt_available=True, gas_fired=True,
+    ),
+)
+
+
+def year_days(seed: int) -> list[DispatchCase]:
+    """Every sixth day of the first 360 of a seeded synthetic year, with the
+    dispatch-year fleet: the PV output of three areas summed, and a forecast
+    that errs both ways, day by day and hour by hour."""
+    generation, demand = synth_year(seed=seed)
+    actual = generation.values.sum(axis=1)
+    rng = np.random.default_rng(seed)
+    error = np.repeat(rng.lognormal(0.0, 0.3, 365), 24)
+    forecast = actual * error * rng.lognormal(0.0, 0.1, actual.size)
+    return [
+        DispatchCase(demand.values[sl, 0], forecast[sl], actual[sl], YEAR_FLEET)
+        for sl in (slice(24 * d, 24 * (d + 1)) for d in range(0, 360, 6))
+    ]
+
+
+def solved_programs(monkeypatch, cases) -> list[tuple]:
+    """``(lp, solution)`` of each day-ahead then real-time program solved
+    for ``cases``."""
+    solved = []
+
+    def record(lp, form):
+        solved.append((lp, solve_lp(lp, form)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(dispatch, "solve_lp", record)
+    for case in cases:
+        solve_rt(case, solve_da(case))
+    return solved
+
+
+def exact_gap(lp, x, basis) -> Fraction:
+    """``c.x`` minus the exact lower bound from ``basis``, without rounding."""
+    return exact_dot(lp.c, x) - exact_lower_bound(lp, basis)
+
+
+class TestExactBound:
+    """Every dispatch answer is feasible, and its objective is within 1e-9
+    relative of a lower bound proven from its own final basis, so it is
+    optimal to that precision, at full size and without scipy."""
+
+    @staticmethod
+    def assert_certified(lp, sol):
+        assert sol.basis is not None
+        assert check_solution(lp, sol, tol=1e-6) == []
+        scale = max(abs(sol.objective), 1.0)
+        assert abs(exact_gap(lp, sol.x, sol.basis)) <= 1e-9 * scale
+
+    def test_sixty_days_of_a_dispatch_year(self, monkeypatch):
+        solved = solved_programs(monkeypatch, year_days(seed=77))
+        assert len(solved) == 2 * 60
+        for lp, sol in solved:
+            self.assert_certified(lp, sol)
+
+    def test_the_highs_oracle_days(self, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(2026))  # as in TestHighsOracle
+        cases = [random_dispatch_case(rng) for _ in range(200)]
+        solved = solved_programs(monkeypatch, cases)
+        assert len(solved) == 400
+        for lp, sol in solved:
+            self.assert_certified(lp, sol)
+
+    def test_a_feasible_answer_that_is_not_optimal_is_refused(self, monkeypatch):
+        """1 MW moved from G1 (20 $/MWh) to G2 (25 $/MWh) in an hour where
+        both have room keeps the day-ahead answer feasible and costs 5 $
+        more; the bound from the optimal basis refuses it by those 5 $."""
+        case = year_days(seed=77)[0]
+        (lp, sol), _ = solved_programs(monkeypatch, [case])
+        g1, g2 = (np.arange(24) + 24 * v for v in (0, 1))  # p[v, t] columns
+        for t in range(24):
+            x = sol.x.copy()
+            x[g1[t]] -= 1.0
+            x[g2[t]] += 1.0
+            moved = LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), 0)
+            if check_solution(lp, moved, tol=1e-9) == []:
+                break
+        else:
+            pytest.fail("no hour has room to move 1 MW from G1 to G2")
+        gap = float(exact_gap(lp, moved.x, sol.basis))
+        assert gap > 1e-9 * max(abs(moved.objective), 1.0)
+        assert gap == pytest.approx(5.0, abs=1e-6)
 
 
 class TestNumericRange:

@@ -353,18 +353,29 @@ def _dense_pivot(tableau: np.ndarray, row: int, col: int) -> None:
 
 class TestPivot:
     def test_sparse_update_equals_dense_reference(self):
+        """The pivot subtracts only over the pivot row's nonzero columns. In
+        a zero column the dense update changes at most the sign of a zero
+        (-0.0 - -0.0 is +0.0); the sparse one leaves it bit for bit."""
         rng = np.random.Generator(np.random.PCG64(31))
+        signs_differ = 0
         for _ in range(100):
             m, n = int(rng.integers(2, 60)), int(rng.integers(2, 80))
             tableau = rng.normal(size=(m, n))
             tableau[rng.random((m, n)) < 0.5] = 0.0
+            tableau[rng.random((m, n)) < 0.2] = -0.0
             row, col = int(rng.integers(m)), int(rng.integers(n))
             tableau[:, col] *= rng.random(m) < 0.1  # mostly zeros
             tableau[row, col] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+            before = tableau.copy()
             expected = tableau.copy()
             _dense_pivot(expected, row, col)
             _Simplex(1)._pivot(tableau, row, col)
             assert np.array_equal(tableau, expected)
+            others, zero = np.arange(m) != row, before[row] == 0.0
+            untouched = before[others][:, zero]
+            assert tableau[others][:, zero].tobytes() == untouched.tobytes()
+            signs_differ += tableau.tobytes() != expected.tobytes()
+        assert signs_differ > 0  # the -0.0 entries reach the case
 
     def test_dispatch_day_matches_dense_reference(self, monkeypatch):
         case = random_dispatch_case(np.random.Generator(np.random.PCG64(8)))

@@ -20,6 +20,7 @@ from pvdispatch.data import (
 from pvdispatch.dispatch import (
     CaseMetrics,
     DispatchCase,
+    DispatchError,
     DispatchInternalError,
     EvaluationReport,
     GeneratorSpec,
@@ -445,6 +446,20 @@ class TestEvaluateDays:
         # perfect one by at most 1.8e-16 relative on these days.
         for d, (f, p) in enumerate(zip(erring, perfect)):
             assert f.da_rt_cost_usd >= p.da_rt_cost_usd * (1 - 1e-9), d
+
+    def test_series_of_unequal_length_fail_before_any_day_is_sent(
+        self, monkeypatch, sampled_year
+    ):
+        def solve_da(case):
+            raise AssertionError("a day was solved")
+
+        # Forked workers see the patched module attribute.
+        monkeypatch.setattr(pipeline, "solve_da", solve_da)
+        demand, forecast, actual = (series[:72] for series in sampled_year)
+        message = "^series lengths differ: demand 72, forecast 48, actual 72$"
+        with pytest.raises(DispatchError, match=message):
+            evaluate_days(demand, forecast[:48], actual, PMIN_FLEET, 1e3, 202.0)
+        assert multiprocessing.active_children() == []
 
     def test_a_solver_failure_in_a_worker_fails_the_dispatch_stage(
         self, monkeypatch
