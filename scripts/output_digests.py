@@ -23,10 +23,13 @@ dispatch moves units and a change to the real-time columns shows.
 ``run/discrepancy.csv`` with the built-in fleet, under ``evaluate/<method>/``,
 so the metrics it prints are digested too.
 
-One error path is digested as well: ``evaluate`` on the first ``DAYS`` days
-of ``run/discrepancy.csv`` with the demand of hour ``BAD_HOUR`` raised past
-``MW_LIMIT``, under ``errors/evaluate/``. Its exit code and stderr go to
-``stderr.txt``, so a refactor shows when error text moves.
+Three error paths are digested as well, each under ``errors/``:
+``evaluate`` on the first ``DAYS`` days of ``run/discrepancy.csv`` with the
+demand of hour ``BAD_HOUR`` raised past ``MW_LIMIT`` (``evaluate/``),
+``evaluate`` on its first 23 hours, which hold no complete day
+(``evaluate_short/``), and ``run`` with a ``dispatch.voll`` below the
+built-in fleet's dearest unit (``run/``). Each one's exit code and stderr
+go to ``stderr.txt``, so a refactor shows when error text moves.
 """
 
 import contextlib
@@ -184,6 +187,16 @@ def main(argv: list[str] | None = None) -> int:
     series = _write_series(where, bad, "mlstm")
     _run_failing(out, where, "evaluate", "--demand", str(series[0]),
                  "--forecast", str(series[1]), "--actual", str(series[2]))
+    where = out / "errors" / "evaluate_short"
+    series = _write_series(where, rows[:23], "mlstm")
+    _run_failing(out, where, "evaluate", "--demand", str(series[0]),
+                 "--forecast", str(series[1]), "--actual", str(series[2]))
+    where = out / "errors" / "run"
+    where.mkdir()
+    low_voll = where / "config.yaml"
+    low_voll.write_text(CONFIG_YAML.replace("voll: 1000.0", "voll: 20.0"),
+                        encoding="utf-8")
+    _run_failing(out, where, "run", "--config", str(low_voll), "--out", str(where))
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p != config):
         digest = hashlib.sha256(_digested_bytes(out, path)).hexdigest()

@@ -15,7 +15,7 @@ import csv
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -372,9 +372,7 @@ class DarkHourMask:
     """
 
     table: np.ndarray
-    month_defined: np.ndarray = field(
-        default_factory=lambda: np.ones(12, dtype=bool)
-    )
+    month_defined: np.ndarray
 
     def __post_init__(self) -> None:
         table = np.asarray(self.table, dtype=bool)
@@ -415,42 +413,8 @@ def dark_slots(timestamps: np.ndarray, mask: DarkHourMask) -> np.ndarray:
     return mask.table[months - 1, timestamp_hours(timestamps)]
 
 
-def load_mask_csv(path: str | Path) -> DarkHourMask:
-    """Read an explicit mask override: header ``month,hour,dark``, one row
-    per (month, hour), complete 12x24 coverage required."""
-    path = Path(path)
-    table = np.zeros((12, 24), dtype=bool)
-    seen = np.zeros((12, 24), dtype=bool)
-
-    def check_header(header: list[str] | None) -> None:
-        if header != ["month", "hour", "dark"]:
-            raise ValueError("header must be 'month,hour,dark'")
-
-    def parse_row(row: list[str]) -> None:
-        if len(row) != 3:
-            raise ValueError(f"expected 3 fields, got {len(row)}")
-        try:
-            month, hour, dark = int(row[0]), int(row[1]), int(row[2])
-        except ValueError:
-            raise ValueError(f"malformed mask row {row}") from None
-        if not (1 <= month <= 12 and 0 <= hour <= 23 and dark in (0, 1)):
-            raise ValueError(f"out-of-range mask row {row}")
-        if seen[month - 1, hour]:
-            raise ValueError(f"duplicate slot ({month},{hour})")
-        seen[month - 1, hour] = True
-        table[month - 1, hour] = bool(dark)
-
-    read_csv_rows(path, check_header, parse_row)
-    if not seen.all():
-        missing = np.argwhere(~seen)[0]
-        raise DataError(
-            f"{path}: incomplete mask, missing slot "
-            f"({int(missing[0]) + 1},{int(missing[1])})"
-        )
-    return DarkHourMask(table, np.ones(12, dtype=bool))
-
-
 def save_mask_csv(mask: DarkHourMask, path: str | Path) -> None:
+    """Write the mask's table as ``month,hour,dark`` rows, for reading."""
     months, hours = np.indices(mask.table.shape)
     columns = [months.ravel() + 1, hours.ravel(), mask.table.ravel().astype(int)]
     write_table(path, ["month", "hour", "dark"], columns)

@@ -49,7 +49,6 @@ from .data import (
     derive_dark_mask,
     fit_normalizer,
     load_csv,
-    load_mask_csv,
     load_single_column,
     normalize,
     split_chronological,
@@ -123,7 +122,6 @@ class PipelineConfig:
     generation_csv: str | None = _setting(None, "data.generation_csv")
     demand_csv: str | None = _setting(None, "data.demand_csv")
     fleet_csv: str | None = _setting(None, "data.fleet_csv")
-    mask_csv: str | None = _setting(None, "data.mask_csv")
     # windowing
     lookback_p: int = _setting(24, "window.lookback")
     horizon_m: int = _setting(12, "window.horizon")
@@ -400,7 +398,11 @@ def load_inputs(
     if j >= n:
         raise ConfigError(f"window.target: {j} is out of range for {n} features")
     fleet = load_fleet_csv(config.fleet_csv) if config.fleet_csv else default_fleet()
-    check_voll(config.voll, fleet)  # against the fleet, before any model is fitted
+    try:  # against the fleet, before any model is fitted
+        check_voll(config.voll, fleet)
+    except DispatchError as exc:  # "voll <value> must ...", named by its YAML key
+        problem = str(exc).removeprefix("voll ")
+        raise ConfigError(f"{_yaml_key('voll')}: {problem}") from None
     return generation, demand, fleet
 
 
@@ -412,10 +414,7 @@ def fit_baselines(
     ``fit_preprocessing`` and ``fit_baselines`` stages."""
     with _stage(timings, "fit_preprocessing"):
         normalizer = fit_normalizer(train_ds)
-        if config.mask_csv:
-            mask = load_mask_csv(config.mask_csv)
-        else:
-            mask = derive_dark_mask(train_ds, config.target_feature_j)
+        mask = derive_dark_mask(train_ds, config.target_feature_j)
 
     with _stage(timings, "fit_baselines"):
         profiles, day_months = daily_profiles(train_ds, config.target_feature_j)
@@ -582,8 +581,6 @@ def _dispatch_pool(n_days: int):
     from concurrent.futures import ProcessPoolExecutor  # here: slow to import
     from multiprocessing import get_context
 
-    if n_days == 0:
-        raise DataError("evaluation needs at least one complete 24-hour day")
     workers = min(len(os.sched_getaffinity(0)), n_days)
     saved = [(set_threads, get()) for get, set_threads in _openblas_threads()]
     pool = ProcessPoolExecutor(workers, get_context("fork"), os.nice, (10,))
@@ -656,12 +653,15 @@ def evaluate_days(
 
     Returns the report, each day's metrics, and the absorbed renewable
     (actual minus spill) per dispatched hour. A trailing partial day is
-    left out. NMAE is NaN when the actual series is all zero.
+    left out, and a span without a whole day is refused, naming its length.
+    NMAE is NaN when the actual series is all zero.
 
     The span is checked first, naming its first bad hour; forked workers,
     one per CPU this process may use, then solve the days, whose results,
     or the first failed day's error, come back in calendar order.
     """
+    if len(demand) < 24:
+        raise DispatchError(f"demand: {len(demand)} hours hold no complete 24-hour day")
     with _dispatch_pool(len(demand) // 24) as pool:
         wait = _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor)
         return wait()

@@ -68,7 +68,7 @@ def write_models(models, config_text, month_modal=None):
     models.mkdir()
     net = NetworkConfig(input_features=3, layer_sizes=(4,))
     normalizer = NormalizationParams(np.zeros(3), np.ones(3))
-    mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
+    mask = DarkHourMask(np.zeros((12, 24), dtype=bool), np.ones(12, dtype=bool))
     params = init_params(net)
     checkpoint.save_lstm(models / "mlstm.npz", net, params, normalizer, mask)
     modal = np.zeros(12, dtype=int) if month_modal is None else month_modal
@@ -251,6 +251,16 @@ class TestTrainForecastCommands:
         # The file reads back, cell for cell, as what the forecast stages give.
         config = load_config(cfg)
         net, params, normalizer, mask = checkpoint.load_lstm(out / "mlstm.npz")
+        # dark_mask.csv is the table of mlstm.npz's mask, one row per slot.
+        with (out / "dark_mask.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["month", "hour", "dark"]
+        slots = {(int(month), int(hour)): int(dark) for month, hour, dark in rows}
+        assert len(rows) == len(slots) == 288
+        assert slots == {
+            (month + 1, hour): int(mask.table[month, hour])
+            for month in range(12) for hour in range(24)
+        }
         kmeans = checkpoint.load_kmeans(out / "kmeans.npz")[0]
         monthly = checkpoint.load_monthly(out / "monthly.npz")[0]
         generation, _demand, _fleet = load_inputs(config)
@@ -498,6 +508,9 @@ class TestErrorContract:
             ("training: {lr_decay: 2}\n", "training.lr_decay"),
             ("data: {synth: {enabled: false}}\n", "data.generation_csv"),
             ("split: {train_fraction: 1.5}\n", "split.train_fraction"),
+            ("data: {mask_csv: m.csv}\n", "data.mask_csv"),
+            # Below the default fleet's dearest unit, 30 $/MWh.
+            ("dispatch: {voll: 20}\n", "dispatch.voll"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(
@@ -508,7 +521,7 @@ class TestErrorContract:
         assert main(["run", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
-    @pytest.mark.parametrize("loader", ["demand", "fleet", "mask", "config"])
+    @pytest.mark.parametrize("loader", ["demand", "fleet", "config"])
     def test_directory_path_exits_2_naming_it(self, tmp_path, capsys, loader):
         folder = tmp_path / "folder"
         folder.mkdir()
@@ -517,17 +530,11 @@ class TestErrorContract:
             name: tmp_path / "d" / "demand.csv"
             for name in ("demand", "forecast", "actual")
         }
-        config = tmp_path / "cfg.yaml"
-        # Two clusters, so that the split check passes on three training days.
-        config.write_text(
-            f"data: {{synth: {{hours: 96}}, mask_csv: '{folder}'}}\n"
-            "baselines: {kmeans_clusters: 2}\n"
-        )
-        if loader in ("demand", "fleet"):
+        if loader == "config":
+            argv = ["run", "--config", str(folder)]
+        else:
             paths[loader] = folder
             argv = ["evaluate"] + [f"--{name}={path}" for name, path in paths.items()]
-        else:
-            argv = ["run", "--config", str(folder if loader == "config" else config)]
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {folder}: cannot read: ")
@@ -537,9 +544,7 @@ class TestErrorContract:
         [
             (command, key)
             for command in ("run", "train", "forecast")
-            for key in ("generation_csv", "demand_csv", "fleet_csv", "mask_csv")
-            # forecast masks with the checkpoint's mask and reads no mask file
-            if (command, key) != ("forecast", "mask_csv")
+            for key in ("generation_csv", "demand_csv", "fleet_csv")
         ],
     )
     def test_absent_input_file_exits_2_naming_it(
@@ -560,7 +565,7 @@ class TestErrorContract:
         )
         net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
         normalizer = NormalizationParams(np.zeros(3), np.ones(3))
-        mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
+        mask = DarkHourMask(np.zeros((12, 24), dtype=bool), np.ones(12, dtype=bool))
         params = init_params(net)
         checkpoint.save_lstm(models / "mlstm.npz", net, params, normalizer, mask)
         kmeans = KMeansModel(np.ones((2, 24)), np.zeros(3, dtype=int), 0.0)
@@ -688,6 +693,17 @@ class TestErrorContract:
         assert main(["run", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {config}: not UTF-8 text")
 
+    def test_evaluate_without_a_complete_day_exits_2_naming_the_series(
+        self, tmp_path, capsys
+    ):
+        series = write_series(tmp_path / "s.csv", [10.0] * 23)
+        capsys.readouterr()
+        argv = ["evaluate", "--demand", series, "--forecast", series]
+        assert main(argv + ["--actual", series]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: demand: 23 hours hold no complete 24-hour day\n"
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize(
         "scaled, factor, flags, field",
         [
@@ -797,7 +813,7 @@ class TestErrorContract:
         p = tmp_path / "cfg.yaml"
         p.write_text("data: {synth: {hours: 48}}\ndispatch: {voll: 1.0e+17}\n")
         assert main(["run", "--config", str(p)]) == 2
-        assert capsys.readouterr().err.startswith("error: voll 1e+17 must be")
+        assert capsys.readouterr().err.startswith("error: dispatch.voll: 1e+17 must be")
 
     @pytest.mark.parametrize(
         "scaled, field", [("demand", "demand"), ("generation", "actual")]
@@ -1053,7 +1069,7 @@ class TestErrorContract:
         path = models / "mlstm.npz"
         net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
         normalizer = NormalizationParams(np.zeros(3), np.ones(3))
-        mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
+        mask = DarkHourMask(np.zeros((12, 24), dtype=bool), np.ones(12, dtype=bool))
         checkpoint.save_lstm(path, net, init_params(net), normalizer, mask)
         if damage == "truncated":
             path.write_bytes(path.read_bytes()[:200])
@@ -1094,7 +1110,7 @@ class TestErrorContract:
         models.mkdir()
         net = NetworkConfig(input_features=3, layer_sizes=(8, 6))
         normalizer = NormalizationParams(np.zeros(3), np.ones(3))
-        mask = DarkHourMask(np.zeros((12, 24), dtype=bool))
+        mask = DarkHourMask(np.zeros((12, 24), dtype=bool), np.ones(12, dtype=bool))
         changed = getattr(mask, field).copy()
         changed[0] = ~changed[0]
         masks = {"kmeans.npz": mask, "monthly.npz": mask}

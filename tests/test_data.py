@@ -16,7 +16,6 @@ from pvdispatch.data import (
     derive_dark_mask,
     fit_normalizer,
     load_csv,
-    load_mask_csv,
     normalize,
     save_mask_csv,
     split_chronological,
@@ -351,34 +350,6 @@ class TestDarkMask:
                 if mask.table[month - 1, hour]:
                     sel = (months == month) & (hours == hour)
                     assert not sel.any() or ds.values[sel, 0].max() == 0.0
-
-    def test_mask_csv_roundtrip(self, tmp_path):
-        ds = self._ds_with_zero_hours([1, 2, 22])
-        mask = derive_dark_mask(ds, 0)
-        # Round-trip through the override file format; undefined months
-        # become defined (the file is authoritative).
-        p = tmp_path / "mask.csv"
-        save_mask_csv(mask, p)
-        back = load_mask_csv(p)
-        np.testing.assert_array_equal(back.table, mask.table)
-        assert back.month_defined.all()
-
-    def test_mask_csv_incomplete_rejected(self, tmp_path):
-        p = tmp_path / "mask.csv"
-        p.write_text("month,hour,dark\n1,0,1\n")
-        with pytest.raises(DataError, match="incomplete"):
-            load_mask_csv(p)
-
-    @pytest.mark.parametrize("row, n", [("1,0,1,junk", 4), ("1,0", 2)])
-    def test_mask_csv_row_needs_three_fields(self, tmp_path, row, n):
-        mask = derive_dark_mask(self._ds_with_zero_hours([1, 2, 22]), 0)
-        p = tmp_path / "mask.csv"
-        save_mask_csv(mask, p)
-        lines = p.read_text().splitlines()
-        lines[1] = row
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"row 1: expected 3 fields, got {n}$"):
-            load_mask_csv(p)
 
 
 class TestDatasetValidation:

@@ -521,13 +521,41 @@ def _highs_objective(linprog, lp) -> float:
     return float(res.fun)
 
 
+def recorded_programs(monkeypatch) -> list[tuple]:
+    """A list that gains the ``(lp, solution)`` of each program dispatch
+    solves from here on."""
+    solved = []
+
+    def record(lp, form):
+        solved.append((lp, solve_lp(lp, form)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(dispatch, "solve_lp", record)
+    return solved
+
+
+@pytest.fixture(scope="module")
+def highs_oracle_days() -> tuple[list[tuple], list[tuple]]:
+    """200 random ``PCG64(2026)`` days, each solved once: every day's
+    ``(case, da, rt)``, and the ``(lp, solution)`` of each day-ahead then
+    real-time program solved, as :func:`solved_programs` gives them. Without
+    scipy, which only :class:`TestHighsOracle` needs."""
+    rng = np.random.Generator(np.random.PCG64(2026))
+    days = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        solved = recorded_programs(monkeypatch)
+        for case in (random_dispatch_case(rng) for _ in range(200)):
+            da = solve_da(case)
+            days.append((case, da, solve_rt(case, da)))
+    return days, solved
+
+
 class TestHighsOracle:
-    def test_da_and_rt_match_highs_on_random_days(self):
+    def test_da_and_rt_match_highs_on_random_days(self, highs_oracle_days):
         linprog = pytest.importorskip("scipy.optimize").linprog
-        rng = np.random.Generator(np.random.PCG64(2026))
+        days, _ = highs_oracle_days
         seen = dict(pmin=0, frozen=0, over=0, under=0, surplus=0)
-        for _ in range(200):
-            case = random_dispatch_case(rng)
+        for case, da, rt in days:
             pmin_total = sum(g.pmin for g in case.fleet)
             seen["pmin"] += pmin_total > 0
             seen["frozen"] += any(not g.rt_available for g in case.fleet)
@@ -536,7 +564,6 @@ class TestHighsOracle:
             seen["surplus"] += bool((case.actual > case.demand - pmin_total).any())
 
             lp_da = build_da_lp(case)
-            da = solve_da(case)
             x_da = np.concatenate([da.p.ravel(), da.rnw, da.ls])
             sol_da = LpSolution(LpStatus.OPTIMAL, x_da, da.objective, da.iterations)
             assert check_solution(lp_da, sol_da, tol=1e-6) == []
@@ -545,7 +572,6 @@ class TestHighsOracle:
             )
 
             lp_rt = build_rt_lp(case, da)
-            rt = solve_rt(case, da)
             flex = [g.rt_available for g in case.fleet]
             x_rt = np.concatenate([rt.delta[flex].ravel(), rt.spill, rt.ls_rt])
             sol_rt = LpSolution(LpStatus.OPTIMAL, x_rt, rt.objective, rt.iterations)
@@ -587,13 +613,7 @@ def year_days(seed: int) -> list[DispatchCase]:
 def solved_programs(monkeypatch, cases) -> list[tuple]:
     """``(lp, solution)`` of each day-ahead then real-time program solved
     for ``cases``."""
-    solved = []
-
-    def record(lp, form):
-        solved.append((lp, solve_lp(lp, form)))
-        return solved[-1][1]
-
-    monkeypatch.setattr(dispatch, "solve_lp", record)
+    solved = recorded_programs(monkeypatch)
     for case in cases:
         solve_rt(case, solve_da(case))
     return solved
@@ -622,10 +642,8 @@ class TestExactBound:
         for lp, sol in solved:
             self.assert_certified(lp, sol)
 
-    def test_the_highs_oracle_days(self, monkeypatch):
-        rng = np.random.Generator(np.random.PCG64(2026))  # as in TestHighsOracle
-        cases = [random_dispatch_case(rng) for _ in range(200)]
-        solved = solved_programs(monkeypatch, cases)
+    def test_the_highs_oracle_days(self, highs_oracle_days):
+        _, solved = highs_oracle_days
         assert len(solved) == 400
         for lp, sol in solved:
             self.assert_certified(lp, sol)

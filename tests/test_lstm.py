@@ -360,6 +360,17 @@ class TestReferenceLoops:
         for leaf, ref_leaf in zip(grads, ref_grads, strict=True):
             assert leaf.tobytes() == ref_leaf.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_predictions_and_gradients_byte_identical_at_the_trained_size(
+        self, dropout, dtype
+    ):
+        """The shape the pipeline trains: 64/32 cells over 24 steps, batch
+        32; its own cases, as the small shapes' grid would multiply it."""
+        self.test_predictions_and_gradients_byte_identical(
+            (64, 32), dropout, batch=32, steps=24, dtype=dtype
+        )
+
     def test_in_place_adam_byte_identical_to_copying_step(self):
         cfg = NetworkConfig(input_features=3, layer_sizes=(6, 4))
         params = jostled_params(cfg, 2)

@@ -152,7 +152,6 @@ NOT_DEFAULT = dict(
     generation_csv="g.csv",
     demand_csv="d.csv",
     fleet_csv="f.csv",
-    mask_csv="m.csv",
     lookback_p=12,
     horizon_m=6,
     target_feature_j=1,
@@ -307,7 +306,7 @@ class TestEmitReport:
         }
         result = PipelineResult(
             PipelineConfig(), outcomes, hours, np.full(48, 80.0), np.ones(48),
-            {}, DarkHourMask(np.zeros((12, 24))),
+            {}, DarkHourMask(np.zeros((12, 24)), np.ones(12, dtype=bool)),
         )
         with pytest.raises(ValueError, match="unequal lengths"):
             emit_report(result, tmp_path)
