@@ -23,11 +23,13 @@ dispatch moves units and a change to the real-time columns shows.
 ``run/discrepancy.csv`` with the built-in fleet, under ``evaluate/<method>/``,
 so the metrics it prints are digested too.
 
-Three error paths are digested as well, each under ``errors/``:
+Four error paths are digested as well, each under ``errors/``:
 ``evaluate`` on the first ``DAYS`` days of ``run/discrepancy.csv`` with the
 demand of hour ``BAD_HOUR`` raised past ``MW_LIMIT`` (``evaluate/``),
 ``evaluate`` on its first 23 hours, which hold no complete day
-(``evaluate_short/``), and ``run`` with a ``dispatch.voll`` below the
+(``evaluate_short/``), ``evaluate`` on the first ``DAYS`` days with
+``FREE_FLEET``, in which no unit has a positive cost
+(``evaluate_free_fleet/``), and ``run`` with a ``dispatch.voll`` below the
 built-in fleet's dearest unit (``run/``). Each one's exit code and stderr
 go to ``stderr.txt``, so a refactor shows when error text moves.
 """
@@ -58,6 +60,9 @@ PMIN_FLEET = (
         rt_available=True, gas_fired=True,
     ),
 )
+
+# One unit at no cost, which leaves no voll in the dispatch range.
+FREE_FLEET = (GeneratorSpec("H1", cost=0.0, pmax=80.0, ramp=80.0, rt_available=True),)
 
 CONFIG_YAML = """\
 seed: 5
@@ -191,6 +196,12 @@ def main(argv: list[str] | None = None) -> int:
     series = _write_series(where, rows[:23], "mlstm")
     _run_failing(out, where, "evaluate", "--demand", str(series[0]),
                  "--forecast", str(series[1]), "--actual", str(series[2]))
+    where = out / "errors" / "evaluate_free_fleet"
+    series = _write_series(where, rows[: 24 * DAYS], "mlstm")
+    save_fleet_csv(FREE_FLEET, where / "fleet.csv")
+    _run_failing(out, where, "evaluate", "--demand", str(series[0]),
+                 "--forecast", str(series[1]), "--actual", str(series[2]),
+                 "--fleet", str(where / "fleet.csv"))
     where = out / "errors" / "run"
     where.mkdir()
     low_voll = where / "config.yaml"

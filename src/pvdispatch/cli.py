@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,9 @@ from .dispatch import (
     case_metrics,
     default_fleet,
     load_fleet_csv,
-    nmae as nmae_metric,
     solve_da,
     solve_rt,
+    span_report,
 )
 from .pipeline import (
     INPUT_ERRORS,
@@ -171,10 +171,10 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     header += [f"rt_delta_{n}" for n in names] + ["rt_spill", "rt_ls"]
     columns = [np.arange(case.horizon), *da.p, da.rnw, da.ls]
     write_table(path, header, columns + [*rt.delta, rt.spill, rt.ls_rt])
-    metrics = asdict(case_metrics(case, da, rt))
+    metrics = [case_metrics(case, da, rt)]
     print(f"wrote {path}")
     print(f"da_objective_usd={da.objective!r} rt_objective_usd={rt.objective!r}")
-    _print_report(EvaluationReport(**metrics, nmae=nmae_metric(forecast, actual)))
+    _print_report(span_report(metrics, forecast, actual, args.emission_factor))
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,11 +114,14 @@ def default_fleet() -> tuple[GeneratorSpec, ...]:
 
 
 def check_voll(voll: float, fleet: tuple[GeneratorSpec, ...]) -> None:
-    """Raise :class:`DispatchError` unless the fleet has a unit and ``voll``
-    exceeds the dearest unit's cost by a factor of at most ``VOLL_COST_RATIO``."""
+    """Raise :class:`DispatchError` unless the fleet has a unit with a positive
+    cost and ``voll`` exceeds the dearest unit's cost by a factor of at most
+    ``VOLL_COST_RATIO``."""
     if not fleet:
         raise DispatchError("fleet must not be empty")
     max_cost = max(g.cost for g in fleet)
+    if max_cost == 0:  # then no voll can lie in the range below
+        raise DispatchError("fleet: no unit has a positive cost")
     if not max_cost < voll <= VOLL_COST_RATIO * max_cost:
         raise DispatchError(
             f"voll {voll} must be finite and exceed the dearest generator "
@@ -416,7 +419,7 @@ def case_metrics(case: DispatchCase, da: DaSolution, rt: RtSolution) -> CaseMetr
     """The grid metrics of one solved day-ahead + real-time case."""
     gas_mask = np.array([g.gas_fired for g in case.fleet], dtype=bool)
     combined = da.p + rt.delta
-    gas_mwh = float(combined[gas_mask].sum()) if gas_mask.any() else 0.0
+    gas_mwh = float(combined[gas_mask].sum())  # +0.0 without a gas-fired unit
     return CaseMetrics(
         gas_mwh=gas_mwh,
         co2_kg=case.emission_factor * gas_mwh,
@@ -424,6 +427,19 @@ def case_metrics(case: DispatchCase, da: DaSolution, rt: RtSolution) -> CaseMetr
         spillage_mwh=float(rt.spill.sum()),
         da_rt_cost_usd=float(da.objective + rt.objective),
     )
+
+
+def span_report(
+    daily: list[CaseMetrics], forecast: np.ndarray, actual: np.ndarray, factor: float
+) -> EvaluationReport:
+    """A span's report from its days' metrics in calendar order: each grid metric
+    totalled from 0.0, CO2 at ``factor`` kg per gas-fired MWh, and the NMAE."""
+    totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
+    for day in daily:
+        for key in totals:
+            totals[key] += getattr(day, key)
+    co2_kg = factor * totals["gas_mwh"]
+    return EvaluationReport(**totals, co2_kg=co2_kg, nmae=nmae(forecast, actual))
 
 
 _FLEET_HEADER = ["name", "cost", "pmax", "pmin", "ramp", "rt_available", "gas_fired"]
@@ -459,6 +475,8 @@ def load_fleet_csv(path: str | Path) -> tuple[GeneratorSpec, ...]:
     fleet = read_csv_rows(path, check_header, parse_row, DispatchError)
     if not fleet:
         raise DispatchError(f"{path}: no generators")
+    if not any(g.cost > 0 for g in fleet):  # no voll could exceed its costs
+        raise DispatchError(f"{path}: no unit has a positive cost")
     return tuple(fleet)
 
 

@@ -9,8 +9,8 @@ baselines' while the network trains. Metrics are aggregated per forecast
 method into the six-row report table; the discrepancy file carries
 per-hour forecast/actual/absorbed series for external plotting.
 
-All randomness flows from seeds in the configuration, so a fixed config
-reproduces byte-identical metric files.
+All randomness flows from the configuration's seed and the fixed model
+seeds below, so a fixed config reproduces byte-identical metric files.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -69,9 +68,9 @@ from .dispatch import (
     check_voll,
     default_fleet,
     load_fleet_csv,
-    nmae,
     solve_da,
     solve_rt,
+    span_report,
 )
 from .lstm import (
     NetworkConfig,
@@ -86,6 +85,10 @@ METHODS = ("kmeans", "monthly", "mlstm")
 # The metrics.csv rows; all but nmae are the CaseMetrics fields, which are
 # also the columns of metrics_daily.csv.
 METRIC_ROWS = tuple(f.name for f in fields(EvaluationReport))
+# The fixed seeds of the network's weights, training's batches and k-means++.
+NETWORK_SEED = 1
+TRAINING_SEED = 2
+KMEANS_SEED = 3
 
 
 class ConfigError(ValueError):
@@ -131,17 +134,14 @@ class PipelineConfig:
     # network / training
     layer_sizes: tuple[int, ...] = _setting(NetworkConfig.layer_sizes, "network.layers")
     dropout_rate: float = _setting(NetworkConfig.dropout_rate, "network.dropout")
-    network_seed: int = _setting(1, "network.seed")
     epochs: int = _setting(TrainingConfig.epochs, "training.epochs")
     batch_size: int = _setting(TrainingConfig.batch_size, "training.batch_size")
     learning_rate: float = _setting(
         TrainingConfig.learning_rate, "training.learning_rate"
     )
     lr_decay: float = _setting(TrainingConfig.lr_decay, "training.lr_decay")
-    training_seed: int = _setting(2, "training.seed")
     # baselines
     kmeans_clusters: int = _setting(10, "baselines.kmeans_clusters")
-    kmeans_seed: int = _setting(3, "baselines.kmeans_seed")
     # dispatch
     voll: float = _setting(DispatchCase.voll, "dispatch.voll")
     emission_factor: float = _setting(
@@ -158,10 +158,6 @@ class PipelineConfig:
                 f"{_yaml_key('train_fraction')}: {self.train_fraction} "
                 "must be in (0, 1)"
             )
-        if not 0 < self.voll < math.inf:  # against the fleet once it is loaded
-            raise ConfigError(
-                f"{_yaml_key('voll')}: {self.voll} must be finite and > 0"
-            )
         try:
             check_emission_factor(self.emission_factor)
         except DispatchError:
@@ -173,9 +169,6 @@ class PipelineConfig:
         for name, least in (
             ("kmeans_clusters", 1),
             ("seed", 0),
-            ("network_seed", 0),
-            ("training_seed", 0),
-            ("kmeans_seed", 0),
         ):
             if getattr(self, name) < least:
                 raise ConfigError(
@@ -211,7 +204,7 @@ def _network_config(config: PipelineConfig, input_features: int) -> NetworkConfi
         input_features=input_features,
         layer_sizes=config.layer_sizes,
         dropout_rate=config.dropout_rate,
-        seed=config.network_seed,
+        seed=NETWORK_SEED,
     )
 
 
@@ -220,7 +213,7 @@ def _training_config(config: PipelineConfig) -> TrainingConfig:
         epochs=config.epochs,
         batch_size=config.batch_size,
         learning_rate=config.learning_rate,
-        seed=config.training_seed,
+        seed=TRAINING_SEED,
         lr_decay=config.lr_decay,
     )
 
@@ -419,7 +412,7 @@ def fit_baselines(
     with _stage(timings, "fit_baselines"):
         profiles, day_months = daily_profiles(train_ds, config.target_feature_j)
         km = kmeans_fit(
-            profiles, config.kmeans_clusters, seed=config.kmeans_seed, months=day_months
+            profiles, config.kmeans_clusters, seed=KMEANS_SEED, months=day_months
         )
         monthly = monthly_hour_fit(train_ds, config.target_feature_j)
     return normalizer, mask, km, monthly
@@ -626,15 +619,7 @@ def _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor):
     def wait() -> tuple[EvaluationReport, list[CaseMetrics], np.ndarray]:
         solved = list(days)  # in calendar order, or the first failed day's error
         daily = [metrics for metrics, _ in solved]
-        totals = {f.name: 0.0 for f in fields(CaseMetrics) if f.name != "co2_kg"}
-        for day in daily:
-            for key in totals:
-                totals[key] += getattr(day, key)
-        report = EvaluationReport(
-            **totals,
-            co2_kg=emission_factor * totals["gas_mwh"],
-            nmae=nmae(forecast, actual),
-        )
+        report = span_report(daily, forecast, actual, emission_factor)
         return report, daily, np.concatenate([absorbed for _, absorbed in solved])
 
     return wait

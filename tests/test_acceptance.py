@@ -54,9 +54,6 @@ PIPELINE_CONFIG = dict(
     voll=1000.0,
     emission_factor=202.0,
     seed=11,
-    network_seed=1,
-    training_seed=2,
-    kmeans_seed=3,
 )
 
 

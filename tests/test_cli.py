@@ -492,9 +492,6 @@ class TestErrorContract:
             ("network: {layers: '64'}\n", "network.layers"),
             ("seed: 1.5\n", "seed"),
             ("seed: -1\n", "seed"),
-            ("network: {seed: -1}\n", "network.seed"),
-            ("training: {seed: -1}\n", "training.seed"),
-            ("baselines: {kmeans_seed: -1}\n", "baselines.kmeans_seed"),
             ("dispatch: {voll: true}\n", "dispatch.voll"),
             ("window: {target: 3}\n", "window.target"),
             ("window: {target: -1}\n", "window.target"),
@@ -520,6 +517,22 @@ class TestErrorContract:
         p.write_text(yaml_text)
         assert main(["run", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("network.seed", 1), ("training.seed", 2), ("baselines.kmeans_seed", 3)],
+    )
+    def test_a_fixed_model_seed_is_not_a_config_key(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        """The network, training and k-means seeds are fixed at 1, 2 and 3;
+        a config that sets one, even to that value, exits 2 naming the key."""
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        section, name = key.split(".")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"{section}: {{{name}: {value}}}\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {key}: unknown config key\n"
 
     @pytest.mark.parametrize("loader", ["demand", "fleet", "config"])
     def test_directory_path_exits_2_naming_it(self, tmp_path, capsys, loader):
@@ -814,6 +827,53 @@ class TestErrorContract:
         p.write_text("data: {synth: {hours: 48}}\ndispatch: {voll: 1.0e+17}\n")
         assert main(["run", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error: dispatch.voll: 1e+17 must be")
+
+    @pytest.mark.parametrize("command", ["run", "train", "forecast"])
+    def test_a_negative_voll_builds_and_stops_each_command_before_fitting(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """A config checks voll against the fleet once it is loaded, before
+        any model is fitted, and not when it is built."""
+        assert PipelineConfig(voll=-5.0).voll == -5.0
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        monkeypatch.setattr(pipeline, "kmeans_fit", _must_not_train)
+        config_text = "data: {synth: {hours: 48}}\ndispatch: {voll: -5}\n"
+        if command == "forecast":
+            write_models(tmp_path / "models", config_text)
+            argv = ["forecast", "--models", str(tmp_path / "models")]
+        else:
+            p = tmp_path / "cfg.yaml"
+            p.write_text(config_text)
+            argv = [command, "--config", str(p)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: dispatch.voll: -5.0 must be")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "run"])
+    def test_a_fleet_without_a_positive_cost_exits_2_naming_the_file(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """No voll can exceed the dearest cost of such a fleet by a bounded
+        factor, so the file is refused, not the voll."""
+        monkeypatch.setattr(pipeline, "train", _must_not_train)
+        fleet = tmp_path / "fleet.csv"
+        fleet.write_text(
+            "name,cost,pmax,pmin,ramp,rt_available,gas_fired\n"
+            "H1,0,80,0,80,1,0\n"
+        )
+        if command == "evaluate":
+            main(["synth", "--out", str(tmp_path / "d"), "--hours", "24"])
+            series = str(tmp_path / "d" / "demand.csv")
+            argv = ["evaluate", "--demand", series, "--forecast", series,
+                    "--actual", series, "--fleet", str(fleet)]
+        else:
+            p = tmp_path / "cfg.yaml"
+            p.write_text(f"data: {{synth: {{hours: 48}}, fleet_csv: '{fleet}'}}\n")
+            argv = ["run", "--config", str(p), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {fleet}: no unit has a positive cost\n"
 
     @pytest.mark.parametrize(
         "scaled, field", [("demand", "demand"), ("generation", "actual")]

@@ -692,17 +692,25 @@ class TestNumericRange:
             with pytest.raises(DispatchError, match=f"^{label}: 150000 MW at hour 1 "):
                 DispatchCase(fleet=default_fleet(), **series)
 
-    @pytest.mark.parametrize("costs", [(20.0, 25.0, 30.0), (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("costs", [(20.0, 25.0, 30.0)])
     def test_voll_beyond_the_ratio_to_the_dearest_cost_is_named(self, costs):
         fleet = tuple(
             GeneratorSpec(f"G{i}", cost=c, pmax=50.0, ramp=20.0)
             for i, c in enumerate(costs)
         )
-        voll = 2.0 * VOLL_COST_RATIO * max(max(costs), 1.0)
+        voll = 2.0 * VOLL_COST_RATIO * max(costs)
         with pytest.raises(DispatchError, match="^voll .* at most 100000"):
             case_t1(80.0, 0.0, fleet=fleet, voll=voll)
-        if max(costs) > 0:
-            case_t1(80.0, 0.0, fleet=fleet, voll=VOLL_COST_RATIO * max(costs))
+        case_t1(80.0, 0.0, fleet=fleet, voll=VOLL_COST_RATIO * max(costs))
+
+    @pytest.mark.parametrize("voll", [1e-3, 1000.0, 1e17])
+    def test_a_fleet_without_a_positive_cost_is_named_whatever_the_voll(self, voll):
+        """The voll range (0, 0] such a fleet would leave is empty."""
+        fleet = tuple(
+            GeneratorSpec(f"G{i}", cost=0.0, pmax=50.0, ramp=20.0) for i in range(3)
+        )
+        with pytest.raises(DispatchError, match="^fleet: no unit has a positive cost$"):
+            case_t1(80.0, 0.0, fleet=fleet, voll=voll)
 
     def test_answers_at_the_edge_of_the_range_match_highs(self):
         """Every MW figure scaled so the largest is MW_LIMIT, and voll at its

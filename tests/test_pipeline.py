@@ -158,14 +158,11 @@ NOT_DEFAULT = dict(
     train_fraction=0.5,
     layer_sizes=(8, 4, 2),
     dropout_rate=0.1,
-    network_seed=5,
     epochs=3,
     batch_size=16,
     learning_rate=0.01,
     lr_decay=0.9,
-    training_seed=7,
     kmeans_clusters=4,
-    kmeans_seed=8,
     voll=2000.0,
     emission_factor=300.0,
     seed=9,
