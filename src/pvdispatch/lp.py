@@ -40,11 +40,13 @@ moves no comparison, ``nonzero``, ``argmin`` or ``|.|`` argmax, makes no
 later entry nonzero, and never reaches ``x``: the basic values are refined
 from the untouched ``a`` and ``b``, or read from the rhs column and made
 ``+0.0`` by ``y + 0.0``. So the pivots, ``x``, the objective and the
-iteration count are those of the full-width update. The ratio test
-divides only the eligible rows, those whose entering-column entry exceeds
-the pivot tolerance. The artificial columns stay in the tableau after
-phase 1 but are not priced in phase 2; pivots still update them, which
-touches no other column.
+iteration count are those of the full-width update. Nor is the entering
+column written after the update: it leaves ``t - t * 1.0 = +0.0`` in each
+updated row and ``x / x = 1.0`` in the pivot row, and every other row holds
+a zero of either sign. The ratio test divides only the eligible rows, those
+whose entering-column entry exceeds the pivot tolerance. The artificial
+columns stay in the tableau after phase 1 but are not priced in phase 2;
+pivots still update them, which touches no other column.
 """
 
 from __future__ import annotations
@@ -293,8 +295,6 @@ class _Simplex:
         factors[row] = 0.0
         rows, cols = factors.nonzero()[0], prow.nonzero()[0]
         tableau[rows[:, None], cols] -= factors[rows, None] * prow[cols]
-        tableau[:, col] = 0.0
-        tableau[row, col] = 1.0
 
 
 def solve_lp(

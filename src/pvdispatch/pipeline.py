@@ -16,6 +16,7 @@ seeds below, so a fixed config reproduces byte-identical metric files.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -563,14 +564,14 @@ def _openblas_threads() -> list[tuple]:
 def _dispatch_pool(n_days: int):
     """Forked workers for spans of ``n_days`` days, one per CPU this process
     may use but no more than there are days, each at nice 10 so that
-    training in the parent keeps its CPU; they only solve, as
-    :func:`_send_days` checks each span first. On leaving, the days not yet
-    started are cancelled. While the pool is open this process's BLAS runs
-    on one thread, as a second one competed with a worker for a CPU and
-    slowed the training beside the pool; on leaving, the old count comes
-    back. A fork pool forks its workers at its first submit, after that
-    pin, so they inherit the one thread: beside workers that fill the CPUs,
-    spin-waiting OpenBLAS threads stalled them several times over."""
+    training in the parent keeps its CPU; they only solve, as each span
+    reaches them checked. On leaving, the days not yet started are
+    cancelled. While the pool is open this process's BLAS runs on one
+    thread, as a second one competed with a worker for a CPU and slowed the
+    training beside the pool; on leaving, the old count comes back. A fork
+    pool forks its workers at its first submit, after that pin, so they
+    inherit the one thread: beside workers that fill the CPUs, spin-waiting
+    OpenBLAS threads stalled them several times over."""
     from concurrent.futures import ProcessPoolExecutor  # here: slow to import
     from multiprocessing import get_context
 
@@ -595,31 +596,20 @@ def _dispatch_day(case_fields: tuple) -> tuple[CaseMetrics, np.ndarray]:
     return case_metrics(case, da, rt), case.actual - rt.spill
 
 
-def _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor):
-    """Check the span, then send each of its complete days to ``pool``,
-    arguments as for :func:`evaluate_days`; returns a function that waits
-    for the days and returns what :func:`evaluate_days` returns."""
-    # Checked here, once, so a bad span fails before any day is sent.
-    check_voll(voll, fleet)
-    check_emission_factor(emission_factor)
-    if not len(demand) == len(forecast) == len(actual):
-        raise DispatchError(
-            f"series lengths differ: demand {len(demand)}, forecast "
-            f"{len(forecast)}, actual {len(actual)}"
-        )
-    span = slice(0, 24 * (len(demand) // 24))
-    demand, forecast, actual = demand[span], forecast[span], actual[span]
-    check_dispatch_series(fleet, demand, forecast=forecast, actual=actual)
+def _send_days(pool, span: DispatchCase):
+    """Send each day of ``span``, a case of whole days, to ``pool``; returns a
+    function that waits for them and returns what :func:`evaluate_days` does."""
+    rest = span.fleet, span.voll, span.emission_factor
     cases = [
-        (demand[sl], forecast[sl], actual[sl], fleet, voll, emission_factor)
-        for sl in (slice(h, h + 24) for h in range(0, span.stop, 24))
+        (span.demand[sl], span.forecast[sl], span.actual[sl], *rest)
+        for sl in (slice(h, h + 24) for h in range(0, span.horizon, 24))
     ]
     days = pool.map(_dispatch_day, cases, chunksize=4)
 
     def wait() -> tuple[EvaluationReport, list[CaseMetrics], np.ndarray]:
         solved = list(days)  # in calendar order, or the first failed day's error
         daily = [metrics for metrics, _ in solved]
-        report = span_report(daily, forecast, actual, emission_factor)
+        report = span_report(daily, span.forecast, span.actual, span.emission_factor)
         return report, daily, np.concatenate([absorbed for _, absorbed in solved])
 
     return wait
@@ -641,15 +631,22 @@ def evaluate_days(
     left out, and a span without a whole day is refused, naming its length.
     NMAE is NaN when the actual series is all zero.
 
-    The span is checked first, naming its first bad hour; forked workers,
-    one per CPU this process may use, then solve the days, whose results,
-    or the first failed day's error, come back in calendar order.
+    The whole days are checked first, as one :class:`DispatchCase`; forked
+    workers, one per CPU this process may use, then solve the days, whose
+    results, or the first failed day's error, come back in calendar order.
     """
     if len(demand) < 24:
         raise DispatchError(f"demand: {len(demand)} hours hold no complete 24-hour day")
-    with _dispatch_pool(len(demand) // 24) as pool:
-        wait = _send_days(pool, forecast, demand, actual, fleet, voll, emission_factor)
-        return wait()
+    if not len(demand) == len(forecast) == len(actual):
+        raise DispatchError(
+            f"series lengths differ: demand {len(demand)}, forecast "
+            f"{len(forecast)}, actual {len(actual)}"
+        )
+    n = 24 * (len(demand) // 24)
+    whole = (series[:n] for series in (demand, forecast, actual))
+    span = DispatchCase(*whole, fleet, voll, emission_factor)
+    with _dispatch_pool(n // 24) as pool:
+        return _send_days(pool, span)()
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -687,7 +684,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         forecasts = forecast_baselines(
             config, kmeans, monthly, mask, generation, train_ds.n
         )
-    span = dispatch_demand, dispatch_actual, fleet, config.voll, config.emission_factor
+    span = functools.partial(  # a method's span, once given its forecast
+        DispatchCase, demand=dispatch_demand, actual=dispatch_actual, fleet=fleet,
+        voll=config.voll, emission_factor=config.emission_factor,
+    )
     pending = {}  # each method's forecast of the dispatched days, and its wait
 
     # The workers solve the baselines' days while the network trains here.
@@ -695,7 +695,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         with _stage(timings, "dispatch"):
             for method, forecast in forecasts.items():
                 cut = forecast.rows(day_slice.start, day_slice.stop)
-                pending[method] = cut, _send_days(pool, cut.column(0), *span)
+                pending[method] = cut, _send_days(pool, span(forecast=cut.column(0)))
         net, params, _history = fit_network(config, train_ds, normalizer, timings)
         with _stage(timings, "forecast"):
             mlstm = forecast_network(
@@ -703,7 +703,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             )
         with _stage(timings, "dispatch"):
             cut = mlstm.rows(day_slice.start, day_slice.stop)
-            pending["mlstm"] = cut, _send_days(pool, cut.column(0), *span)
+            pending["mlstm"] = cut, _send_days(pool, span(forecast=cut.column(0)))
             outcomes = {
                 m: MethodOutcome(cut, *wait()) for m, (cut, wait) in pending.items()
             }

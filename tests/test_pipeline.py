@@ -455,7 +455,40 @@ class TestEvaluateDays:
         message = "^series lengths differ: demand 72, forecast 48, actual 72$"
         with pytest.raises(DispatchError, match=message):
             evaluate_days(demand, forecast[:48], actual, PMIN_FLEET, 1e3, 202.0)
+        # A longer forecast is refused too, not cut to demand's whole days.
+        longer = sampled_year[1][:96]
+        message = "^series lengths differ: demand 72, forecast 96, actual 72$"
+        with pytest.raises(DispatchError, match=message):
+            evaluate_days(demand, longer, actual, PMIN_FLEET, 1e3, 202.0)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "voll, scaled_hour, message",
+        [
+            (5.0, None, "^voll 5.0 must be finite and exceed the dearest"),
+            (1e3, 30, "^demand: .* MW at hour 30 is above the 100000 MW limit$"),
+            # Several faults are named in DispatchCase's order: series first.
+            (5.0, 30, "^demand: .* MW at hour 30 is above the 100000 MW limit$"),
+        ],
+        ids=["voll", "demand", "demand-and-voll"],
+    )
+    def test_a_bad_span_builds_no_worker_pool(
+        self, monkeypatch, sampled_year, voll, scaled_hour, message
+    ):
+        built = []
+
+        class CountedPool(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        demand, forecast, actual = (series[:72].copy() for series in sampled_year)
+        if scaled_hour is not None:
+            demand[scaled_hour] *= 3e5
+        with pytest.raises(DispatchError, match=message):
+            evaluate_days(demand, forecast, actual, PMIN_FLEET, voll, 202.0)
+        assert built == []
 
     def test_a_solver_failure_in_a_worker_fails_the_dispatch_stage(
         self, monkeypatch

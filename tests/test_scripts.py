@@ -3,7 +3,8 @@ removed function fails here instead of on its next manual run, and
 ``scan_lstm.py`` prints, on a small config, the NMAEs that ``run`` reports;
 every committed config under ``configs/`` runs up to training;
 ``output_digests.py`` digests what each command prints, and only what is the
-same in every run."""
+same in every run; ``pair_rule.py`` judges fixed runs by the benchmark's
+bounds."""
 
 import importlib.util
 import json
@@ -132,3 +133,57 @@ def test_committed_config_runs_up_to_training(path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: stage 'train_mlstm' failed: training reached\n"
     )
+
+
+def _perfbench_lines(path, wall_s, setup_s=(0.45,), peak_rss_mb=89.0, failed=0):
+    """One perfbench summary line per wall time, as its runs print last."""
+    setups = [setup_s[k % len(setup_s)] for k in range(len(wall_s))]
+    path.write_text("".join(
+        json.dumps({
+            "correct": True, "attempted": 8, "failed": failed,
+            "metrics": {
+                "setup_s": {"value": s, "unit": "s"},
+                "wall_s": {"value": w, "unit": "s"},
+                "peak_rss_mb": {"value": peak_rss_mb, "unit": "MiB"},
+            },
+        }) + "\n"
+        for w, s in zip(wall_s, setups)
+    ))
+    return str(path)
+
+
+def test_pair_rule_judges_fixed_runs_by_the_benchmark_bounds(tmp_path, capsys):
+    """Ten pairs: a change that wins every pair by more than the parent's
+    quartile distance meets its claim; one that loses two pairs does not,
+    and a 13% larger peak RSS breaks its 10% bound."""
+    rule = import_script(ROOT / "scripts" / "pair_rule.py")
+    parent = _perfbench_lines(
+        tmp_path / "parent.jsonl",
+        [3.30, 3.35, 3.40, 3.38, 3.42, 3.36, 3.39, 3.41, 3.37, 3.33],
+    )
+    faster = [2.60, 2.70, 2.68, 2.65, 2.72, 2.66, 2.69, 2.71, 2.67, 2.64]
+    change = _perfbench_lines(tmp_path / "change.jsonl", faster)
+    assert rule.main([parent, change, "--claim", "wall_s"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "10 pairs",
+        "setup_s (s, lower is better, bound 25%): parent 0.45 [0.45, 0.45], "
+        "change 0.45 [0.45, 0.45]; change wins 0/10; within bound",
+        "wall_s (s, lower is better, bound 24%): parent 3.375 [3.353, 3.397], "
+        "change 2.675 [2.652, 2.698]; change wins 10/10; within bound",
+        "peak_rss_mb (MiB, lower is better, bound 10%): parent 89 [89, 89], "
+        "change 89 [89, 89]; change wins 0/10; within bound",
+        "claim wall_s: wins 10/10 (at least nine tenths: yes); median gain 0.7 "
+        "against parent IQR 0.045 (yes); failed share 0 -> 0 (not grown); "
+        "claim met",
+    ]
+    worse = _perfbench_lines(
+        tmp_path / "worse.jsonl", [3.5, 3.5, *faster[2:]], setup_s=(0.3, 0.6),
+        peak_rss_mb=101.0, failed=1,
+    )
+    assert rule.main([parent, worse, "--claim", "wall_s"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("unresolved: the runs spread wider than the bound")
+    assert lines[2].endswith("change wins 8/10; within bound")
+    assert lines[3].endswith("WORSE beyond bound")
+    assert lines[4].startswith("claim wall_s: wins 8/10 (at least nine tenths: no)")
+    assert lines[4].endswith("failed share 0 -> 0.125 (grew); claim NOT met")
